@@ -10,7 +10,7 @@ from .counterdiabatic import (
     rotated_full_hamiltonian,
 )
 from .extrapolation import ExtrapolationFit, fit_extrapolation
-from .gates import AngleSet, Gate, angle_map, gms_unitary, solve_gms_angles
+from .gates import Gate, gms_unitary, solve_gms_angles, step_angles
 from .hardware import (
     HardwareSpec,
     RuntimeReport,
@@ -39,6 +39,8 @@ from .synthesis import (
     Circuit,
     DepthReport,
     analytic_depth,
+    synthesis_plan,
+    synthesize,
     synthesize_digital_baseline,
     synthesize_homogeneous,
     synthesize_inhomogeneous,

@@ -1,96 +1,27 @@
-"""State-vector gate-application kernels.
+"""State-vector gate-application kernel.
 
-The hot loop applies a dense 2^k x 2^k unitary to the amplitudes of a
-2^n state vector along the axes of k chosen qubits.  Two implementations
-are provided:
-
-* a numba ``@njit`` bit-twiddling kernel (default), and
-* a pure-numpy tensordot fallback.
-
-Set the environment variable ``DACQO_DISABLE_NUMBA=1`` to force the numpy
-path (also used automatically if numba is unavailable).  Qubit 0 is the
-most significant bit of the state index.
+Applies a dense 2^k x 2^k unitary along the axes of k chosen qubits of a
+2^n state vector, or of every column of a (2^n, m) matrix at once.
+Qubit 0 is the most significant bit of the state index.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_USE_NUMBA = os.environ.get("DACQO_DISABLE_NUMBA", "0") != "1"
-
-if _USE_NUMBA:
-    try:
-        import numba
-        from numba import njit, prange
-    except ImportError:  # pragma: no cover - numba is a hard dep normally
-        _USE_NUMBA = False
-
-
-def apply_unitary_numpy(state: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
-    """Apply ``u`` on ``qubits`` of an n-qubit state via tensordot."""
-    k = len(qubits)
-    psi = state.reshape((2,) * n)
-    u_t = u.reshape((2,) * (2 * k))
-    psi = np.tensordot(u_t, psi, axes=(range(k, 2 * k), qubits))
-    psi = np.moveaxis(psi, range(k), qubits)
-    return np.ascontiguousarray(psi).reshape(-1)
-
-
-if _USE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _apply_kernel(state, out, u, bit_positions, n):  # pragma: no cover
-        k = bit_positions.shape[0]
-        dim_sub = 1 << k
-        n_groups = state.shape[0] >> k
-        # bits not used by the gate, ascending
-        free = np.empty(n - k, dtype=np.int64)
-        idx = 0
-        for b in range(n):
-            used = False
-            for q in range(k):
-                if bit_positions[q] == b:
-                    used = True
-            if not used:
-                free[idx] = b
-                idx += 1
-        # address offset of each sub-index, shared by all groups
-        offsets = np.empty(dim_sub, dtype=np.int64)
-        for s in range(dim_sub):
-            addr = 0
-            for q in range(k):
-                if (s >> (k - 1 - q)) & 1:
-                    addr |= 1 << bit_positions[q]
-            offsets[s] = addr
-        for g in prange(n_groups):
-            # scatter group index bits into the free positions
-            base = 0
-            for fb in range(n - k):
-                if (g >> fb) & 1:
-                    base |= 1 << free[fb]
-            for s in range(dim_sub):
-                acc = 0.0 + 0.0j
-                for t in range(dim_sub):
-                    acc += u[s, t] * state[base | offsets[t]]
-                out[base | offsets[s]] = acc
-
-    def apply_unitary_numba(state, u, qubits, n):
-        # every address base | offsets[s] is written exactly once, so the
-        # output buffer needs no initialization
-        out = np.empty_like(state)
-        bit_positions = np.array([n - 1 - q for q in qubits], dtype=np.int64)
-        _apply_kernel(state, out, np.ascontiguousarray(u), bit_positions, n)
-        return out
 
 
 def apply_unitary(state: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
-    """Dispatch to the configured backend."""
-    if _USE_NUMBA:
-        return apply_unitary_numba(state, u, qubits, n)
-    return apply_unitary_numpy(state, u, qubits, n)
+    """Apply ``u`` on ``qubits`` of an n-qubit state or (2^n, m) matrix.
+
+    Returns a new array of the input's shape; the input is not modified.
+    """
+    k = len(qubits)
+    psi = state.reshape((2,) * n + state.shape[1:])
+    u_t = u.reshape((2,) * (2 * k))
+    psi = np.tensordot(u_t, psi, axes=(range(k, 2 * k), qubits))
+    psi = np.moveaxis(psi, range(k), qubits)
+    return np.ascontiguousarray(psi).reshape(state.shape)
 
 
 def backend_name() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
+    return "numpy"

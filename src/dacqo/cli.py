@@ -13,7 +13,8 @@ config values.  CSV outputs get a ``<name>.meta.json`` sidecar holding the
 fully resolved configuration, and all randomness derives from one master
 seed so reruns are byte-identical.
 
-Exit codes: 0 success, 2 configuration error, 3 capability (size cap)
+Exit codes: 0 success, 2 configuration error (including any ValueError
+raised by the library on invalid input), 3 capability (size cap)
 exceeded, 4 numerical failure.
 """
 
@@ -49,10 +50,11 @@ from .problem import (
 )
 from .simulator import NoiseModel, run, success_vs_fidelity_sweep
 from .synthesis import (
+    SYNTHESIS_PATHS,
     SynthesisError,
+    synthesis_plan,
+    synthesize,
     synthesize_digital_baseline,
-    synthesize_homogeneous,
-    synthesize_inhomogeneous,
 )
 
 EXIT_CONFIG = 2
@@ -82,6 +84,9 @@ def _guarded(fn):
                 np.linalg.LinAlgError) as e:
             click.echo(f"numerical failure: {e}", err=True)
             sys.exit(EXIT_NUMERICAL)
+        except ValueError as e:  # after LinAlgError, which subclasses it
+            click.echo(f"config error: {e}", err=True)
+            sys.exit(EXIT_CONFIG)
 
     return wrapper
 
@@ -201,12 +206,8 @@ def cmd_solve(config, **flags):
     cfg = _resolve(_load_config(config), flags)
     problem = _get_problem(cfg)
     schedule = _get_schedule(cfg)
-    k = int(cfg.get("k", 4))
-    k = max(2, min(k, problem.n_qubits))
-    if problem.is_homogeneous():
-        circuit = synthesize_homogeneous(problem, schedule, k)
-    else:
-        circuit = synthesize_inhomogeneous(problem, schedule, min(k, 6))
+    path, k = synthesis_plan(problem, int(cfg.get("k", 4)))
+    circuit = synthesize(problem, schedule, k, path)
     noise = NoiseModel(
         analog_noise_amplitude=float(cfg.get("c", 0.0)),
         depolarizing_rate=float(cfg.get("p", 0.0)),
@@ -226,6 +227,8 @@ def cmd_solve(config, **flags):
         "stderr": result.stderr,
         "trajectories": result.trajectories,
         "depth": circuit.depth_report().total,
+        "synthesis_path": path,
+        "block_size": k,
         "config": {key: cfg[key] for key in sorted(cfg)},
     }
     text = json.dumps(report, indent=2)
@@ -367,8 +370,7 @@ def cmd_scaling(config, **flags):
 @click.option("--steps", type=int, default=None)
 @click.option("--k", type=int, default=None)
 @click.option("--path", "synth_path", default=None,
-              type=click.Choice(["auto", "homogeneous", "inhomogeneous",
-                                 "digital"]))
+              type=click.Choice(SYNTHESIS_PATHS))
 @click.option("--output", default="circuit.json")
 @_guarded
 def cmd_emit_circuit(config, **flags):
@@ -376,22 +378,17 @@ def cmd_emit_circuit(config, **flags):
     cfg = _resolve(_load_config(config), flags)
     problem = _get_problem(cfg)
     schedule = _get_schedule(cfg)
-    k = max(2, min(int(cfg.get("k", 4)), problem.n_qubits))
-    path = cfg.get("synth_path", "auto")
-    if path == "digital":
-        circuit = synthesize_digital_baseline(problem, schedule)
-    elif path == "homogeneous" or (
-        path == "auto" and problem.is_homogeneous()
-    ):
-        circuit = synthesize_homogeneous(problem, schedule, k)
-    else:
-        circuit = synthesize_inhomogeneous(problem, schedule, min(k, 6))
+    path, k = synthesis_plan(
+        problem, int(cfg.get("k", 4)), cfg.get("synth_path", "auto")
+    )
+    circuit = synthesize(problem, schedule, k, path)
     out = cfg.get("output", "circuit.json")
     Path(out).write_text(circuit.to_json() + "\n")
     rep = circuit.depth_report()
+    plan = f"path {path}" + ("" if k is None else f", block size {k}")
     click.echo(
         f"wrote {out}: width {circuit.width}, {rep.total} layers "
-        f"({rep.multiqubit_layers} multiqubit)"
+        f"({rep.multiqubit_layers} multiqubit), {plan}"
     )
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,11 +35,11 @@ from .problem import CapabilityError, IsingProblem
 
 __all__ = [
     "Gate",
-    "AngleSet",
+    "StepAngles",
     "gms_unitary",
     "rotation_unitary",
     "gate_unitary",
-    "angle_map",
+    "step_angles",
     "solve_gms_angles",
     "gms_conjugate_pauli",
     "generator_pauli_coefficients",
@@ -97,20 +97,19 @@ class Gate:
         return json.dumps(self.to_dict())
 
 
-@dataclass(frozen=True)
-class AngleSet:
-    """Per-trotter-step rotation angles for the five Hamiltonian channels."""
+class StepAngles(NamedTuple):
+    """Rotation angles of one trotter step, channel by channel.
 
-    theta_xx: float
-    theta_xy: float
-    theta_x: float
-    theta_y: float
-    theta_z: float
+    ``xx``/``xy`` are symmetric N x N matrices of per-pair angles (zero
+    where a pair has no coupling), ``x``/``y`` per-qubit vectors, and
+    ``z`` the angle shared by every qubit.
+    """
 
-    def __post_init__(self):
-        for name in ("theta_xx", "theta_xy", "theta_x", "theta_y", "theta_z"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} is not finite")
+    xx: np.ndarray
+    xy: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: float
 
 
 def gms_unitary(k: int, theta: float, phi: float) -> np.ndarray:
@@ -144,29 +143,35 @@ def gate_unitary(gate: Gate) -> np.ndarray:
     return u
 
 
-def angle_map(problem: IsingProblem, schedule: Schedule, step_index: int) -> AngleSet:
-    """Trotter angles for one step of a homogeneous instance.
+def step_angles(problem: IsingProblem, schedule: Schedule, step: int) -> StepAngles:
+    """Trotter angles of every channel for one step (1-based).
 
     lambda, lambda_dot and alpha_1 are evaluated at the step midpoint;
     the step duration is T/n.  The Y-channel coefficient carries the
-    rotated-frame sign (-lambda_dot * alpha_1, positive since alpha_1 < 0).
+    rotated-frame sign (-lambda_dot * alpha_1, positive since alpha_1 < 0);
+    it is zero for a problem with no couplings and no fields, whose
+    alpha_1 is undefined.
     """
-    if not problem.is_homogeneous():
-        raise ValueError("angle_map requires a homogeneous instance")
-    J = next(iter(problem.couplings.values())) if problem.couplings else 0.0
-    h = float(problem.fields[0]) if problem.n_qubits else 0.0
-    t = schedule.midpoint(step_index)
+    J = problem.coupling_matrix()
+    h = problem.fields
+    t = schedule.midpoint(step)
     dt = schedule.total_time / schedule.trotter_steps
     lam = schedule.lam(t)
     ldot = schedule.lam_dot(t)
-    cd = -ldot * alpha1_analytic(problem, lam) if ldot else 0.0
-    return AngleSet(
-        theta_xx=lam * J * dt,
-        theta_xy=2.0 * J * cd * dt,
-        theta_x=lam * h * dt,
-        theta_y=2.0 * h * cd * dt,
-        theta_z=(1.0 - lam) * dt,
+    cd = 0.0
+    if ldot and (J.any() or h.any()):
+        cd = -ldot * alpha1_analytic(problem, lam)
+    angles = StepAngles(
+        xx=lam * J * dt,
+        xy=2.0 * cd * J * dt,
+        x=lam * h * dt,
+        y=2.0 * cd * h * dt,
+        z=(1.0 - lam) * dt,
     )
+    for name, value in zip(angles._fields, angles):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"step {step}: {name} angles are not finite")
+    return angles
 
 
 def solve_gms_angles(theta_xx: float, theta_xy: float, qubits=(0, 1)) -> list:

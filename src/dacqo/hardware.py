@@ -8,6 +8,7 @@ are costed at the 2-qubit gate time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .problem import IsingProblem
@@ -15,9 +16,8 @@ from .synthesis import (
     Circuit,
     DepthReport,
     analytic_depth,
+    synthesize,
     synthesize_digital_baseline,
-    synthesize_homogeneous,
-    synthesize_inhomogeneous,
 )
 
 __all__ = [
@@ -38,8 +38,9 @@ class HardwareSpec:
     max_block: int = 4
 
     def __post_init__(self):
-        if self.t_M <= 0 or self.t_S <= 0 or self.coherence_time <= 0:
-            raise ValueError("durations must be positive")
+        durations = (self.t_M, self.t_S, self.coherence_time)
+        if not all(math.isfinite(d) and d > 0 for d in durations):
+            raise ValueError("durations must be positive and finite")
         if self.max_block < 2:
             raise ValueError("max_block must be >= 2")
 
@@ -68,7 +69,6 @@ class HardwareSpec:
 class RuntimeReport:
     runtime_seconds: float
     within_coherence: bool
-    enhancement_factor: float = 1.0
 
 
 def default_spec() -> HardwareSpec:
@@ -135,8 +135,10 @@ def enhancement_factor(
     """Runtime ratio R_digital / R_DAQC per analog block size.
 
     Both paths are synthesized for the same problem and schedule; the
-    digital-analog path uses the homogeneous construction when the
-    instance allows it and the sign-flip construction otherwise.
+    digital-analog path is the one ``synthesis_plan`` picks automatically
+    (homogeneous blocks when the instance allows it, sign-flip sub-blocks
+    otherwise, with k clamped to the qubit count).  Keys are the requested
+    block sizes.
     """
     if spec is None:
         spec = default_spec()
@@ -147,10 +149,7 @@ def enhancement_factor(
     ).runtime_seconds
     out = {}
     for k in block_sizes:
-        if problem.is_homogeneous() and k <= problem.n_qubits:
-            circ = synthesize_homogeneous(problem, schedule, k)
-        else:
-            circ = synthesize_inhomogeneous(problem, schedule, k)
+        circ = synthesize(problem, schedule, k)
         daqc = circuit_runtime(circ, spec).runtime_seconds
         out[k] = digital / daqc if daqc > 0 else float("inf")
     return out

@@ -33,12 +33,6 @@ def pauli_on(n: int, placed: dict) -> np.ndarray:
     return kron_all(ops)
 
 
-def pauli_string(n: int, letters: str) -> np.ndarray:
-    """Dense operator from an n-character string over I/X/Y/Z."""
-    assert len(letters) == n
-    return kron_all([PAULI[c] for c in letters])
-
-
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 

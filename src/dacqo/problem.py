@@ -63,6 +63,10 @@ class IsingProblem:
             )
         if len(self.fields) != self.n_qubits:
             raise ValueError("fields length must equal n_qubits")
+        if not np.all(np.isfinite(self.fields)):
+            raise ValueError("fields must be finite")
+        if not np.isfinite(self.offset):
+            raise ValueError("offset must be finite")
         clean = {}
         for (i, j), v in self.couplings.items():
             if i == j:
@@ -72,15 +76,21 @@ class IsingProblem:
             key = (i, j) if i < j else (j, i)
             if key in clean:
                 raise ValueError(f"duplicate coupling for pair {key}")
+            if not np.isfinite(v):
+                raise ValueError(f"coupling {key} is not finite")
             clean[key] = float(v)
         object.__setattr__(self, "couplings", clean)
 
     def is_homogeneous(self) -> bool:
-        """True iff all stored couplings are equal and all fields are equal."""
-        js = list(self.couplings.values())
-        j_ok = len(js) == 0 or all(np.isclose(j, js[0]) for j in js)
+        """True iff every pair i<j has the same coupling and all fields match.
+
+        A pair with no stored coupling counts as 0, so a uniform-weight
+        graph that is not complete is not homogeneous.
+        """
+        js = self.coupling_matrix()[np.triu_indices(self.n_qubits, 1)]
+        j_ok = js.size == 0 or np.allclose(js, js[0])
         h_ok = np.allclose(self.fields, self.fields[0])
-        return j_ok and h_ok
+        return bool(j_ok and h_ok)
 
     def coupling_matrix(self) -> np.ndarray:
         """Symmetric dense N x N matrix of couplings (zero diagonal)."""
@@ -139,6 +149,8 @@ class Graph:
             )
         if len(self.weights) != self.n_nodes:
             raise ValueError("weights length must equal n_nodes")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("node weights must be finite")
         if np.any(self.weights < 0):
             raise ValueError("node weights must be nonnegative")
         clean = set()

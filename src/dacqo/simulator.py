@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import polar
 
 from . import _kernels
-from .gates import Gate, gate_unitary
+from .gates import Gate, gate_unitary, solve_gms_angles, step_angles
 from .paulis import HADAMARD, PAULI
 from .problem import (
     CapabilityError,
@@ -33,7 +33,14 @@ from .problem import (
     IsingProblem,
     brute_force_ground_state,
 )
-from .synthesis import Circuit
+from .synthesis import (
+    _EPS,
+    Circuit,
+    correction_weights,
+    coverage_plan,
+    schedule_pairs,
+    synthesize,
+)
 
 __all__ = [
     "NoiseModel",
@@ -75,7 +82,6 @@ class RunResult:
     gms_fidelity: float
     trajectories: int
     stderr: float = 0.0
-    shots: Optional[dict] = None
 
 
 def apply_gate(
@@ -138,11 +144,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         raise CapabilityError("dense circuit unitary capped at 12 qubits")
     u = np.eye(2**n, dtype=np.complex128)
     for gate in circuit.gates():
-        g = gate_unitary(gate)
-        u = np.column_stack(
-            [_kernels.apply_unitary(u[:, c].copy(), g, gate.qubits, n)
-             for c in range(u.shape[1])]
-        )
+        u = _kernels.apply_unitary(u, gate_unitary(gate), gate.qubits, n)
     return u
 
 
@@ -152,16 +154,12 @@ def trotter_reference_unitary(
     """Straight-line product of the intended trotter factor unitaries.
 
     Multiplies the per-step factors (block GMS gates, cancellers,
-    correction and leftover pairs, global rotations) in canonical stage
-    order without any layer packing; the layered circuit must compose to
-    the same operator.
+    correction and leftover pairs, global rotations) of a homogeneous
+    instance in canonical stage order without any layer packing; the
+    layered circuit must compose to the same operator.
     """
-    import itertools as _it
-
-    from .gates import angle_map
-    from .synthesis import _EPS, coverage_plan, schedule_pairs
-    from .gates import solve_gms_angles
-
+    if not problem.is_homogeneous():
+        raise ValueError("trotter_reference_unitary needs a homogeneous instance")
     n = problem.n_qubits
     if n > 10:
         raise CapabilityError("reference product capped at 10 qubits")
@@ -169,34 +167,25 @@ def trotter_reference_unitary(
 
     def mul(gate):
         nonlocal u
-        g = gate_unitary(gate)
-        u = np.column_stack(
-            [_kernels.apply_unitary(u[:, col].copy(), g, gate.qubits, n)
-             for col in range(u.shape[1])]
-        )
+        u = _kernels.apply_unitary(u, gate_unitary(gate), gate.qubits, n)
 
+    pair = next(iter(problem.couplings), None)
+    if pair is not None:
+        primary, supplementary, coverage = coverage_plan(n, block_size)
+        needed = correction_weights(coverage)
+        rounds = schedule_pairs(needed, n)
     for step in range(1, schedule.trotter_steps + 1):
-        ang = angle_map(problem, schedule, step)
-        a, b = ang.theta_xx, ang.theta_xy
-        if problem.couplings and (abs(a) >= _EPS or abs(b) >= _EPS):
-            primary, supplementary, coverage = coverage_plan(n, block_size)
-            for family in (primary, supplementary):
-                for block in family:
-                    for gate in solve_gms_angles(a, b, block):
-                        mul(gate)
-            needed = {}
-            for pair, c in coverage.items():
-                if c == 0:
-                    needed[pair] = 1.0
-                elif c >= 2:
-                    needed[pair] = -(c - 1.0)
-            for rnd in schedule_pairs(needed, n):
+        ang = step_angles(problem, schedule, step)
+        a, b = (ang.xx[pair], ang.xy[pair]) if pair is not None else (0.0, 0.0)
+        if abs(a) >= _EPS or abs(b) >= _EPS:
+            for block in primary + supplementary:
+                for gate in solve_gms_angles(a, b, block):
+                    mul(gate)
+            for rnd in rounds:
                 for p in rnd:
                     for gate in solve_gms_angles(needed[p] * a, needed[p] * b, p):
                         mul(gate)
-        for axis, theta in (
-            ("x", ang.theta_x), ("z", ang.theta_z), ("y", ang.theta_y)
-        ):
+        for axis, theta in (("x", ang.x[0]), ("z", ang.z), ("y", ang.y[0])):
             if abs(theta) >= _EPS:
                 for q in range(n):
                     mul(Gate("1q", (q,), theta=theta, axis=axis))
@@ -271,15 +260,11 @@ def success_vs_fidelity_sweep(
 ):
     """One noisy run per analog-noise amplitude, sorted by realized fidelity.
 
-    Returns a list of (mean gms_fidelity, success_probability, stderr, c)
+    The circuit follows ``synthesis_plan``'s automatic path choice and
+    block-size clamp.  Returns a list of (mean gms_fidelity, success_probability, stderr, c)
     tuples.
     """
-    from .synthesis import synthesize_homogeneous, synthesize_inhomogeneous
-
-    if problem.is_homogeneous():
-        circuit = synthesize_homogeneous(problem, schedule, block_size)
-    else:
-        circuit = synthesize_inhomogeneous(problem, schedule, block_size)
+    circuit = synthesize(problem, schedule, block_size)
     truth = brute_force_ground_state(problem)
     rows = []
     for i, c in enumerate(c_grid):

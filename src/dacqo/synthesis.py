@@ -32,20 +32,23 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .counterdiabatic import Schedule, alpha1_analytic
-from .gates import AngleSet, Gate, angle_map, solve_gms_angles
+from .counterdiabatic import Schedule
+from .gates import Gate, solve_gms_angles, step_angles
 from .problem import IsingProblem
 
 __all__ = [
     "Circuit",
     "DepthReport",
     "SynthesisError",
+    "synthesis_plan",
+    "synthesize",
     "synthesize_homogeneous",
     "synthesize_inhomogeneous",
     "synthesize_digital_baseline",
     "solve_block_inhomogeneity",
     "analytic_depth",
     "coverage_plan",
+    "correction_weights",
     "schedule_pairs",
 ]
 
@@ -164,6 +167,21 @@ def coverage_plan(n: int, k: int):
     return primary, supplementary, coverage
 
 
+def correction_weights(coverage: dict) -> dict:
+    """Relative strength of the 2-qubit gate each pair needs on top of blocks.
+
+    A pair no block covers gets a full-strength gate (+1); a pair covered
+    c >= 2 times gets -(c - 1) to cancel the surplus.
+    """
+    needed = {}
+    for pair, c in coverage.items():
+        if c == 0:
+            needed[pair] = 1.0
+        elif c >= 2:
+            needed[pair] = -(c - 1.0)
+    return needed
+
+
 def _circle_rounds(pairs, n):
     """Round-robin (circle method) rounds filtered to the wanted pairs."""
     m = n if n % 2 == 0 else n + 1
@@ -235,45 +253,28 @@ def _stage_layers(gate_groups):
     return layers
 
 
-def _single_qubit_layers(n, theta_x, theta_z, theta_y):
-    """Global X, Z, Y rotation layers (uniform angles), skipping zeros."""
+def _rotation_layers(rotations):
+    """One single-qubit layer per (axis, per-qubit angles), skipping zeros."""
     layers = []
-    for axis, theta in (("x", theta_x), ("z", theta_z), ("y", theta_y)):
-        if abs(theta) >= _EPS:
-            layers.append(
-                [Gate("1q", (q,), theta=theta, axis=axis) for q in range(n)]
-            )
-    return layers
-
-
-def _entangling_step_layers(n, k, angles: AngleSet, seed: int = 0):
-    """Entangling layers of one homogeneous trotter step."""
-    a, b = angles.theta_xx, angles.theta_xy
-    layers = []
-    if abs(a) < _EPS and abs(b) < _EPS:
-        return layers
-    primary, supplementary, coverage = coverage_plan(n, k)
-    for family in (primary, supplementary):
-        groups = [solve_gms_angles(a, b, block) for block in family]
-        layers.extend(_stage_layers(groups))
-    needed = {}
-    for pair, c in coverage.items():
-        if c == 0:
-            needed[pair] = 1.0
-        elif c >= 2:
-            needed[pair] = -(c - 1.0)
-    for rnd in schedule_pairs(needed, n, seed=seed):
-        groups = [
-            solve_gms_angles(needed[p] * a, needed[p] * b, p) for p in rnd
+    for axis, thetas in rotations:
+        layer = [
+            Gate("1q", (q,), theta=theta, axis=axis)
+            for q, theta in enumerate(thetas)
+            if abs(theta) >= _EPS
         ]
-        layers.extend(_stage_layers(groups))
+        if layer:
+            layers.append(layer)
     return layers
 
 
 def synthesize_homogeneous(
     problem: IsingProblem, schedule: Schedule, block_size: int
 ) -> Circuit:
-    """Algorithmic digital-analog circuit for a homogeneous instance."""
+    """Algorithmic digital-analog circuit for a homogeneous instance.
+
+    Every pair shares the angles of the first stored coupling and every
+    qubit those of qubit 0's field.
+    """
     if not problem.is_homogeneous():
         raise ValueError(
             "instance is not homogeneous; use synthesize_inhomogeneous"
@@ -281,14 +282,29 @@ def synthesize_homogeneous(
     n = problem.n_qubits
     if not 2 <= block_size <= n:
         raise ValueError("need 2 <= block_size <= n_qubits")
+    pair = next(iter(problem.couplings), None)
+    if pair is not None:
+        primary, supplementary, coverage = coverage_plan(n, block_size)
+        needed = correction_weights(coverage)
+        rounds = schedule_pairs(needed, n)
     layers = []
     for step in range(1, schedule.trotter_steps + 1):
-        angles = angle_map(problem, schedule, step)
-        if problem.couplings:
-            layers.extend(_entangling_step_layers(n, block_size, angles))
+        ang = step_angles(problem, schedule, step)
+        a, b = (ang.xx[pair], ang.xy[pair]) if pair is not None else (0.0, 0.0)
+        if abs(a) >= _EPS or abs(b) >= _EPS:
+            for family in (primary, supplementary):
+                groups = [solve_gms_angles(a, b, block) for block in family]
+                layers.extend(_stage_layers(groups))
+            for rnd in rounds:
+                groups = [
+                    solve_gms_angles(needed[p] * a, needed[p] * b, p)
+                    for p in rnd
+                ]
+                layers.extend(_stage_layers(groups))
         layers.extend(
-            _single_qubit_layers(
-                n, angles.theta_x, angles.theta_z, angles.theta_y
+            _rotation_layers(
+                (axis, [theta] * n)
+                for axis, theta in (("x", ang.x[0]), ("z", ang.z), ("y", ang.y[0]))
             )
         )
     return Circuit(width=n, layers=tuple(layers))
@@ -411,44 +427,32 @@ def synthesize_inhomogeneous(
     Pairs inside each consecutive k-set are realized by the sign-flip
     sub-block construction; pairs spanning different sets (or involving
     trailing qubits that fill no complete set) get their own 2-qubit GMS
-    with pair-specific angles, packed into matching rounds.
+    with pair-specific angles, packed into matching rounds once for the
+    whole circuit.
     """
     n = problem.n_qubits
     k = block_size
     if not 2 <= k <= 6:
         raise ValueError("block_size must be in 2..6")
     Jmat = problem.coupling_matrix()
-    h = problem.fields
-    T, steps = schedule.total_time, schedule.trotter_steps
-    dt = T / steps
     sets = [tuple(range(b, b + k)) for b in range(0, n - k + 1, k)] if k > 2 else []
-    in_set = {
-        (q1, q2)
-        for s in sets
-        for q1, q2 in itertools.combinations(s, 2)
-    }
+    local_pairs = list(itertools.combinations(range(k), 2))
+    in_set = {(s[a], s[b]) for s in sets for a, b in local_pairs}
     cross_pairs = sorted(
         (i, j)
         for i, j in itertools.combinations(range(n), 2)
         if (i, j) not in in_set and abs(Jmat[i, j]) > 0
     )
+    rounds = schedule_pairs(cross_pairs, n)
     layers = []
-    for step in range(1, steps + 1):
-        t = schedule.midpoint(step)
-        lam = schedule.lam(t)
-        cd = -schedule.lam_dot(t) * alpha1_analytic(problem, lam)
+    for step in range(1, schedule.trotter_steps + 1):
+        ang = step_angles(problem, schedule, step)
         # in-set couplings via sign-flip sub-blocks
         live_sets = []
         solutions = []
         for s in sets:
-            tx = {
-                (a, b): lam * Jmat[s[a], s[b]] * dt
-                for a, b in itertools.combinations(range(k), 2)
-            }
-            ty = {
-                (a, b): 2.0 * cd * Jmat[s[a], s[b]] * dt
-                for a, b in itertools.combinations(range(k), 2)
-            }
+            tx = {(a, b): ang.xx[s[a], s[b]] for a, b in local_pairs}
+            ty = {(a, b): ang.xy[s[a], s[b]] for a, b in local_pairs}
             if all(abs(v) < _EPS for v in tx.values()) and all(
                 abs(v) < _EPS for v in ty.values()
             ):
@@ -456,37 +460,29 @@ def synthesize_inhomogeneous(
             live_sets.append(s)
             solutions.append(solve_block_inhomogeneity(k, tx, ty))
         layers.extend(_block_sandwich_layers(live_sets, solutions))
-        # cross-set couplings as per-pair 2-qubit gates
-        live = [
-            p
-            for p in cross_pairs
-            if abs(lam * Jmat[p]) >= _EPS or abs(2 * cd * Jmat[p]) >= _EPS
-        ]
-        for rnd in schedule_pairs(live, n):
-            groups = [
-                solve_gms_angles(lam * Jmat[p] * dt, 2 * cd * Jmat[p] * dt, p)
-                for p in rnd
-            ]
+        # cross-set couplings as per-pair 2-qubit gates; a pair whose
+        # angles vanish this step emits nothing
+        for rnd in rounds:
+            groups = [solve_gms_angles(ang.xx[p], ang.xy[p], p) for p in rnd]
             layers.extend(_stage_layers(groups))
-        # per-qubit field rotations
-        for axis, scale in (("x", lam), ("z", None), ("y", 2.0 * cd)):
-            if axis == "z":
-                theta_q = [(1.0 - lam) * dt] * n
-            else:
-                theta_q = [scale * h[q] * dt for q in range(n)]
-            layer = [
-                Gate("1q", (q,), theta=theta_q[q], axis=axis)
-                for q in range(n)
-                if abs(theta_q[q]) >= _EPS
-            ]
-            if layer:
-                layers.append(layer)
+        layers.extend(
+            _rotation_layers((("x", ang.x), ("z", [ang.z] * n), ("y", ang.y)))
+        )
     return Circuit(width=n, layers=tuple(layers))
 
 
 # ---------------------------------------------------------------------------
 # digital baseline
 # ---------------------------------------------------------------------------
+
+def _xx_layer(rnd, theta):
+    """Native XX gates exp(-i theta[p] X X) for the pairs of one round."""
+    return [
+        Gate("gms", p, theta=2.0 * theta[p], phi=0.0)
+        for p in rnd
+        if abs(theta[p]) >= _EPS
+    ]
+
 
 def synthesize_digital_baseline(
     problem: IsingProblem, schedule: Schedule
@@ -500,48 +496,23 @@ def synthesize_digital_baseline(
     """
     n = problem.n_qubits
     Jmat = problem.coupling_matrix()
-    h = problem.fields
-    dt = schedule.total_time / schedule.trotter_steps
     pairs = sorted(p for p in itertools.combinations(range(n), 2)
                    if abs(Jmat[p]) > 0)
     rounds = schedule_pairs(pairs, n)
     layers = []
     for step in range(1, schedule.trotter_steps + 1):
-        t = schedule.midpoint(step)
-        lam = schedule.lam(t)
-        cd = (
-            -schedule.lam_dot(t) * alpha1_analytic(problem, lam)
-            if (problem.couplings or np.any(h)) else 0.0
-        )
-        def xx_round(rnd, coeff_fn):
-            layer = []
-            for p in rnd:
-                theta = coeff_fn(p)
-                if abs(theta) >= _EPS:
-                    layer.append(Gate("gms", p, theta=2.0 * theta, phi=0.0))
-            return layer
-
+        ang = step_angles(problem, schedule, step)
         # XX
         for rnd in rounds:
-            layer = xx_round(rnd, lambda p: lam * Jmat[p] * dt)
+            layer = _xx_layer(rnd, ang.xx)
             if layer:
                 layers.append(layer)
         # X, Z
-        for axis, theta_fn in (
-            ("x", lambda q: lam * h[q] * dt),
-            ("z", lambda q: (1.0 - lam) * dt),
-        ):
-            layer = [
-                Gate("1q", (q,), theta=theta_fn(q), axis=axis)
-                for q in range(n)
-                if abs(theta_fn(q)) >= _EPS
-            ]
-            if layer:
-                layers.append(layer)
+        layers.extend(_rotation_layers((("x", ang.x), ("z", [ang.z] * n))))
         # YX then XY: conjugate the rotated qubit (first for YX, second for XY)
         for which in (0, 1):
             for rnd in rounds:
-                layer = xx_round(rnd, lambda p: 2.0 * cd * Jmat[p] * dt)
+                layer = _xx_layer(rnd, ang.xy)
                 if not layer:
                     continue
                 # exp(-i theta Y X) = V exp(-i theta X X) V^dag with
@@ -558,14 +529,54 @@ def synthesize_digital_baseline(
                 layers.append(layer)
                 layers.append(unconj)
         # Y
-        layer = [
-            Gate("1q", (q,), theta=2.0 * cd * h[q] * dt, axis="y")
-            for q in range(n)
-            if abs(2.0 * cd * h[q] * dt) >= _EPS
-        ]
-        if layer:
-            layers.append(layer)
+        layers.extend(_rotation_layers((("y", ang.y),)))
     return Circuit(width=n, layers=tuple(layers))
+
+
+# ---------------------------------------------------------------------------
+# path choice
+# ---------------------------------------------------------------------------
+
+SYNTHESIS_PATHS = ("auto", "homogeneous", "inhomogeneous", "digital")
+
+
+def synthesis_plan(problem: IsingProblem, block_size: int, path: str = "auto"):
+    """The synthesis path and effective block size for ``problem``.
+
+    ``auto`` picks the homogeneous construction iff the instance is
+    homogeneous and the sign-flip one otherwise; ``digital`` picks the
+    baseline, which has no block size (None).  The block size is clamped
+    to 2..N, and to at most 6 on the inhomogeneous path.  Forcing the
+    homogeneous path on an inhomogeneous instance raises ValueError.
+    """
+    if path not in SYNTHESIS_PATHS:
+        raise ValueError(f"unknown synthesis path {path!r}")
+    if path == "digital":
+        return path, None
+    homogeneous = problem.is_homogeneous()
+    if path == "auto":
+        path = "homogeneous" if homogeneous else "inhomogeneous"
+    elif path == "homogeneous" and not homogeneous:
+        raise ValueError(
+            "instance is not homogeneous; use the inhomogeneous or digital path"
+        )
+    k = max(2, min(block_size, problem.n_qubits))
+    if path == "inhomogeneous":
+        k = min(k, 6)
+    return path, k
+
+
+def synthesize(
+    problem: IsingProblem, schedule: Schedule, block_size: int,
+    path: str = "auto",
+) -> Circuit:
+    """Synthesize along the path and block size ``synthesis_plan`` picks."""
+    path, k = synthesis_plan(problem, block_size, path)
+    if path == "digital":
+        return synthesize_digital_baseline(problem, schedule)
+    if path == "homogeneous":
+        return synthesize_homogeneous(problem, schedule, k)
+    return synthesize_inhomogeneous(problem, schedule, k)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,26 @@ class TestSolve:
         result = runner.invoke(main, ["solve", "--frobnicate", "1"])
         assert result.exit_code == 2
 
+    def test_reports_synthesis_plan(self, runner):
+        result = runner.invoke(main, [
+            "solve", "--n", "4", "--k", "9", "--steps", "1",
+            "--trajectories", "2",
+        ])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["synthesis_path"] == "homogeneous"
+        assert report["block_size"] == 4
+
+    def test_all_zero_problem(self, runner, tmp_path):
+        pf = tmp_path / "zero.json"
+        pf.write_text(json.dumps({"n": 3, "J": [], "h": [0.0, 0.0, 0.0]}))
+        result = runner.invoke(main, [
+            "solve", "--problem-file", str(pf), "--steps", "2",
+        ])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["success_probability"] == \
+            pytest.approx(1.0)
+
     def test_flag_overrides_config(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 25, "steps": 2, "trajectories": 2}))
@@ -154,6 +174,15 @@ class TestEmitCircuit:
         circuit = Circuit.from_json(out.read_text())
         assert circuit.width == 4
         assert circuit.depth_report().total > 0
+        assert "path homogeneous, block size 4" in result.output
+
+    def test_reports_clamped_block_size(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "emit-circuit", "--n", "8", "--mode", "mixed", "--k", "9",
+            "--steps", "1", "--output", str(tmp_path / "c.json"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert "path inhomogeneous, block size 6" in result.output
 
     def test_digital_path(self, runner, tmp_path):
         from dacqo.synthesis import Circuit
@@ -173,6 +202,39 @@ class TestEmitCircuit:
             "emit-circuit", "--n", "4", "--path", "telepathic",
         ])
         assert result.exit_code == 2
+
+
+class TestInvalidInputExits2:
+    """Bad input ends with the config exit code, not a traceback."""
+
+    @staticmethod
+    def _problem_file(tmp_path, text):
+        pf = tmp_path / "problem.json"
+        pf.write_text(text)
+        return str(pf)
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--p", "2", "--n", "2", "--steps", "1"],
+        ["solve", "--n", "1", "--steps", "1"],
+        ["fidelity-sweep", "--trajectories", "0", "--steps", "1"],
+        ["emit-circuit", "--mode", "mixed", "--path", "homogeneous"],
+    ], ids=["solve-p2", "solve-n1", "sweep-trajectories0",
+            "emit-mixed-homogeneous"])
+    def test_flags(self, runner, tmp_path, args):
+        out = ["--output", str(tmp_path / "out")]
+        result = runner.invoke(main, args + out)
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 2, "J": [[1, 1, 1.0]], "h": [0.0, 0.0]}',
+        '{"n": 2, "J": [[0, 1, NaN]], "h": [0.0, 0.0]}',
+    ], ids=["self-coupling", "nan-coupling"])
+    def test_problem_files(self, runner, tmp_path, text):
+        pf = self._problem_file(tmp_path, text)
+        result = runner.invoke(main, ["solve", "--problem-file", pf])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert isinstance(result.exception, SystemExit)
 
 
 class TestFit:

@@ -7,15 +7,14 @@ import pytest
 
 from dacqo.counterdiabatic import Schedule, alpha1_analytic
 from dacqo.gates import (
-    AngleSet,
     Gate,
-    angle_map,
     gate_unitary,
     generator_pauli_coefficients,
     gms_conjugate_pauli,
     gms_unitary,
     rotation_unitary,
     solve_gms_angles,
+    step_angles,
 )
 from dacqo.paulis import PAULI, kron_all, pauli_on
 from dacqo.problem import CapabilityError, IsingProblem
@@ -105,40 +104,52 @@ class TestGateRecord:
             gate_unitary(gd), gate_unitary(g).conj().T, atol=1e-14
         )
 
-    def test_angle_set_rejects_nan(self):
-        with pytest.raises(ValueError):
-            AngleSet(0.1, float("nan"), 0.0, 0.0, 0.0)
 
-
-class TestAngleMap:
+class TestStepAngles:
     def test_formulas_at_midpoint(self):
-        p = IsingProblem(4, {(i, j): 0.5 for i, j in
-                             itertools.combinations(range(4), 2)},
-                         [0.5] * 4)
+        # inhomogeneous: per-pair couplings (one pair missing) and fields
+        J = {(0, 1): 0.5, (0, 2): -0.3, (1, 3): 0.8, (2, 3): 0.25,
+             (0, 3): 1.1}
+        h = [0.5, -0.2, 0.7, 0.1]
+        p = IsingProblem(4, J, h)
         sch = Schedule(2.0, 4)
         step = 2
-        ang = angle_map(p, sch, step)
+        ang = step_angles(p, sch, step)
         t = sch.midpoint(step)
         lam, ldot = sch.lam(t), sch.lam_dot(t)
         dt = 0.5
         cd = -ldot * alpha1_analytic(p, lam)
-        assert ang.theta_xx == pytest.approx(lam * 0.5 * dt)
-        assert ang.theta_xy == pytest.approx(2 * 0.5 * cd * dt)
-        assert ang.theta_x == pytest.approx(lam * 0.5 * dt)
-        assert ang.theta_y == pytest.approx(2 * 0.5 * cd * dt)
-        assert ang.theta_z == pytest.approx((1 - lam) * dt)
+        for i, j in itertools.combinations(range(4), 2):
+            v = J.get((i, j), 0.0)
+            for a, b in ((i, j), (j, i)):
+                assert ang.xx[a, b] == lam * v * dt
+                assert ang.xy[a, b] == 2.0 * cd * v * dt
+        assert ang.xx[1, 2] == ang.xy[1, 2] == 0.0
+        for q in range(4):
+            assert ang.x[q] == lam * h[q] * dt
+            assert ang.y[q] == 2.0 * cd * h[q] * dt
+        assert ang.z == (1 - lam) * dt
 
     def test_y_channel_positive(self):
         # alpha_1 < 0 and lambda_dot > 0 mid-schedule, so the rotated-frame
         # counterdiabatic coefficient comes out positive
         p = IsingProblem(2, {(0, 1): 1.0}, [1.0, 1.0])
-        ang = angle_map(p, Schedule(1.0, 2), 1)
-        assert ang.theta_y > 0
+        ang = step_angles(p, Schedule(1.0, 2), 1)
+        assert ang.y[0] > 0 and ang.y[1] > 0
+        assert ang.xy[0, 1] > 0
 
-    def test_rejects_inhomogeneous(self):
-        p = IsingProblem(2, {(0, 1): 0.3}, [1.0, 0.5])
-        with pytest.raises(ValueError):
-            angle_map(p, Schedule(1.0, 1), 1)
+    def test_rejects_nan(self):
+        p = IsingProblem(2, {(0, 1): 1.0}, [1.0, 1.0])
+        sch = Schedule(1.0, 2, lam=lambda t: math.nan, lam_dot=lambda t: 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            step_angles(p, sch, 1)
+
+    def test_all_zero_problem_has_no_cd_term(self):
+        # alpha_1 is undefined (0/0) without couplings or fields
+        ang = step_angles(IsingProblem(3), Schedule(1.0, 2), 1)
+        assert not ang.xx.any() and not ang.xy.any()
+        assert not ang.x.any() and not ang.y.any()
+        assert ang.z > 0
 
 
 def _composed_generator(gates, k):

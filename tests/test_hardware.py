@@ -36,6 +36,12 @@ class TestHardwareSpec:
         with pytest.raises(ValueError):
             HardwareSpec(max_block=1)
 
+    @pytest.mark.parametrize("field", ["t_M", "t_S", "coherence_time"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_durations(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            HardwareSpec(**{field: bad})
+
 
 class TestCircuitRuntime:
     def test_single_multiqubit_layer(self):

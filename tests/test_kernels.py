@@ -1,6 +1,3 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -27,44 +24,24 @@ class TestNumpyKernel:
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         state = np.zeros(8, dtype=complex)
         state[0] = 1.0
-        out = _kernels.apply_unitary_numpy(state, x, (0,), 3)
+        out = _kernels.apply_unitary(state, x, (0,), 3)
         assert out[0b100] == 1.0
-        out = _kernels.apply_unitary_numpy(state, x, (2,), 3)
+        out = _kernels.apply_unitary(state, x, (2,), 3)
         assert out[0b001] == 1.0
 
     def test_qubit_order_matters(self):
         # a non-symmetric 2-qubit unitary distinguishes (0,1) from (1,0)
         u = _random_unitary(2, 0)
         state = _random_state(3, 1)
-        a = _kernels.apply_unitary_numpy(state, u, (0, 1), 3)
+        a = _kernels.apply_unitary(state, u, (0, 1), 3)
         swap = np.eye(4)[[0, 2, 1, 3]]
-        b = _kernels.apply_unitary_numpy(state, swap @ u @ swap, (1, 0), 3)
+        b = _kernels.apply_unitary(state, swap @ u @ swap, (1, 0), 3)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_preserves_norm(self):
         state = _random_state(5, 2)
-        out = _kernels.apply_unitary_numpy(state, _random_unitary(3, 3),
-                                           (4, 0, 2), 5)
+        out = _kernels.apply_unitary(state, _random_unitary(3, 3), (4, 0, 2), 5)
         assert np.linalg.norm(out) == pytest.approx(1.0)
-
-
-@pytest.mark.skipif(
-    _kernels.backend_name() != "numba", reason="numba backend disabled"
-)
-class TestBackendAgreement:
-    @pytest.mark.parametrize("n,qubits", [
-        (3, (0,)),
-        (4, (2, 0)),
-        (5, (1, 4)),
-        (6, (5, 2, 0)),
-        (7, (3, 6, 1, 4)),
-    ])
-    def test_numba_matches_numpy(self, n, qubits):
-        state = _random_state(n, n)
-        u = _random_unitary(len(qubits), n + 10)
-        a = _kernels.apply_unitary_numba(state.copy(), u, qubits, n)
-        b = _kernels.apply_unitary_numpy(state.copy(), u, qubits, n)
-        np.testing.assert_allclose(a, b, atol=1e-13)
 
     def test_input_state_not_mutated(self):
         state = _random_state(4, 9)
@@ -72,17 +49,26 @@ class TestBackendAgreement:
         _kernels.apply_unitary(state, _random_unitary(2, 1), (1, 2), 4)
         np.testing.assert_array_equal(state, before)
 
+    @pytest.mark.parametrize("n,qubits,m", [
+        (3, (0,), 8),
+        (4, (2, 0), 5),
+        (5, (1, 4), 32),
+        (6, (5, 2, 0), 3),
+    ])
+    def test_matrix_matches_column_loop(self, n, qubits, m):
+        rng = np.random.default_rng(n)
+        mat = rng.standard_normal((2**n, m)) + 1j * rng.standard_normal((2**n, m))
+        u = _random_unitary(len(qubits), n + 10)
+        before = mat.copy()
+        out = _kernels.apply_unitary(mat, u, qubits, n)
+        ref = np.empty_like(mat)
+        for c in range(m):
+            ref[:, c] = _kernels.apply_unitary(mat[:, c].copy(), u, qubits, n)
+        assert out.shape == (2**n, m)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(mat, before)
+
 
 class TestBackendSelection:
     def test_backend_name_valid(self):
-        assert _kernels.backend_name() in ("numba", "numpy")
-
-    def test_env_flag_forces_numpy(self):
-        code = (
-            "import os; os.environ['DACQO_DISABLE_NUMBA'] = '1'; "
-            "from dacqo import _kernels; print(_kernels.backend_name())"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
-        )
-        assert out.stdout.strip() == "numpy"
+        assert _kernels.backend_name() == "numpy"

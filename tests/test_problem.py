@@ -193,3 +193,36 @@ class TestValidation:
         for b in range(8):
             spins = [1 - 2 * ((b >> (2 - i)) & 1) for i in range(3)]
             assert np.isclose(e[b], classical_energy(p, spins))
+
+
+class TestHomogeneity:
+    def test_complete_uniform_instance(self):
+        pairs = itertools.combinations(range(5), 2)
+        assert IsingProblem(5, {p: 0.7 for p in pairs}, [0.2] * 5).is_homogeneous()
+
+    def test_uniform_ring_is_not_homogeneous(self):
+        # a missing pair counts as a zero coupling
+        ring = {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (0, 3): 1.0}
+        assert not IsingProblem(4, ring, [1.0] * 4).is_homogeneous()
+
+    def test_unequal_fields(self):
+        assert not IsingProblem(2, {(0, 1): 1.0}, [1.0, 0.5]).is_homogeneous()
+
+    def test_no_couplings(self):
+        assert IsingProblem(3, {}, [0.4] * 3).is_homogeneous()
+        assert IsingProblem(1).is_homogeneous()
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_problem_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="coupling"):
+            IsingProblem(2, {(0, 1): bad})
+        with pytest.raises(ValueError, match="fields"):
+            IsingProblem(2, {}, [0.0, bad])
+        with pytest.raises(ValueError, match="offset"):
+            IsingProblem(2, {}, offset=bad)
+
+    def test_graph_rejects_non_finite_weights(self):
+        with pytest.raises(ValueError, match="finite"):
+            Graph(2, frozenset({(0, 1)}), [1.0, np.nan])

@@ -122,6 +122,11 @@ class TestCircuitUnitary:
         ref = trotter_reference_unitary(p, sch, 4)
         assert phase_distance(u, ref) < 1e-10
 
+    def test_reference_rejects_inhomogeneous(self):
+        p = IsingProblem(2, {(0, 1): 0.3}, [1.0, 0.5])
+        with pytest.raises(ValueError, match="homogeneous"):
+            trotter_reference_unitary(p, Schedule(1.0, 1), 2)
+
     def test_single_layer(self):
         c = Circuit(1, [[Gate("1q", (0,), 0.4, axis="y")]])
         np.testing.assert_allclose(

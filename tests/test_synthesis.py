@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dacqo.counterdiabatic import Schedule
+from dacqo.counterdiabatic import Schedule, exact_evolution
 from dacqo.gates import Gate
 from dacqo.paulis import pauli_on, phase_distance
 from dacqo.problem import IsingProblem, random_spin_glass
@@ -21,6 +21,8 @@ from dacqo.synthesis import (
     leftover_pair_count,
     schedule_pairs,
     solve_block_inhomogeneity,
+    synthesis_plan,
+    synthesize,
     synthesize_digital_baseline,
     synthesize_homogeneous,
     synthesize_inhomogeneous,
@@ -249,3 +251,103 @@ class TestAnalyticDepth:
     @pytest.mark.parametrize("n,k", [(8, 4), (12, 4), (10, 3), (9, 2)])
     def test_leftover_pair_count_closed_form(self, n, k):
         assert leftover_pair_count(n, k) == (n - k) * (n - k + 1) // 2
+
+
+def _ring(n=4, J=1.0, h=1.0):
+    return IsingProblem(n, {(i, (i + 1) % n) if i + 1 < n else (0, n - 1): J
+                            for i in range(n)}, [h] * n)
+
+
+# the path/block-size choice each call site made before synthesis_plan
+# existed, written out as reference rules
+def _solve_rule(p, k):
+    k = max(2, min(k, p.n_qubits))
+    return ("homogeneous", k) if p.is_homogeneous() else ("inhomogeneous", min(k, 6))
+
+
+def _emit_rule(p, k, path):
+    if path == "digital":
+        return ("digital", None)
+    k = max(2, min(k, p.n_qubits))
+    if path == "homogeneous" or (path == "auto" and p.is_homogeneous()):
+        return ("homogeneous", k)
+    return ("inhomogeneous", min(k, 6))
+
+
+def _sweep_rule(p, k):
+    return ("homogeneous" if p.is_homogeneous() else "inhomogeneous", k)
+
+
+def _enhancement_rule(p, k):
+    if p.is_homogeneous() and k <= p.n_qubits:
+        return ("homogeneous", k)
+    return ("inhomogeneous", k)
+
+
+class TestSynthesisPlan:
+    PROBLEMS = (
+        random_spin_glass(4, 0, "homogeneous"),
+        random_spin_glass(8, 0, "homogeneous"),
+        random_spin_glass(6, 1, "mixed"),
+        random_spin_glass(16, 2, "fully_nonuniform"),
+        _ring(),
+    )
+
+    @pytest.mark.parametrize("p", PROBLEMS, ids=[
+        "homogeneous4", "homogeneous8", "mixed6", "nonuniform16", "ring4"])
+    def test_reproduces_call_site_rules(self, p):
+        for k in range(0, 10):
+            assert synthesis_plan(p, k) == _solve_rule(p, k)
+            for path in ("auto", "inhomogeneous", "digital"):
+                assert synthesis_plan(p, k, path) == _emit_rule(p, k, path)
+            if p.is_homogeneous():
+                assert synthesis_plan(p, k, "homogeneous") == \
+                    _emit_rule(p, k, "homogeneous")
+            # the sweep and enhancement_factor passed k through unclamped;
+            # inside the clamp range the choice is unchanged
+            hom = p.is_homogeneous()
+            if 2 <= k <= p.n_qubits and (hom or k <= 6):
+                assert synthesis_plan(p, k) == _sweep_rule(p, k)
+            if 2 <= k <= min(6, p.n_qubits):
+                assert synthesis_plan(p, k) == _enhancement_rule(p, k)
+
+    def test_forced_homogeneous_on_inhomogeneous_raises(self):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            synthesis_plan(_ring(), 4, "homogeneous")
+
+    def test_unknown_path(self):
+        with pytest.raises(ValueError, match="unknown synthesis path"):
+            synthesis_plan(_ring(), 4, "telepathic")
+
+    def test_synthesize_follows_plan(self):
+        p = random_spin_glass(6, 1, "mixed")
+        sch = Schedule(1.0, 2)
+        assert synthesize(p, sch, 9).to_json() == \
+            synthesize_inhomogeneous(p, sch, 6).to_json()
+        assert synthesize(p, sch, 4, "digital").to_json() == \
+            synthesize_digital_baseline(p, sch).to_json()
+        h = random_spin_glass(4, 0, "homogeneous")
+        assert synthesize(h, sch, 9).to_json() == \
+            synthesize_homogeneous(h, sch, 4).to_json()
+
+
+class TestEdgeInstances:
+    def test_ring_follows_exact_evolution(self):
+        # a uniform-weight ring is not homogeneous: the homogeneous path
+        # would couple every pair (infidelity ~0.48 here)
+        p = _ring()
+        sch = Schedule(1.0, 40)
+        assert synthesis_plan(p, 4) == ("inhomogeneous", 4)
+        psi0 = np.zeros(16, dtype=complex)
+        psi0[-1] = 1.0
+        circ = circuit_unitary(synthesize(p, sch, 4)) @ psi0
+        exact = exact_evolution(p, sch, 200) @ psi0
+        assert 1.0 - abs(np.vdot(exact, circ)) ** 2 < 0.01
+
+    @pytest.mark.parametrize("path", ["homogeneous", "inhomogeneous", "digital"])
+    def test_all_zero_problem_synthesizes(self, path):
+        # no couplings, no fields: only the driver's Z rotations remain
+        p = IsingProblem(4)
+        c = synthesize(p, Schedule(1.0, 3), 4, path)
+        assert c.depth_report().total == 3
+        assert {g.axis for g in c.gates()} == {"z"}
