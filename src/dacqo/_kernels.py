@@ -1,7 +1,9 @@
 """State-vector gate-application kernel.
 
 Applies a dense 2^k x 2^k unitary along the axes of k chosen qubits of a
-2^n state vector, or of every column of a (2^n, m) matrix at once.
+2^n state vector, or of every column of a (2^n, m) matrix at once.  A
+stacked (m, 2^k, 2^k) unitary applies a different matrix to each column,
+which is how one noisy trajectory per column gets its own perturbed gate.
 Qubit 0 is the most significant bit of the state index.
 """
 
@@ -13,14 +15,28 @@ import numpy as np
 def apply_unitary(state: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
     """Apply ``u`` on ``qubits`` of an n-qubit state or (2^n, m) matrix.
 
-    Returns a new array of the input's shape; the input is not modified.
+    ``u`` is either one 2^k x 2^k matrix, applied to every column, or a
+    stacked (m, 2^k, 2^k) array whose ``u[b]`` acts on column ``b`` of a
+    (2^n, m) matrix.  Returns a new array of the input's shape; the input
+    is not modified.
     """
     k = len(qubits)
     psi = state.reshape((2,) * n + state.shape[1:])
-    u_t = u.reshape((2,) * (2 * k))
-    psi = np.tensordot(u_t, psi, axes=(range(k, 2 * k), qubits))
-    psi = np.moveaxis(psi, range(k), qubits)
-    return np.ascontiguousarray(psi).reshape(state.shape)
+    if u.ndim == 2:
+        u_t = u.reshape((2,) * (2 * k))
+        psi = np.tensordot(u_t, psi, axes=(range(k, 2 * k), qubits))
+        psi = np.moveaxis(psi, range(k), qubits)
+        return np.ascontiguousarray(psi).reshape(state.shape)
+    if state.ndim != 2 or u.shape[0] != state.shape[1]:
+        raise ValueError("a stacked unitary needs one matrix per state column")
+    m = state.shape[1]
+    # column axis first, then the gate's qubits, then the others: each
+    # column becomes a (2^k, 2^(n-k)) block for its own matrix
+    order = (n, *qubits, *(q for q in range(n) if q not in qubits))
+    psi = np.matmul(u, psi.transpose(order).reshape(m, 2**k, -1))
+    return psi.reshape((m,) + (2,) * n).transpose(np.argsort(order)).reshape(
+        state.shape
+    )
 
 
 def backend_name() -> str:

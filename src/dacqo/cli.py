@@ -258,6 +258,8 @@ def cmd_fidelity_sweep(config, **flags):
     if not sizes or not c_grid:
         raise ConfigError("sizes and c_grid must be nonempty")
     k = int(cfg.get("k", 4))
+    if k < 2:
+        raise ConfigError(f"block size k must be >= 2, got {k}")
     for n in sizes:
         if n % k:
             raise ConfigError(f"size {n} is not a multiple of block size {k}")

@@ -22,6 +22,7 @@ exp(-i theta^x sum X_i) directly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .counterdiabatic import Schedule, alpha1_analytic
-from .paulis import PAULI, kron_all
+from .paulis import HADAMARD, PAULI, kron_all
 from .problem import CapabilityError, IsingProblem
 
 __all__ = [
@@ -112,18 +113,35 @@ class StepAngles(NamedTuple):
     z: float
 
 
+@functools.lru_cache(maxsize=None)
+def _zsum_basis(k: int):
+    """Z-sum eigenvalue s_b = k - 2 popcount(b) of each basis state, and H^(x)k.
+
+    Both arrays are read-only: every caller with the same k shares them.
+    """
+    s = k - 2 * np.bitwise_count(np.arange(2**k)).astype(np.int64)
+    h = np.ones((1, 1), dtype=complex)
+    for _ in range(k):
+        h = np.kron(h, HADAMARD)
+    s.flags.writeable = False
+    h.flags.writeable = False
+    return s, h
+
+
 def gms_unitary(k: int, theta: float, phi: float) -> np.ndarray:
-    """Dense k-qubit GMS unitary exp[-i theta/4 (cos phi S_x + sin phi S_y)^2]."""
+    """Dense k-qubit GMS unitary exp[-i theta/4 (cos phi S_x + sin phi S_y)^2].
+
+    Closed form: cos phi S_x + sin phi S_y = D S_x D^dag with
+    D = exp(-i phi S_z / 2), and S_x = H S_z H with H the k-fold Hadamard,
+    so the unitary is D H diag(exp(-i theta s^2 / 4)) H D^dag, s the
+    diagonal of S_z.
+    """
     if not 2 <= k <= _GMS_CAP:
         raise CapabilityError(f"gms_unitary supports 2..{_GMS_CAP} qubits")
-    s = np.zeros((2**k, 2**k), dtype=complex)
-    axis = math.cos(phi) * PAULI["X"] + math.sin(phi) * PAULI["Y"]
-    for i in range(k):
-        ops = [axis if q == i else PAULI["I"] for q in range(k)]
-        s += kron_all(ops)
-    gen = s @ s
-    vals, vecs = np.linalg.eigh(gen)
-    return (vecs * np.exp(-0.25j * theta * vals)) @ vecs.conj().T
+    s, h = _zsum_basis(k)
+    m = (h * np.exp(-0.25j * theta * s**2)) @ h
+    d = np.exp(-0.5j * phi * s)
+    return d[:, None] * m * d.conj()
 
 
 def rotation_unitary(axis: str, theta: float) -> np.ndarray:

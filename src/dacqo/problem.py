@@ -111,13 +111,17 @@ class IsingProblem:
 
     @staticmethod
     def from_json(text: str) -> "IsingProblem":
-        doc = json.loads(text)
-        return IsingProblem(
-            n_qubits=doc["n"],
-            couplings={(int(i), int(j)): float(v) for i, j, v in doc.get("J", [])},
-            fields=np.asarray(doc.get("h", [0.0] * doc["n"]), dtype=float),
-            offset=float(doc.get("offset", 0.0)),
-        )
+        doc = _json_object(text, "problem")
+        n = doc["n"]
+        try:
+            couplings = {
+                (int(i), int(j)): float(v) for i, j, v in doc.get("J", [])
+            }
+            fields = np.asarray(doc.get("h", [0.0] * n), dtype=float)
+            offset = float(doc.get("offset", 0.0))
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"malformed problem file: {e}") from e
+        return IsingProblem(n, couplings, fields, offset)
 
 
 @dataclass(frozen=True)
@@ -173,14 +177,25 @@ class Graph:
 
     @staticmethod
     def from_json(text: str) -> "Graph":
-        doc = json.loads(text)
-        return Graph(
-            n_nodes=doc["n"],
-            edges=frozenset(tuple(e) for e in doc.get("edges", [])),
-            weights=np.asarray(
-                doc.get("weights", [1.0] * doc["n"]), dtype=float
-            ),
-        )
+        doc = _json_object(text, "graph")
+        n = doc["n"]
+        try:
+            edges = frozenset((int(i), int(j)) for i, j in doc.get("edges", []))
+            weights = np.asarray(doc.get("weights", [1.0] * n), dtype=float)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"malformed graph file: {e}") from e
+        return Graph(n, edges, weights)
+
+
+def _json_object(text: str, kind: str) -> dict:
+    """Parse a problem or graph file: a JSON object with an integer "n"."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} file must hold a JSON object")
+    n = doc.get("n")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f'{kind} file needs an integer "n", got {n!r}')
+    return doc
 
 
 def classical_energy(problem: IsingProblem, spins) -> float:

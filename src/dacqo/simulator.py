@@ -13,6 +13,16 @@ The initial state is |1...1>, the ground state of the rotated driver
 sum_i Z_i; success is the total probability of the optimal bitstrings read
 in the X basis (a Hadamard on every qubit before measuring), where the
 problem Hamiltonian is diagonal.
+
+Trajectories run in chunks: a chunk holds its trajectories as the columns
+of one (2^n, B) state matrix and applies each gate once to all of them.
+A perturbed GMS block is a stacked (B, d, d) unitary, one perturbation
+per column, drawn and projected in one batch; a Pauli error rewrites only
+the columns it hit.  A chunk holds at most ``_CHUNK_ENTRIES`` state
+amplitudes, and at most as many entries of a stacked block unitary, so
+memory stays bounded at any width.  The noise seed is split with
+``SeedSequence(seed).spawn`` into one generator per chunk, so a seed gives
+the same result on every run.
 """
 
 from __future__ import annotations
@@ -22,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import polar
 
 from . import _kernels
 from .gates import Gate, gate_unitary, solve_gms_angles, step_angles
@@ -55,6 +64,9 @@ __all__ = [
 ]
 
 _WIDTH_CAP = 14
+# cap on the amplitudes of a chunk's state matrix and on the entries of a
+# stacked block unitary: 2^18 complex128 values, 4 MiB
+_CHUNK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -92,22 +104,31 @@ def apply_gate(
     return _kernels.apply_unitary(state, u, gate.qubits, n)
 
 
-def perturb_analog_block(u: np.ndarray, c: float, seed) -> np.ndarray:
-    """Nearest unitary to U + c G for a seeded complex Gaussian G."""
+def perturb_analog_block(
+    u: np.ndarray, c: float, seed, draws: Optional[int] = None
+) -> np.ndarray:
+    """Nearest unitary to U + c G for a seeded complex Gaussian G.
+
+    With ``draws`` = B, returns a (B, d, d) stack of independent
+    perturbations of ``u``, drawn and projected in one batch; otherwise
+    one (d, d) matrix.  ``u`` itself is returned when c == 0.  The
+    projection is the unitary polar factor W V^dag of the SVD W S V^dag.
+    """
     if c == 0:
         return u
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    d = u.shape[0]
-    g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
-    v, _ = polar(u + c * g)
-    return v
+    shape = u.shape if draws is None else (draws,) + u.shape
+    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+    w, _, vh = np.linalg.svd(u + c * g)
+    return w @ vh
 
 
-def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
-    """|Tr(U^dag V)| / d."""
-    if u.shape != v.shape:
+def gate_fidelity(u: np.ndarray, v: np.ndarray):
+    """|Tr(U^dag V)| / d, or one such value per matrix of a (B, d, d) stack."""
+    if u.shape != v.shape[-2:]:
         raise ValueError("dimension mismatch")
-    return float(abs(np.trace(u.conj().T @ v))) / u.shape[0]
+    f = np.abs(np.einsum("ij,...ij->...", u.conj(), v)) / u.shape[0]
+    return float(f) if f.ndim == 0 else f
 
 
 def optimal_state_indices(problem: IsingProblem, truth: GroundTruth = None):
@@ -125,16 +146,11 @@ def optimal_state_indices(problem: IsingProblem, truth: GroundTruth = None):
     return np.array(sorted(idx)), truth
 
 
-def _initial_state(n: int) -> np.ndarray:
-    state = np.zeros(2**n, dtype=np.complex128)
-    state[-1] = 1.0  # |1...1>
-    return state
-
-
-def _measure_success(state: np.ndarray, n: int, indices: np.ndarray) -> float:
+def _measure_success(state: np.ndarray, n: int, indices: np.ndarray) -> np.ndarray:
+    """Success probability of each column of a (2^n, B) state matrix."""
     for q in range(n):
         state = _kernels.apply_unitary(state, HADAMARD, (q,), n)
-    return float(np.sum(np.abs(state[indices]) ** 2))
+    return np.sum(np.abs(state[indices]) ** 2, axis=0)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -192,7 +208,7 @@ def trotter_reference_unitary(
     return u
 
 
-_PAULI_OPS = (PAULI["X"], PAULI["Y"], PAULI["Z"])
+_PAULI_OPS = np.stack([PAULI["X"], PAULI["Y"], PAULI["Z"]])
 
 
 def run(
@@ -217,28 +233,35 @@ def run(
         trajectories = 1
     c = noise.analog_noise_amplitude
     p = noise.depolarizing_rate
-    master = np.random.SeedSequence(noise.seed)
-    traj_seeds = master.spawn(trajectories)
+    analog = [c > 0 and g.kind in ("gms", "gms_dag") for g in gates]
+    block_entries = max((u.size for u, a in zip(ideal, analog) if a), default=1)
+    width = max(1, _CHUNK_ENTRIES // max(2**n, block_entries))
+    starts = range(0, trajectories, width)
+    chunk_seeds = np.random.SeedSequence(noise.seed).spawn(len(starts))
     successes = np.empty(trajectories)
     fid_sum, fid_count = 0.0, 0
-    for t in range(trajectories):
-        rng = np.random.default_rng(traj_seeds[t])
-        state = _initial_state(n)
-        for g, u in zip(gates, ideal):
-            if c > 0 and g.kind in ("gms", "gms_dag"):
-                v = perturb_analog_block(u, c, rng)
-                fid_sum += gate_fidelity(u, v)
-                fid_count += 1
-            else:
-                v = u
+    for start, chunk_seed in zip(starts, chunk_seeds):
+        rng = np.random.default_rng(chunk_seed)
+        b = min(width, trajectories - start)
+        state = np.zeros((2**n, b), dtype=np.complex128)
+        state[-1] = 1.0  # |1...1>
+        for g, u, perturbed in zip(gates, ideal, analog):
+            v = u
+            if perturbed:
+                v = perturb_analog_block(u, c, rng, b)
+                fid_sum += float(gate_fidelity(u, v).sum())
+                fid_count += b
             state = _kernels.apply_unitary(state, v, g.qubits, n)
             if p > 0:
-                for q in g.qubits:
-                    r = rng.random()
-                    if r < p:
-                        op = _PAULI_OPS[int(r / p * 3) % 3]
-                        state = _kernels.apply_unitary(state, op, (q,), n)
-        successes[t] = _measure_success(state, n, indices)
+                draws = rng.random((len(g.qubits), b))
+                for q, r in zip(g.qubits, draws):
+                    hit = np.flatnonzero(r < p)
+                    if hit.size:
+                        ops = _PAULI_OPS[(r[hit] / p * 3).astype(int) % 3]
+                        state[:, hit] = _kernels.apply_unitary(
+                            state[:, hit], ops, (q,), n
+                        )
+        successes[start:start + b] = _measure_success(state, n, indices)
     mean = float(successes.mean())
     stderr = float(successes.std(ddof=1) / math.sqrt(trajectories)) if trajectories > 1 else 0.0
     fidelity = fid_sum / fid_count if fid_count else 1.0

@@ -218,8 +218,9 @@ class TestInvalidInputExits2:
         ["solve", "--n", "1", "--steps", "1"],
         ["fidelity-sweep", "--trajectories", "0", "--steps", "1"],
         ["emit-circuit", "--mode", "mixed", "--path", "homogeneous"],
+        ["fidelity-sweep", "--k", "0", "--steps", "1"],
     ], ids=["solve-p2", "solve-n1", "sweep-trajectories0",
-            "emit-mixed-homogeneous"])
+            "emit-mixed-homogeneous", "sweep-k0"])
     def test_flags(self, runner, tmp_path, args):
         out = ["--output", str(tmp_path / "out")]
         result = runner.invoke(main, args + out)
@@ -229,10 +230,28 @@ class TestInvalidInputExits2:
     @pytest.mark.parametrize("text", [
         '{"n": 2, "J": [[1, 1, 1.0]], "h": [0.0, 0.0]}',
         '{"n": 2, "J": [[0, 1, NaN]], "h": [0.0, 0.0]}',
-    ], ids=["self-coupling", "nan-coupling"])
+        '{"J": []}',
+        '{"n": "2", "J": []}',
+        '{"n": 2, "J": 5}',
+        '[2]',
+    ], ids=["self-coupling", "nan-coupling", "missing-n", "string-n",
+            "scalar-J", "not-an-object"])
     def test_problem_files(self, runner, tmp_path, text):
         pf = self._problem_file(tmp_path, text)
         result = runner.invoke(main, ["solve", "--problem-file", pf])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("text", [
+        '{"edges": [[0, 1]]}',
+        '{"n": 2.5, "edges": []}',
+        '{"n": 3, "edges": [[0, "x"]]}',
+        '{"n": 2, "weights": {"0": 1.0}}',
+    ], ids=["missing-n", "float-n", "string-node", "object-weights"])
+    def test_graph_files(self, runner, tmp_path, text):
+        gf = tmp_path / "graph.json"
+        gf.write_text(text)
+        result = runner.invoke(main, ["solve", "--graph-file", str(gf)])
         assert result.exit_code == EXIT_CONFIG, result.output
         assert isinstance(result.exception, SystemExit)
 

@@ -59,6 +59,20 @@ class TestGmsUnitary:
         for key in ("XXI", "XIX", "IXX"):
             assert coeffs[key] == pytest.approx(theta / 2, rel=1e-9)
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_closed_form_matches_eigh_of_summed_generator(self, k):
+        # reference: exponentiate (cos phi S_x + sin phi S_y)^2 built from
+        # kron products by diagonalizing it
+        rng = np.random.default_rng(k)
+        for theta, phi in rng.uniform(-2 * math.pi, 2 * math.pi, (4, 2)):
+            axis = math.cos(phi) * PAULI["X"] + math.sin(phi) * PAULI["Y"]
+            s = sum(pauli_on(k, {i: axis}) for i in range(k))
+            vals, vecs = np.linalg.eigh(s @ s)
+            ref = (vecs * np.exp(-0.25j * theta * vals)) @ vecs.conj().T
+            np.testing.assert_allclose(
+                gms_unitary(k, theta, phi), ref, rtol=0, atol=1e-12
+            )
+
     def test_size_limits(self):
         with pytest.raises(CapabilityError):
             gms_unitary(1, 1.0, 0.0)

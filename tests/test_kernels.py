@@ -69,6 +69,35 @@ class TestNumpyKernel:
         np.testing.assert_array_equal(mat, before)
 
 
+    @pytest.mark.parametrize("n,qubits,m", [
+        (1, (0,), 3),
+        (3, (2,), 8),
+        (4, (3, 1), 5),
+        (5, (0, 1, 2, 3, 4), 4),
+        (6, (4, 0, 2), 2),
+    ])
+    def test_stacked_unitary_matches_column_loop(self, n, qubits, m):
+        # u[b] acts on column b alone
+        rng = np.random.default_rng(n + 20)
+        mat = rng.standard_normal((2**n, m)) + 1j * rng.standard_normal((2**n, m))
+        us = np.stack([_random_unitary(len(qubits), 100 * n + b) for b in range(m)])
+        before = mat.copy()
+        out = _kernels.apply_unitary(mat, us, qubits, n)
+        ref = np.empty_like(mat)
+        for b in range(m):
+            ref[:, b] = _kernels.apply_unitary(mat[:, b].copy(), us[b], qubits, n)
+        assert out.shape == (2**n, m)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(mat, before)
+
+    def test_stacked_unitary_needs_one_matrix_per_column(self):
+        us = np.stack([_random_unitary(1, b) for b in range(3)])
+        with pytest.raises(ValueError):
+            _kernels.apply_unitary(np.ones((8, 2), dtype=complex), us, (0,), 3)
+        with pytest.raises(ValueError):
+            _kernels.apply_unitary(np.ones(8, dtype=complex), us, (0,), 3)
+
+
 class TestBackendSelection:
     def test_backend_name_valid(self):
         assert _kernels.backend_name() == "numpy"

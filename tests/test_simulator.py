@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from dacqo import _kernels, simulator
 from dacqo.counterdiabatic import Schedule, exact_evolution
 from dacqo.gates import Gate, gate_unitary, rotation_unitary
-from dacqo.paulis import PAULI, phase_distance
+from dacqo.paulis import HADAMARD, PAULI, kron_all, phase_distance
 from dacqo.problem import CapabilityError, IsingProblem, random_spin_glass
 from dacqo.simulator import (
     NoiseModel,
@@ -19,7 +20,7 @@ from dacqo.simulator import (
     success_vs_fidelity_sweep,
     trotter_reference_unitary,
 )
-from dacqo.synthesis import Circuit, synthesize_homogeneous
+from dacqo.synthesis import Circuit, synthesize, synthesize_homogeneous
 
 
 def _homogeneous_k4():
@@ -200,6 +201,55 @@ class TestRun:
             NoiseModel(-0.1, 0.0)
         with pytest.raises(ValueError):
             NoiseModel(0.0, 1.5)
+
+
+def _depolarized_success(circuit, problem, p):
+    """Exact success of the per-qubit depolarizing channel on a density matrix."""
+    n = circuit.width
+    eye = np.eye(2**n, dtype=complex)
+
+    def full(u, qubits):
+        return _kernels.apply_unitary(eye, u, qubits, n)
+
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[-1, -1] = 1.0
+    for g in circuit.gates():
+        u = full(gate_unitary(g), g.qubits)
+        rho = u @ rho @ u.conj().T
+        for q in g.qubits:
+            errs = [full(PAULI[a], (q,)) for a in "XYZ"]
+            rho = (1 - p) * rho + p / 3 * sum(e @ rho @ e for e in errs)
+    h = kron_all([HADAMARD] * n)
+    rho = h @ rho @ h
+    idx, _ = optimal_state_indices(problem)
+    return float(np.real(np.trace(rho[np.ix_(idx, idx)])))
+
+
+class TestBatchedTrajectories:
+    @pytest.mark.parametrize("n,path", [(2, "auto"), (3, "auto"), (3, "digital")])
+    def test_depolarizing_mean_matches_channel(self, n, path):
+        problem = random_spin_glass(n, 5, "fully_nonuniform")
+        circuit = synthesize(problem, Schedule(1.0, 3), n, path)
+        p = 0.05
+        res = run(circuit, problem, NoiseModel(0.0, p, seed=11), trajectories=2000)
+        exact = _depolarized_success(circuit, problem, p)
+        clean = run(circuit, problem).success_probability
+        assert res.trajectories == 2000 and res.stderr > 0
+        # the noise moves the success by far more than the tolerance
+        assert abs(clean - exact) > 10 * res.stderr
+        assert abs(res.success_probability - exact) < 5 * res.stderr
+
+    def test_several_chunks_deterministic_per_seed(self, monkeypatch):
+        # a 4-qubit block unitary has 256 entries: 4 trajectories per chunk
+        monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 1024)
+        p = _homogeneous_k4()
+        circuit = synthesize_homogeneous(p, Schedule(1.0, 2), 4)
+        noise = NoiseModel(0.05, 1e-2, seed=4)
+        a = run(circuit, p, noise, trajectories=10)
+        b = run(circuit, p, noise, trajectories=10)
+        assert a == b
+        assert a.trajectories == 10
+        assert a != run(circuit, p, NoiseModel(0.05, 1e-2, seed=5), trajectories=10)
 
 
 class TestSweep:
