@@ -96,11 +96,14 @@ def _load_config(path):
         return {}
     try:
         with open(path) as f:
-            return json.load(f)
+            doc = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"bad JSON in {path} (line {e.lineno}): {e.msg}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return doc
 
 
 def _resolve(config, flags):

@@ -8,8 +8,10 @@ Ising problem,
 
 and the first-order approximate gauge potential adds a velocity term
 
-    H(t) = H_ad + lambda_dot * 2 alpha_1 [sum_i h_i Y_i
-                                          + sum_{i<j} J_ij (Y_i Z_j + Z_i Y_j)].
+    H(t) = H_ad + lambda_dot * 2 alpha_1 C,
+    C = -(i/2) [H_f, sum_i X_i] = sum_i h_i Y_i + sum_{i<j} J_ij (Y_i Z_j + Z_i Y_j).
+
+C is formed as that commutator of dense operators, in either frame.
 
 ``alpha1_analytic`` evaluates the closed form obtained from the first two
 nested commutators O_1 = [H_ad, d_lambda H_ad], O_2 = [H_ad, O_1]:
@@ -23,7 +25,8 @@ recomputes the same quantity from dense commutators and pins the convention.
 The gate layer works in a frame rotated by a Hadamard on every qubit
 (Z -> X, X -> Z, Y -> -Y), where the entangling terms become XX/XY/YX and
 the driver is diagonal; ``rotated_full_hamiltonian`` builds that frame's
-generator and ``exact_evolution`` integrates it as a trotter-free reference.
+generator and ``exact_evolution`` integrates it as a trotter-free reference,
+building H_f, sum_i Z_i and C once per call and recombining them per slice.
 """
 
 from __future__ import annotations
@@ -129,41 +132,64 @@ class Schedule:
 # dense Hamiltonians
 # ---------------------------------------------------------------------------
 
-def _check_cap(n: int):
+def _operators(problem: IsingProblem, rotated: bool = False) -> tuple:
+    """Dense (H_f, sum_i X_i) in one pass over couplings and fields.
+
+    H_f is built from the letter Z and the transverse field from X, or X
+    and Z in the per-qubit Hadamard frame when ``rotated``.
+    """
+    n = problem.n_qubits
     if n > _DENSE_CAP:
         raise CapabilityError(
             f"dense operators capped at {_DENSE_CAP} qubits, got {n}"
         )
+    zf, xd = ("X", "Z") if rotated else ("Z", "X")
+    Hf = np.zeros((2**n, 2**n), dtype=complex)
+    D = np.zeros_like(Hf)
+    for (i, j), v in problem.couplings.items():
+        Hf += v * pauli_on(n, {i: zf, j: zf})
+    for i, hi in enumerate(problem.fields):
+        if hi:
+            Hf += hi * pauli_on(n, {i: zf})
+        D += pauli_on(n, {i: xd})
+    return Hf, D
+
+
+def _with_cd(operators: tuple) -> tuple:
+    """(H_f, D, C) for ``operators`` = (H_f, D), with C = -(i/2)[H_f, D]."""
+    Hf, D = operators
+    return Hf, D, -0.5j * commutator(Hf, D)
+
+
+def _hamiltonian(
+    problem: IsingProblem, schedule: Schedule, t: float, operators: tuple
+) -> np.ndarray:
+    """lambda H_f + (1-lambda) D + 2 lambda_dot alpha_1 C (no alpha_1 at rest)."""
+    Hf, D, C = operators
+    lam = schedule.lam(t)
+    ldot = schedule.lam_dot(t)
+    H = lam * Hf + (1.0 - lam) * D
+    if ldot:
+        H += (2.0 * ldot * alpha1_analytic(problem, lam)) * C
+    return H
 
 
 def problem_hamiltonian(problem: IsingProblem) -> np.ndarray:
     """Dense H_f = sum J_ij Z_i Z_j + sum h_i Z_i."""
-    n = problem.n_qubits
-    _check_cap(n)
-    H = np.zeros((2**n, 2**n), dtype=complex)
-    for (i, j), v in problem.couplings.items():
-        H += v * pauli_on(n, {i: "Z", j: "Z"})
-    for i, hi in enumerate(problem.fields):
-        if hi:
-            H += hi * pauli_on(n, {i: "Z"})
-    return H
+    return _operators(problem)[0]
 
 
 def driver_hamiltonian(n: int) -> np.ndarray:
-    _check_cap(n)
-    H = np.zeros((2**n, 2**n), dtype=complex)
-    for i in range(n):
-        H += pauli_on(n, {i: "X"})
-    return H
+    """Dense transverse field sum_i X_i on n qubits."""
+    return _operators(IsingProblem(n))[1]
 
 
 def adiabatic_hamiltonian(problem: IsingProblem, lambda_value: float) -> np.ndarray:
     """lambda * H_f + (1 - lambda) * sum_i X_i as a dense matrix."""
     if not 0.0 <= lambda_value <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
-    return lambda_value * problem_hamiltonian(problem) + (
-        1.0 - lambda_value
-    ) * driver_hamiltonian(problem.n_qubits)
+    Hf, D = _operators(problem)
+    return lambda_value * Hf + (1.0 - lambda_value) * D
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +215,8 @@ def _coupling_sums(problem: IsingProblem):
     return sh2, sh4, sJ2, sJ4, shJ, s3
 
 
-def _denominator(problem: IsingProblem, lam: float) -> float:
-    sh2, sh4, sJ2, sJ4, shJ, s3 = _coupling_sums(problem)
+def _denominator(sums: tuple, lam: float) -> float:
+    sh2, sh4, sJ2, sJ4, shJ, s3 = sums
     return (1 - lam) ** 2 * (sh2 + 8 * sJ2) + lam**2 * (
         sh4 + 2 * sJ4 + 6 * shJ + 6 * s3
     )
@@ -198,16 +224,18 @@ def _denominator(problem: IsingProblem, lam: float) -> float:
 
 def gamma_closed_forms(problem: IsingProblem, lam: float) -> tuple:
     """(Gamma_1, Gamma_2) from the closed-form coefficient sums."""
-    sh2, _, sJ2, _, _, _ = _coupling_sums(problem)
+    sums = _coupling_sums(problem)
+    sh2, _, sJ2, _, _, _ = sums
     g1 = 4 * sh2 + 8 * sJ2
-    g2 = 16.0 * _denominator(problem, lam)
+    g2 = 16.0 * _denominator(sums, lam)
     return g1, g2
 
 
 def alpha1_analytic(problem: IsingProblem, lambda_value: float) -> float:
     """Closed-form first-order CD coefficient, alpha_1 = -Gamma_1/Gamma_2."""
-    sh2, _, sJ2, _, _, _ = _coupling_sums(problem)
-    R = _denominator(problem, lambda_value)
+    sums = _coupling_sums(problem)
+    sh2, _, sJ2, _, _, _ = sums
+    R = _denominator(sums, lambda_value)
     if R == 0.0:
         raise ZeroDivisionError(
             "alpha_1 denominator vanished (all-zero problem?)"
@@ -219,8 +247,7 @@ def gamma_oracle(problem: IsingProblem, lam: float) -> tuple:
     """(Gamma_1, Gamma_2) from dense nested commutators."""
     if problem.n_qubits > 8:
         raise CapabilityError("commutator oracle capped at 8 qubits")
-    Hf = problem_hamiltonian(problem)
-    D = driver_hamiltonian(problem.n_qubits)
+    Hf, D = _operators(problem)
     H = lam * Hf + (1 - lam) * D
     dH = Hf - D
     O1 = commutator(H, dH)
@@ -237,30 +264,17 @@ def alpha1_oracle(problem: IsingProblem, lambda_value: float) -> float:
 
 
 def cd_generator(problem: IsingProblem, lambda_value: float) -> np.ndarray:
-    """2 alpha_1 (sum h_i Y_i + sum J_ij (Y_i Z_j + Z_i Y_j)), dense.
+    """2 alpha_1 C with C = -(i/2)[H_f, sum_i X_i], dense.
 
     Callers multiply by lambda_dot to obtain the CD Hamiltonian term.
     """
-    n = problem.n_qubits
-    _check_cap(n)
     a = alpha1_analytic(problem, lambda_value)
-    G = np.zeros((2**n, 2**n), dtype=complex)
-    for i, hi in enumerate(problem.fields):
-        if hi:
-            G += hi * pauli_on(n, {i: "Y"})
-    for (i, j), v in problem.couplings.items():
-        G += v * (
-            pauli_on(n, {i: "Y", j: "Z"}) + pauli_on(n, {i: "Z", j: "Y"})
-        )
-    return 2.0 * a * G
+    return 2.0 * a * _with_cd(_operators(problem))[2]
 
 
 def full_hamiltonian(problem: IsingProblem, schedule: Schedule, t: float) -> np.ndarray:
     """Original-frame H(t) = H_ad(lambda(t)) + lambda_dot(t) * cd_generator."""
-    lam = schedule.lam(t)
-    return adiabatic_hamiltonian(problem, lam) + schedule.lam_dot(
-        t
-    ) * cd_generator(problem, lam)
+    return _hamiltonian(problem, schedule, t, _with_cd(_operators(problem)))
 
 
 def rotated_full_hamiltonian(
@@ -271,34 +285,15 @@ def rotated_full_hamiltonian(
     H' = lambda (sum J_ij X_i X_j + sum h_i X_i) + (1-lambda) sum Z_i
          - 2 lambda_dot alpha_1 (sum h_i Y_i + sum J_ij (Y_i X_j + X_i Y_j)).
 
-    The minus sign on the CD term is forced by the frame rotation flipping
-    Y; since alpha_1 < 0 the realized coefficient is positive.  Equality
-    with the Hadamard-conjugated original-frame H(t) is asserted in tests.
+    The minus sign on the CD term, the frame rotation flipping Y, comes
+    out of C = -(i/2)[H_f', sum Z_i]; since alpha_1 < 0 the realized
+    coefficient is positive.  Equality with the Hadamard-conjugated
+    original-frame H(t) is asserted in tests.
     """
-    n = problem.n_qubits
-    _check_cap(n)
     if not 0.0 <= t <= schedule.total_time:
         raise ValueError("t outside [0, T]")
-    lam = schedule.lam(t)
-    ldot = schedule.lam_dot(t)
-    H = np.zeros((2**n, 2**n), dtype=complex)
-    for (i, j), v in problem.couplings.items():
-        H += lam * v * pauli_on(n, {i: "X", j: "X"})
-    for i, hi in enumerate(problem.fields):
-        if hi:
-            H += lam * hi * pauli_on(n, {i: "X"})
-    for i in range(n):
-        H += (1.0 - lam) * pauli_on(n, {i: "Z"})
-    coeff = -2.0 * ldot * alpha1_analytic(problem, lam)
-    if coeff:
-        for i, hi in enumerate(problem.fields):
-            if hi:
-                H += coeff * hi * pauli_on(n, {i: "Y"})
-        for (i, j), v in problem.couplings.items():
-            H += coeff * v * (
-                pauli_on(n, {i: "Y", j: "X"}) + pauli_on(n, {i: "X", j: "Y"})
-            )
-    return H
+    operators = _with_cd(_operators(problem, rotated=True))
+    return _hamiltonian(problem, schedule, t, operators)
 
 
 def hadamard_frame(n: int) -> np.ndarray:
@@ -312,14 +307,15 @@ def exact_evolution(
     """Trotter-free reference propagator in the rotated frame.
 
     Ordered product of exp(-i H'(t_k) dt) over a midpoint grid of
-    ``steps`` slices.  Later factors multiply on the left.
+    ``steps`` slices.  Later factors multiply on the left.  H_f',
+    sum_i Z_i and C are built once and recombined for each slice.
     """
     if problem.n_qubits > 10:
         raise CapabilityError("exact_evolution capped at 10 qubits")
-    T = schedule.total_time
-    dt = T / steps
+    operators = _with_cd(_operators(problem, rotated=True))
+    dt = schedule.total_time / steps
     U = np.eye(2**problem.n_qubits, dtype=complex)
     for k in range(steps):
         t = (k + 0.5) * dt
-        U = expm(-1j * dt * rotated_full_hamiltonian(problem, schedule, t)) @ U
+        U = expm(-1j * dt * _hamiltonian(problem, schedule, t, operators)) @ U
     return U

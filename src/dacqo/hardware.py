@@ -35,23 +35,21 @@ class HardwareSpec:
     t_M: float = 930e-6  # multiqubit gate duration, seconds
     t_S: float = 130e-6  # single-qubit gate duration, seconds
     coherence_time: float = 1.0
-    max_block: int = 4
 
     def __post_init__(self):
         durations = (self.t_M, self.t_S, self.coherence_time)
         if not all(math.isfinite(d) and d > 0 for d in durations):
             raise ValueError("durations must be positive and finite")
-        if self.max_block < 2:
-            raise ValueError("max_block must be >= 2")
 
     @staticmethod
     def from_json(text: str) -> "HardwareSpec":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("hardware file must hold a JSON object")
         return HardwareSpec(
-            t_M=doc.get("t_M_us", 930.0) * 1e-6,
-            t_S=doc.get("t_S_us", 130.0) * 1e-6,
-            coherence_time=doc.get("coherence_s", 1.0),
-            max_block=doc.get("max_block", 4),
+            t_M=_number(doc, "t_M_us", 930.0) * 1e-6,
+            t_S=_number(doc, "t_S_us", 130.0) * 1e-6,
+            coherence_time=_number(doc, "coherence_s", 1.0),
         )
 
     def to_json(self) -> str:
@@ -60,9 +58,15 @@ class HardwareSpec:
                 "t_M_us": self.t_M * 1e6,
                 "t_S_us": self.t_S * 1e6,
                 "coherence_s": self.coherence_time,
-                "max_block": self.max_block,
             }
         )
+
+
+def _number(doc: dict, key: str, default: float) -> float:
+    v = doc.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"hardware file: {key} must be a number, got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,7 @@ class Circuit:
         for layer in self.layers:
             yield from layer
 
-    def depth_report(self, analytic_total: float = float("nan")) -> "DepthReport":
+    def depth_report(self) -> "DepthReport":
         multi = sum(
             1 for layer in self.layers if any(len(g.qubits) > 1 for g in layer)
         )
@@ -92,7 +92,6 @@ class Circuit:
             multiqubit_layers=multi,
             single_qubit_layers=single,
             total=len(self.layers),
-            analytic_total=analytic_total,
         )
 
     def to_json(self) -> str:
@@ -120,7 +119,6 @@ class DepthReport:
     multiqubit_layers: int
     single_qubit_layers: int
     total: int
-    analytic_total: float = float("nan")
 
     def __post_init__(self):
         assert self.total == self.multiqubit_layers + self.single_qubit_layers
@@ -352,11 +350,13 @@ def _sign_matrix(k: int, masks):
 
 
 def solve_block_inhomogeneity(k: int, target_xx: dict, target_xy: dict):
-    """Per-sub-block (theta, phi, mask) steering each pair to its target.
+    """Per-sub-block (mask, a_m, b_m) steering each pair to its target.
 
     ``target_xx``/``target_xy`` map local pairs (i<j, indices 0..k-1) to
-    the wanted XX and XY+YX strengths.  Solves the +-1 sign system; the
-    parasitic YY of each sub-block is cancelled inside its own flip
+    the wanted XX and XY+YX strengths.  Solves the +-1 sign system for the
+    XX weight a_m and the XY+YX weight b_m of the sub-block flipped by
+    ``mask``; ``solve_gms_angles(a_m, b_m, qubits)`` turns each into gates.
+    The parasitic YY of each sub-block is cancelled inside its own flip
     sandwich by a conjugate gate (the flips change XX/XY/YX/YY signs
     identically, so one system serves all channels).
     """
@@ -372,19 +372,7 @@ def solve_block_inhomogeneity(k: int, target_xx: dict, target_xy: dict):
     b = np.linalg.solve(M, y)
     if np.abs(M @ a - x).max() > 1e-9 or np.abs(M @ b - y).max() > 1e-9:
         raise SynthesisError("inconsistent targets beyond numerical tolerance")
-    out = []
-    for am, bm, mask in zip(a, b, masks):
-        if abs(am) < _EPS and abs(bm) < _EPS:
-            theta, phi = 0.0, 0.0
-        elif abs(bm) < _EPS:
-            theta, phi = 2.0 * am, 0.0
-        elif abs(am) < _EPS:
-            theta, phi = 4.0 * bm, math.pi / 4
-        else:
-            phi = math.atan(bm / am)
-            theta = 2.0 * am / math.cos(phi) ** 2
-        out.append((theta, phi, mask, am, bm))
-    return out
+    return list(zip(masks, a, b))
 
 
 def _block_sandwich_layers(block, sub_solutions):
@@ -401,7 +389,7 @@ def _block_sandwich_layers(block, sub_solutions):
         for qubits, subs in zip(block, sub_solutions):
             if m >= len(subs):
                 continue
-            theta, phi, mask, am, bm = subs[m]
+            mask, am, bm = subs[m]
             if abs(am) < _EPS and abs(bm) < _EPS:
                 continue
             flips.extend(

@@ -255,6 +255,22 @@ class TestInvalidInputExits2:
         assert result.exit_code == EXIT_CONFIG, result.output
         assert isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("command,option,text", [
+        ("scaling", "--hardware-file", "[]"),
+        ("scaling", "--hardware-file", '{"t_M_us": "abc"}'),
+        ("solve", "--config", "[1, 2]"),
+    ], ids=["hardware-not-an-object", "hardware-string-duration",
+            "config-not-an-object"])
+    def test_hardware_and_config_files(self, runner, tmp_path, command,
+                                       option, text):
+        f = tmp_path / "in.json"
+        f.write_text(text)
+        result = runner.invoke(main, [
+            command, option, str(f), "--output", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert isinstance(result.exception, SystemExit)
+
 
 class TestFit:
     def _write_points(self, path, rows):

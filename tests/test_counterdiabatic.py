@@ -135,6 +135,45 @@ class TestCdGenerator:
         assert dev < 1e-9
 
 
+class TestPauliForm:
+    """The CD operator is formed as a commutator; pin its Pauli terms and
+    the sign it takes in the Hadamard frame against term-by-term sums."""
+
+    @staticmethod
+    def _cd_terms(p, field_letter):
+        from dacqo.paulis import pauli_on
+
+        n = p.n_qubits
+        G = sum(hi * pauli_on(n, {i: "Y"}) for i, hi in enumerate(p.fields))
+        for (i, j), v in p.couplings.items():
+            G = G + v * (pauli_on(n, {i: "Y", j: field_letter})
+                         + pauli_on(n, {i: field_letter, j: "Y"}))
+        return G
+
+    def test_cd_generator_terms(self):
+        p = random_spin_glass(3, 11, "fully_nonuniform")
+        for lam in (0.0, 0.35, 0.8):
+            base = cd_generator(p, lam) / (2 * alpha1_analytic(p, lam))
+            np.testing.assert_allclose(base, self._cd_terms(p, "Z"),
+                                       rtol=0, atol=1e-12)
+
+    def test_rotated_hamiltonian_matches_docstring_formula(self):
+        from dacqo.paulis import pauli_on
+
+        p = random_spin_glass(3, 11, "fully_nonuniform")
+        sch = Schedule(1.0, 2)
+        for t in (0.13, 0.5, 0.87):
+            lam, ldot = sch.lam(t), sch.lam_dot(t)
+            H = sum((1 - lam) * pauli_on(3, {i: "Z"}) for i in range(3))
+            H = H + sum(lam * hi * pauli_on(3, {i: "X"})
+                        for i, hi in enumerate(p.fields))
+            for (i, j), v in p.couplings.items():
+                H = H + lam * v * pauli_on(3, {i: "X", j: "X"})
+            H = H - 2 * ldot * alpha1_analytic(p, lam) * self._cd_terms(p, "X")
+            np.testing.assert_allclose(rotated_full_hamiltonian(p, sch, t), H,
+                                       rtol=0, atol=1e-12)
+
+
 class TestRotatedFrame:
     def test_t0_is_driver(self):
         p = random_spin_glass(3, 0, "mixed")

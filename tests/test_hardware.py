@@ -22,19 +22,15 @@ class TestHardwareSpec:
         assert spec.coherence_time == 1.0
 
     def test_json_round_trip(self):
-        spec = HardwareSpec(t_M=500e-6, t_S=50e-6, coherence_time=2.0,
-                            max_block=6)
+        spec = HardwareSpec(t_M=500e-6, t_S=50e-6, coherence_time=2.0)
         again = HardwareSpec.from_json(spec.to_json())
         assert again.t_M == pytest.approx(spec.t_M)
         assert again.t_S == pytest.approx(spec.t_S)
         assert again.coherence_time == spec.coherence_time
-        assert again.max_block == spec.max_block
 
     def test_validation(self):
         with pytest.raises(ValueError):
             HardwareSpec(t_M=0.0)
-        with pytest.raises(ValueError):
-            HardwareSpec(max_block=1)
 
     @pytest.mark.parametrize("field", ["t_M", "t_S", "coherence_time"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -156,9 +156,9 @@ class TestBlockInhomogeneity:
         eps = 1e-3
         tx = {(0, 1): eps, (0, 2): eps, (1, 2): -eps}
         subs = solve_block_inhomogeneity(3, tx, {})
-        masks = [m for _, _, m, _, _ in subs]
+        masks = [m for m, _, _ in subs]
         pairs, M = _sign_matrix(3, masks)
-        a = np.array([am for _, _, _, am, _ in subs])
+        a = np.array([am for _, am, _ in subs])
         x = np.array([tx[p] for p in pairs])
         assert np.abs(M @ a - x).max() < 1e-12
 
