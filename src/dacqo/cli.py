@@ -8,14 +8,19 @@ scaling        runtime scaling table and MIS enhancement factors (CSV)
 emit-circuit   dump a synthesized layered circuit as JSON
 fit            exponential-saturation fit of required fidelity vs size
 
-Every command accepts ``--config file.json``; individual flags override
-config values.  CSV outputs get a ``<name>.meta.json`` sidecar holding the
-fully resolved configuration, and all randomness derives from one master
+Every command accepts ``--config file.json``, a JSON object keyed by the
+command's parameter names (``T`` for ``--t``, ``c_grid`` for
+``--c-grid``).  It becomes click's default map: each value is parsed like
+the same text given as a flag, and a flag beats the file.  Each default is
+declared once, on its option.  The effective configuration, defaults
+included, is the ``solve`` report's ``config`` and the body of every CSV's
+``<name>.meta.json`` sidecar, and all randomness derives from one master
 seed so reruns are byte-identical.
 
-Exit codes: 0 success, 2 configuration error (including any ValueError
-raised by the library on invalid input), 3 capability (size cap)
-exceeded, 4 numerical failure.
+Exit codes: 0 success, 2 configuration error (a bad flag or config entry,
+an unreadable input or unwritable output, and any ValueError raised by the
+library on invalid input), 3 capability (size cap) exceeded, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .extrapolation import fit_extrapolation
 from .hardware import (
     HardwareSpec,
     analytic_runtime,
-    circuit_runtime,
     default_spec,
     enhancement_factor,
 )
@@ -65,18 +69,11 @@ EXIT_NUMERICAL = 4
 TWO_QUBIT_995_RATE = 1.0 - 0.995**0.5
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _guarded(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             fn(*args, **kwargs)
-        except ConfigError as e:
-            click.echo(f"config error: {e}", err=True)
-            sys.exit(EXIT_CONFIG)
         except CapabilityError as e:
             click.echo(f"capability error: {e}", err=True)
             sys.exit(EXIT_CAPABILITY)
@@ -84,78 +81,83 @@ def _guarded(fn):
                 np.linalg.LinAlgError) as e:
             click.echo(f"numerical failure: {e}", err=True)
             sys.exit(EXIT_NUMERICAL)
-        except ValueError as e:  # after LinAlgError, which subclasses it
+        # after LinAlgError, which subclasses ValueError
+        except (ValueError, OSError) as e:
             click.echo(f"config error: {e}", err=True)
             sys.exit(EXIT_CONFIG)
 
     return wrapper
 
 
-def _load_config(path):
+def _read_config(ctx, param, path):
+    """Install the JSON object in ``path`` as the command's default map."""
     if path is None:
-        return {}
+        return
     try:
-        with open(path) as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"bad JSON in {path} (line {e.lineno}): {e.msg}")
+        doc = json.loads(Path(path).read_text())
+    except ValueError as e:  # bad JSON, or bytes that are not UTF-8
+        raise click.BadParameter(f"not a JSON file: {e}")
     if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return doc
+        raise click.BadParameter("the file must hold a JSON object")
+    names = sorted(p.name for p in ctx.command.params if p.expose_value)
+    for key, value in doc.items():
+        if key not in names:
+            raise click.BadParameter(
+                f"unknown key {key!r}; keys are {', '.join(names)}"
+            )
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise click.BadParameter(
+                f"{key!r} must be a string or a number, got {json.dumps(value)}"
+            )
+    ctx.default_map = {key: str(value) for key, value in doc.items()}
 
 
-def _resolve(config, flags):
-    """Merge config-file values with CLI flags; flags win when given."""
-    merged = dict(config)
-    for key, value in flags.items():
-        if value is not None:
-            merged[key] = value
-    return merged
+def _options(*decorators):
+    """Apply ``decorators`` as if stacked in the order given."""
+    def apply(fn):
+        for decorate in reversed(decorators):
+            fn = decorate(fn)
+        return fn
+
+    return apply
+
+
+_INPUT = click.Path(exists=True, dir_okay=False)
+_config = click.option(
+    "--config", type=_INPUT, is_eager=True, expose_value=False,
+    callback=_read_config, help="JSON object of option values; flags win",
+)
+_seed = click.option("--seed", type=int, default=0)
+_mode = click.option("--mode", default="homogeneous")
+_steps = click.option("--steps", type=int, default=10, help="trotter steps")
+_trajectories = click.option("--trajectories", type=int, default=512)
+_problem_options = _options(
+    click.option("--n", type=int, default=4),
+    _mode,
+    _seed,
+    click.option("--problem-file", type=_INPUT),
+    click.option("--graph-file", type=_INPUT),
+)
+_schedule_options = _options(
+    click.option("--t", "T", type=float, default=1.0),
+    _steps,
+    click.option("--profile", default="sin2sin2"),
+    click.option("--k", type=int, default=4),
+)
 
 
 def _get_problem(cfg) -> IsingProblem:
-    if cfg.get("problem_file"):
-        try:
-            text = Path(cfg["problem_file"]).read_text()
-        except FileNotFoundError:
-            raise ConfigError(f"problem file not found: {cfg['problem_file']}")
-        return IsingProblem.from_json(text)
-    if cfg.get("graph_file"):
-        try:
-            text = Path(cfg["graph_file"]).read_text()
-        except FileNotFoundError:
-            raise ConfigError(f"graph file not found: {cfg['graph_file']}")
-        return mis_to_ising(Graph.from_json(text))
-    n = int(cfg.get("n", 4))
-    mode = cfg.get("mode", "homogeneous")
-    try:
-        return random_spin_glass(n, int(cfg.get("seed", 0)), mode)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    if cfg["problem_file"]:
+        return IsingProblem.from_json(Path(cfg["problem_file"]).read_text())
+    if cfg["graph_file"]:
+        return mis_to_ising(Graph.from_json(Path(cfg["graph_file"]).read_text()))
+    return random_spin_glass(cfg["n"], cfg["seed"], cfg["mode"])
 
 
 def _get_schedule(cfg) -> Schedule:
-    try:
-        return Schedule(
-            total_time=float(cfg.get("T", 1.0)),
-            trotter_steps=int(cfg.get("steps", 10)),
-            profile=cfg.get("profile", "sin2sin2"),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e))
-
-
-def _get_hardware(cfg) -> HardwareSpec:
-    if cfg.get("hardware_file"):
-        try:
-            return HardwareSpec.from_json(Path(cfg["hardware_file"]).read_text())
-        except FileNotFoundError:
-            raise ConfigError(
-                f"hardware profile not found: {cfg['hardware_file']}"
-            )
-    return default_spec()
+    return Schedule(
+        total_time=cfg["T"], trotter_steps=cfg["steps"], profile=cfg["profile"]
+    )
 
 
 def _write_csv(path, header, rows, sidecar: dict):
@@ -171,55 +173,39 @@ def _write_csv(path, header, rows, sidecar: dict):
         json.dump(meta, f, indent=2, sort_keys=True)
 
 
-def _parse_floats(text):
-    try:
-        return [float(x) for x in str(text).split(",") if x != ""]
-    except ValueError:
-        raise ConfigError(f"bad numeric list: {text!r}")
+def _parse_list(text, cast):
+    """Comma-separated values, each parsed with ``cast`` (int or float)."""
+    return [cast(x) for x in text.split(",") if x != ""]
 
 
-def _parse_ints(text):
-    return [int(x) for x in _parse_floats(text)]
-
-
-@click.group()
+@click.group(context_settings={"show_default": True})
 @click.version_option(__version__)
 def main():
     """Digital-analog counterdiabatic optimization experiments."""
 
 
 @main.command("solve")
-@click.option("--config", type=click.Path(), default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--mode", default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--problem-file", default=None)
-@click.option("--graph-file", default=None)
-@click.option("--t", "T", type=float, default=None)
-@click.option("--steps", type=int, default=None)
-@click.option("--profile", default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--c", type=float, default=None)
-@click.option("--p", type=float, default=None)
-@click.option("--trajectories", type=int, default=None)
-@click.option("--output", default=None)
+@_config
+@_problem_options
+@_schedule_options
+@click.option("--c", type=float, default=0.0, help="analog noise amplitude")
+@click.option("--p", type=float, default=0.0, help="depolarizing rate")
+@_trajectories
+@click.option("--output")
 @_guarded
-def cmd_solve(config, **flags):
+def cmd_solve(**cfg):
     """Run one instance end to end and report the outcome."""
-    cfg = _resolve(_load_config(config), flags)
     problem = _get_problem(cfg)
     schedule = _get_schedule(cfg)
-    path, k = synthesis_plan(problem, int(cfg.get("k", 4)))
+    path, k = synthesis_plan(problem, cfg["k"])
     circuit = synthesize(problem, schedule, k, path)
     noise = NoiseModel(
-        analog_noise_amplitude=float(cfg.get("c", 0.0)),
-        depolarizing_rate=float(cfg.get("p", 0.0)),
-        seed=int(cfg.get("seed", 0)),
+        analog_noise_amplitude=cfg["c"],
+        depolarizing_rate=cfg["p"],
+        seed=cfg["seed"],
     )
     truth = brute_force_ground_state(problem)
-    result = run(
-        circuit, problem, noise, int(cfg.get("trajectories", 512)), truth=truth
-    )
+    result = run(circuit, problem, noise, cfg["trajectories"], truth=truth)
     report = {
         "n_qubits": problem.n_qubits,
         "ground_energy": truth.energy,
@@ -232,48 +218,46 @@ def cmd_solve(config, **flags):
         "depth": circuit.depth_report().total,
         "synthesis_path": path,
         "block_size": k,
-        "config": {key: cfg[key] for key in sorted(cfg)},
+        "config": dict(sorted(cfg.items())),
     }
     text = json.dumps(report, indent=2)
-    if cfg.get("output"):
+    if cfg["output"]:
         Path(cfg["output"]).write_text(text + "\n")
     click.echo(text)
 
 
 @main.command("fidelity-sweep")
-@click.option("--config", type=click.Path(), default=None)
-@click.option("--sizes", default=None, help="comma-separated qubit counts")
-@click.option("--c-grid", "c_grid", default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--mode", default=None)
-@click.option("--t", "T", type=float, default=None)
-@click.option("--steps", type=int, default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--trajectories", type=int, default=None)
-@click.option("--threshold", type=float, default=None)
+@_config
+@click.option("--sizes", default="4", help="comma-separated qubit counts")
+@click.option("--c-grid", "c_grid", default="0,0.02,0.05,0.08,0.12",
+              help="comma-separated analog noise amplitudes")
+@_seed
+@_mode
+@_schedule_options
+@_trajectories
+@click.option("--threshold", type=float, default=0.37)
 @click.option("--output", default="fidelity_sweep.csv")
 @_guarded
-def cmd_fidelity_sweep(config, **flags):
+def cmd_fidelity_sweep(**cfg):
     """Success probability vs analog-block fidelity, with digital baseline."""
-    cfg = _resolve(_load_config(config), flags)
-    sizes = _parse_ints(cfg.get("sizes", "4"))
-    c_grid = _parse_floats(cfg.get("c_grid", "0,0.02,0.05,0.08,0.12"))
+    sizes = _parse_list(cfg["sizes"], int)
+    c_grid = _parse_list(cfg["c_grid"], float)
     if not sizes or not c_grid:
-        raise ConfigError("sizes and c_grid must be nonempty")
-    k = int(cfg.get("k", 4))
+        raise ValueError("sizes and c_grid must be nonempty")
+    k = cfg["k"]
     if k < 2:
-        raise ConfigError(f"block size k must be >= 2, got {k}")
+        raise ValueError(f"block size k must be >= 2, got {k}")
     for n in sizes:
         if n % k:
-            raise ConfigError(f"size {n} is not a multiple of block size {k}")
-    seed = int(cfg.get("seed", 0))
-    trajectories = int(cfg.get("trajectories", 512))
-    threshold = float(cfg.get("threshold", 0.37))
+            raise ValueError(f"size {n} is not a multiple of block size {k}")
+    seed = cfg["seed"]
+    trajectories = cfg["trajectories"]
     schedule = _get_schedule(cfg)
-    mode = cfg.get("mode", "homogeneous")
-    rows = []
+    rows, plans = [], []
     for n in sizes:
-        problem = random_spin_glass(n, seed, mode)
+        problem = random_spin_glass(n, seed, cfg["mode"])
+        path, block = synthesis_plan(problem, k)
+        plans.append({"N": n, "synthesis_path": path, "block_size": block})
         digital = synthesize_digital_baseline(problem, schedule)
         base = run(
             digital,
@@ -287,38 +271,36 @@ def cmd_fidelity_sweep(config, **flags):
         ideal = max(s for _, s, _, c in sweep if c == 0.0) if 0.0 in c_grid \
             else sweep[-1][1]
         for fid, succ, _, _ in sweep:
-            rows.append((n, fid, succ, base, threshold * ideal))
+            rows.append((n, fid, succ, base, cfg["threshold"] * ideal))
     rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(
-        cfg.get("output", "fidelity_sweep.csv"),
+        cfg["output"],
         ["N", "fidelity", "success_probability", "digital_baseline",
          "threshold_37pct"],
         rows,
-        {"command": "fidelity-sweep", **{key: cfg[key] for key in sorted(cfg)}},
+        {"command": "fidelity-sweep", "synthesis_plan": plans, **cfg},
     )
-    click.echo(f"wrote {len(rows)} rows to {cfg.get('output', 'fidelity_sweep.csv')}")
+    click.echo(f"wrote {len(rows)} rows to {cfg['output']}")
 
 
 @main.command("scaling")
-@click.option("--config", type=click.Path(), default=None)
-@click.option("--max-n", "max_n", type=int, default=None)
-@click.option("--n-step", "n_step", type=int, default=None)
-@click.option("--steps", type=int, default=None, help="trotter steps")
-@click.option("--seed", type=int, default=None)
-@click.option("--hardware-file", default=None)
+@_config
+@click.option("--max-n", "max_n", type=int, default=100)
+@click.option("--n-step", "n_step", type=int, default=8)
+@_steps
+@_seed
+@click.option("--hardware-file", type=_INPUT)
 @click.option("--output", default="scaling.csv")
 @_guarded
-def cmd_scaling(config, **flags):
+def cmd_scaling(**cfg):
     """Analytic runtime scaling plus MIS enhancement factors."""
-    cfg = _resolve(_load_config(config), flags)
-    spec = _get_hardware(cfg)
-    max_n = int(cfg.get("max_n", 100))
-    n_step = int(cfg.get("n_step", 8))
+    spec = default_spec() if cfg["hardware_file"] is None else \
+        HardwareSpec.from_json(Path(cfg["hardware_file"]).read_text())
+    max_n = cfg["max_n"]
     # the headline runtime numbers assume 10 trotter steps; the assumption
     # is recorded in the sidecar so results stay interpretable
-    steps = int(cfg.get("steps", 10))
-    seed = int(cfg.get("seed", 0))
-    sizes = list(range(8, max_n + 1, n_step))
+    steps = cfg["steps"]
+    sizes = list(range(8, max_n + 1, cfg["n_step"]))
     if sizes and sizes[-1] != max_n:
         sizes.append(max_n)
     rows = []
@@ -331,12 +313,8 @@ def cmd_scaling(config, **flags):
                 analytic_runtime(n, steps, spec, "daqc_inhomog"),
             )
         )
-    out = cfg.get("output", "scaling.csv")
-    sidecar = {
-        "command": "scaling",
-        "trotter_steps_assumption": steps,
-        **{key: cfg[key] for key in sorted(cfg)},
-    }
+    out = cfg["output"]
+    sidecar = {"command": "scaling", "trotter_steps_assumption": steps, **cfg}
     _write_csv(
         out,
         ["N", "runtime_digital", "runtime_daqc_homog", "runtime_daqc_inhomog"],
@@ -347,7 +325,7 @@ def cmd_scaling(config, **flags):
     enh_rows = []
     schedule = Schedule(total_time=1.0, trotter_steps=1)
     for klass in ("unweighted", "mixed", "fully_nonuniform"):
-        graph = random_graph(16, seed, weight_mode=klass)
+        graph = random_graph(16, cfg["seed"], weight_mode=klass)
         problem = mis_to_ising(graph)
         ratios = enhancement_factor(
             problem, schedule, spec, block_sizes=(2, 3, 4, 5, 6)
@@ -365,29 +343,20 @@ def cmd_scaling(config, **flags):
 
 
 @main.command("emit-circuit")
-@click.option("--config", type=click.Path(), default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--mode", default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--problem-file", default=None)
-@click.option("--graph-file", default=None)
-@click.option("--t", "T", type=float, default=None)
-@click.option("--steps", type=int, default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--path", "synth_path", default=None,
+@_config
+@_problem_options
+@_schedule_options
+@click.option("--path", "synth_path", default="auto",
               type=click.Choice(SYNTHESIS_PATHS))
 @click.option("--output", default="circuit.json")
 @_guarded
-def cmd_emit_circuit(config, **flags):
+def cmd_emit_circuit(**cfg):
     """Write a synthesized layered circuit to JSON."""
-    cfg = _resolve(_load_config(config), flags)
     problem = _get_problem(cfg)
     schedule = _get_schedule(cfg)
-    path, k = synthesis_plan(
-        problem, int(cfg.get("k", 4)), cfg.get("synth_path", "auto")
-    )
+    path, k = synthesis_plan(problem, cfg["k"], cfg["synth_path"])
     circuit = synthesize(problem, schedule, k, path)
-    out = cfg.get("output", "circuit.json")
+    out = cfg["output"]
     Path(out).write_text(circuit.to_json() + "\n")
     rep = circuit.depth_report()
     plan = f"path {path}" + ("" if k is None else f", block size {k}")
@@ -398,26 +367,20 @@ def cmd_emit_circuit(config, **flags):
 
 
 @main.command("fit")
-@click.option("--config", type=click.Path(), default=None)
-@click.option("--input", "input_file", default=None,
+@_config
+@click.option("--input", "input_file", type=_INPUT, required=True,
               help="CSV with N,required_fidelity columns")
-@click.option("--output", default=None)
+@click.option("--output")
 @_guarded
-def cmd_fit(config, **flags):
+def cmd_fit(input_file, output):
     """Fit f(N) = 1 + (K-1) exp(-rate N) to required-fidelity data."""
-    cfg = _resolve(_load_config(config), flags)
-    src = cfg.get("input_file")
-    if not src:
-        raise ConfigError("fit requires --input CSV")
     try:
-        with open(src) as f:
+        with open(input_file) as f:
             reader = csv.reader(f)
-            header = next(reader)
+            next(reader)
             points = [(float(r[0]), float(r[1])) for r in reader if r]
-    except FileNotFoundError:
-        raise ConfigError(f"input not found: {src}")
     except (ValueError, IndexError, StopIteration):
-        raise ConfigError(f"could not parse N,fidelity rows from {src}")
+        raise ValueError(f"could not parse N,fidelity rows from {input_file}")
     try:
         fit = fit_extrapolation(points)
     except (ValueError, RuntimeError) as e:
@@ -431,8 +394,8 @@ def cmd_fit(config, **flags):
         "prediction_n52": float(fit(52)),
     }
     text = json.dumps(report, indent=2)
-    if cfg.get("output"):
-        Path(cfg["output"]).write_text(text + "\n")
+    if output:
+        Path(output).write_text(text + "\n")
     click.echo(text)
 
 

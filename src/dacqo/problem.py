@@ -85,11 +85,13 @@ class IsingProblem:
         """True iff every pair i<j has the same coupling and all fields match.
 
         A pair with no stored coupling counts as 0, so a uniform-weight
-        graph that is not complete is not homogeneous.
+        graph that is not complete is not homogeneous.  Values compare
+        exactly: the homogeneous path realizes every pair at the first
+        coupling, so any difference would be dropped.
         """
         js = self.coupling_matrix()[np.triu_indices(self.n_qubits, 1)]
-        j_ok = js.size == 0 or np.allclose(js, js[0])
-        h_ok = np.allclose(self.fields, self.fields[0])
+        j_ok = js.size == 0 or np.all(js == js[0])
+        h_ok = np.all(self.fields == self.fields[0])
         return bool(j_ok and h_ok)
 
     def coupling_matrix(self) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -219,8 +220,9 @@ class TestInvalidInputExits2:
         ["fidelity-sweep", "--trajectories", "0", "--steps", "1"],
         ["emit-circuit", "--mode", "mixed", "--path", "homogeneous"],
         ["fidelity-sweep", "--k", "0", "--steps", "1"],
+        ["fidelity-sweep", "--sizes", "4.7", "--steps", "1"],
     ], ids=["solve-p2", "solve-n1", "sweep-trajectories0",
-            "emit-mixed-homogeneous", "sweep-k0"])
+            "emit-mixed-homogeneous", "sweep-k0", "sweep-fractional-size"])
     def test_flags(self, runner, tmp_path, args):
         out = ["--output", str(tmp_path / "out")]
         result = runner.invoke(main, args + out)
@@ -259,8 +261,13 @@ class TestInvalidInputExits2:
         ("scaling", "--hardware-file", "[]"),
         ("scaling", "--hardware-file", '{"t_M_us": "abc"}'),
         ("solve", "--config", "[1, 2]"),
+        ("solve", "--config", '{"stpes": 3}'),
+        ("solve", "--config", '{"k": [4]}'),
+        ("solve", "--config", '{"c": null}'),
+        ("solve", "--config", '{"k": 4.5}'),
     ], ids=["hardware-not-an-object", "hardware-string-duration",
-            "config-not-an-object"])
+            "config-not-an-object", "config-unknown-key", "config-list",
+            "config-null", "config-fractional-int"])
     def test_hardware_and_config_files(self, runner, tmp_path, command,
                                        option, text):
         f = tmp_path / "in.json"
@@ -270,6 +277,102 @@ class TestInvalidInputExits2:
         ])
         assert result.exit_code == EXIT_CONFIG, result.output
         assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("args", [
+        ["emit-circuit", "--n", "4", "--steps", "1", "--output",
+         "{tmp}/missing/c.json"],
+        ["solve", "--problem-file", "{tmp}"],
+    ], ids=["output-in-missing-dir", "directory-as-problem-file"])
+    def test_paths(self, runner, tmp_path, args):
+        args = [a.format(tmp=tmp_path) for a in args]
+        result = runner.invoke(main, args)
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert isinstance(result.exception, SystemExit)
+
+
+class TestConfigFile:
+    """--config fills in the options that no flag sets."""
+
+    @pytest.mark.parametrize("command,entries,written", [
+        ("fidelity-sweep", {"c_grid": "0", "steps": 1, "trajectories": 2,
+                            "output": "sweep.csv"},
+         ["sweep.csv", "sweep.csv.meta.json"]),
+        ("scaling", {"max_n": 8, "output": "table.csv"},
+         ["table.csv", "table_enhancement.csv"]),
+        ("emit-circuit", {"steps": 1, "output": "c.json"}, ["c.json"]),
+    ])
+    def test_output_is_honoured(self, runner, tmp_path, command, entries,
+                                written):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+            result = runner.invoke(main, [command, "--config", str(cfg)])
+            assert result.exit_code == 0, result.output
+            produced = sorted(p.name for p in Path(cwd).iterdir())
+        assert set(written) <= set(produced), produced
+        assert not any(n.startswith(("fidelity_sweep", "scaling", "circuit"))
+                       for n in produced), produced
+
+    @pytest.mark.parametrize("flag_first", [True, False])
+    def test_flag_beats_file_in_any_order(self, runner, tmp_path, flag_first):
+        from dacqo.synthesis import Circuit
+
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 6, "steps": 3, "output": str(out)}))
+        flag = ["--steps", "1"]
+        config = ["--config", str(cfg)]
+        args = flag + config if flag_first else config + flag
+        result = runner.invoke(main, ["emit-circuit", *args])
+        assert result.exit_code == 0, result.output
+        one_step = runner.invoke(main, [
+            "emit-circuit", "--n", "6", "--steps", "1",
+            "--output", str(tmp_path / "ref.json"),
+        ])
+        assert one_step.exit_code == 0, one_step.output
+        assert out.read_text() == (tmp_path / "ref.json").read_text()
+        assert Circuit.from_json(out.read_text()).width == 6
+
+    def test_records_every_parameter(self, runner, tmp_path):
+        def names(command):
+            return {p.name for p in main.commands[command].params
+                    if p.expose_value}
+
+        result = runner.invoke(main, [
+            "solve", "--steps", "1", "--trajectories", "2",
+        ])
+        assert result.exit_code == 0, result.output
+        config = json.loads(result.output)["config"]
+        assert set(config) == names("solve")
+        assert config["k"] == 4 and config["seed"] == 0
+        runs = {
+            "fidelity-sweep": ["--c-grid", "0", "--steps", "1",
+                               "--trajectories", "2"],
+            "scaling": ["--max-n", "8"],
+        }
+        for command, args in runs.items():
+            out = tmp_path / f"{command}.csv"
+            result = runner.invoke(main, [command, *args, "--output", str(out)])
+            assert result.exit_code == 0, result.output
+            metas = list(tmp_path.glob(f"{command}*.meta.json"))
+            assert metas
+            for path in metas:
+                meta = json.loads(path.read_text())
+                assert names(command) <= set(meta), (path.name, meta)
+
+    def test_sweep_sidecar_reports_the_clamped_plan(self, runner, tmp_path):
+        out = tmp_path / "sweep.csv"
+        result = runner.invoke(main, [
+            "fidelity-sweep", "--sizes", "8", "--k", "8", "--mode", "mixed",
+            "--c-grid", "0", "--steps", "1", "--trajectories", "2",
+            "--output", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert meta["k"] == 8
+        assert meta["synthesis_plan"] == [
+            {"N": 8, "synthesis_path": "inhomogeneous", "block_size": 6}
+        ]
 
 
 class TestFit:

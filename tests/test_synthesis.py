@@ -177,6 +177,30 @@ class TestBlockInhomogeneity:
                          + pauli_on(3, {i: "Y", j: "X"}))
         assert phase_distance(u, expm(-1j * G)) < 1e-5
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_error_is_second_order_in_the_angles(self, k):
+        # the construction is first-order accurate, so its distance to
+        # exp(-iG) scales as eps^2 and falls by 4 when eps halves
+        pairs = list(itertools.combinations(range(k), 2))
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            x = rng.uniform(-1, 1, len(pairs))
+            y = rng.uniform(-1, 1, len(pairs))
+            dist = []
+            for eps in (4e-3, 2e-3):
+                tx = dict(zip(pairs, eps * x))
+                ty = dict(zip(pairs, eps * y))
+                subs = solve_block_inhomogeneity(k, tx, ty)
+                layers = _block_sandwich_layers([tuple(range(k))], [subs])
+                u = circuit_unitary(Circuit(k, layers))
+                G = sum(v * pauli_on(k, {i: "X", j: "X"})
+                        for (i, j), v in tx.items())
+                G = G + sum(v * (pauli_on(k, {i: "X", j: "Y"})
+                                 + pauli_on(k, {i: "Y", j: "X"}))
+                            for (i, j), v in ty.items())
+                dist.append(phase_distance(u, expm(-1j * G)))
+            assert 3.7 <= dist[0] / dist[1] <= 4.3, (seed, dist)
+
     def test_bad_block_size(self):
         with pytest.raises(ValueError):
             solve_block_inhomogeneity(7, {}, {})
@@ -314,6 +338,15 @@ class TestSynthesisPlan:
     def test_forced_homogeneous_on_inhomogeneous_raises(self):
         with pytest.raises(ValueError, match="not homogeneous"):
             synthesis_plan(_ring(), 4, "homogeneous")
+
+    def test_nearly_equal_couplings_are_inhomogeneous(self):
+        # within np.allclose's tolerance, but the homogeneous path would
+        # realize the third pair at 1000 instead of 1000.009
+        p = IsingProblem(3, {(0, 1): 1000.0, (0, 2): 1000.0,
+                             (1, 2): 1000.009}, [1.0] * 3)
+        assert synthesis_plan(p, 3) == ("inhomogeneous", 3)
+        with pytest.raises(ValueError, match="not homogeneous"):
+            synthesize(p, Schedule(1.0, 1), 3, path="homogeneous")
 
     def test_unknown_path(self):
         with pytest.raises(ValueError, match="unknown synthesis path"):
