@@ -4,7 +4,7 @@ Applies a dense 2^k x 2^k unitary along the axes of k chosen qubits of a
 2^n state vector, or of every column of a (2^n, m) matrix at once.  A
 stacked (m, 2^k, 2^k) unitary applies a different matrix to each column,
 which is how one noisy trajectory per column gets its own perturbed gate.
-Qubit 0 is the most significant bit of the state index.
+Qubit order follows ``dacqo.paulis``: qubit 0 is the most significant bit.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ exp(-i theta^x sum X_i) directly.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -30,8 +31,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .counterdiabatic import Schedule, alpha1_analytic
-from .paulis import HADAMARD, PAULI, kron_all
+from .counterdiabatic import Schedule, alpha1_analytic, hadamard_frame
+from .paulis import PAULI, pauli_on
 from .problem import CapabilityError, IsingProblem
 
 __all__ = [
@@ -120,9 +121,7 @@ def _zsum_basis(k: int):
     Both arrays are read-only: every caller with the same k shares them.
     """
     s = k - 2 * np.bitwise_count(np.arange(2**k)).astype(np.int64)
-    h = np.ones((1, 1), dtype=complex)
-    for _ in range(k):
-        h = np.kron(h, HADAMARD)
+    h = hadamard_frame(k)
     s.flags.writeable = False
     h.flags.writeable = False
     return s, h
@@ -283,11 +282,9 @@ def generator_pauli_coefficients(U: np.ndarray, n: int) -> dict:
     vals, vecs = np.linalg.eig(U)
     G = (vecs * (1j * np.log(vals))) @ np.linalg.inv(vecs)
     G = 0.5 * (G + G.conj().T)
-    import itertools
-
     coeffs = {}
     for letters in itertools.product("IXYZ", repeat=n):
-        P = kron_all([PAULI[c] for c in letters])
+        P = pauli_on(n, dict(enumerate(letters)))
         w = np.trace(P @ G).real / 2**n
         if abs(w) > 1e-15:
             coeffs["".join(letters)] = float(w)

@@ -46,6 +46,12 @@ class HardwareSpec:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("hardware file must hold a JSON object")
+        unknown = sorted(set(doc) - {"t_M_us", "t_S_us", "coherence_s"})
+        if unknown:
+            raise ValueError(
+                f"hardware file: unknown keys {unknown}; "
+                "keys are t_M_us, t_S_us, coherence_s"
+            )
         return HardwareSpec(
             t_M=_number(doc, "t_M_us", 930.0) * 1e-6,
             t_S=_number(doc, "t_S_us", 130.0) * 1e-6,

@@ -4,9 +4,8 @@ The optimization target is the classical Ising energy
 
     E(s) = sum_{i<j} J_ij s_i s_j + sum_i h_i s_i,    s_i in {+1, -1}.
 
-Bit convention: bit 0 corresponds to spin +1, bit 1 to spin -1, so the
-computational basis index of a spin configuration reads its bits
-most-significant-first in qubit order.
+Spin configurations and basis indices follow the convention stated in
+``dacqo.paulis``: bit 0 is spin +1, bit 1 spin -1, qubit 0 most significant.
 """
 
 from __future__ import annotations
@@ -16,6 +15,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .paulis import _bit_weights
 
 __all__ = [
     "IsingProblem",
@@ -213,17 +214,19 @@ def classical_energy(problem: IsingProblem, spins) -> float:
     return e
 
 
+def _spins(indices: np.ndarray, n: int) -> np.ndarray:
+    """Spin table: row r holds the +/-1 spins of basis index ``indices[r]``."""
+    return 1 - 2 * ((indices[:, None] & _bit_weights(n)) != 0)
+
+
 def all_energies(problem: IsingProblem) -> np.ndarray:
     """Vector of Ising energies over all 2^N basis states.
 
-    Entry b is the energy of the configuration whose bits (MSB = qubit 0)
-    are b, with bit 0 -> spin +1.  This is exactly the diagonal of the
-    dense problem Hamiltonian.
+    Entry b is the energy of the spins of basis index b.  This is exactly
+    the diagonal of the dense problem Hamiltonian.
     """
     n = problem.n_qubits
-    # spins[b, i] = +1 if bit i of b is 0 else -1
-    idx = np.arange(2**n)
-    spins = 1 - 2 * ((idx[:, None] >> (n - 1 - np.arange(n))) & 1)
+    spins = _spins(np.arange(2**n), n)
     e = spins @ problem.fields
     for (i, j), v in problem.couplings.items():
         e = e + v * spins[:, i] * spins[:, j]
@@ -240,11 +243,7 @@ def brute_force_ground_state(problem: IsingProblem) -> GroundTruth:
     energies = all_energies(problem)
     best = energies.min()
     winners = np.flatnonzero(np.isclose(energies, best, rtol=0, atol=1e-12))
-    bits = []
-    for b in winners:
-        bits.append(
-            tuple(1 - 2 * ((int(b) >> (n - 1 - i)) & 1) for i in range(n))
-        )
+    bits = map(tuple, _spins(winners, n).tolist())
     return GroundTruth(energy=float(best), bitstrings=frozenset(bits))
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _kernels
 from .gates import Gate, gate_unitary, solve_gms_angles, step_angles
-from .paulis import HADAMARD, PAULI
+from .paulis import HADAMARD, PAULI, _bit_weights
 from .problem import (
     CapabilityError,
     GroundTruth,
@@ -54,7 +54,6 @@ from .synthesis import (
 __all__ = [
     "NoiseModel",
     "RunResult",
-    "apply_gate",
     "perturb_analog_block",
     "gate_fidelity",
     "run",
@@ -78,8 +77,9 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.analog_noise_amplitude < 0:
-            raise ValueError("c must be nonnegative")
+        c = self.analog_noise_amplitude
+        if not (math.isfinite(c) and c >= 0):
+            raise ValueError(f"c must be finite and nonnegative, got {c}")
         if not 0.0 <= self.depolarizing_rate <= 1.0:
             raise ValueError("p must lie in [0, 1]")
 
@@ -94,14 +94,6 @@ class RunResult:
     gms_fidelity: float
     trajectories: int
     stderr: float = 0.0
-
-
-def apply_gate(
-    state: np.ndarray, gate: Gate, n: int, unitary: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Apply one gate (optionally with a noise-perturbed unitary)."""
-    u = gate_unitary(gate) if unitary is None else unitary
-    return _kernels.apply_unitary(state, u, gate.qubits, n)
 
 
 def perturb_analog_block(
@@ -132,18 +124,12 @@ def gate_fidelity(u: np.ndarray, v: np.ndarray):
 
 
 def optimal_state_indices(problem: IsingProblem, truth: GroundTruth = None):
-    """Computational-basis indices of the optimal bitstrings (bit 0 <-> +1)."""
+    """Sorted basis indices of the optimal bitstrings, and the ground truth."""
     if truth is None:
         truth = brute_force_ground_state(problem)
     n = problem.n_qubits
-    idx = []
-    for spins in truth.bitstrings:
-        b = 0
-        for i, s in enumerate(spins):
-            if s == -1:
-                b |= 1 << (n - 1 - i)
-        idx.append(b)
-    return np.array(sorted(idx)), truth
+    spins = np.array(list(truth.bitstrings)).reshape(-1, n)
+    return np.sort((spins == -1) @ _bit_weights(n)), truth
 
 
 def _measure_success(state: np.ndarray, n: int, indices: np.ndarray) -> np.ndarray:

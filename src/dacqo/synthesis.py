@@ -591,13 +591,3 @@ def analytic_depth(n: int, k: int, variant: str = "homogeneous", m: int = 0) -> 
         return 6.0 + 2.0 * bracket / n
     raise ValueError(f"unknown variant {variant!r}")
 
-
-def leftover_pair_count(n: int, k: int) -> int:
-    """Pairs left for 2-qubit gates under nearest-neighbour blocking.
-
-    Counts the pairs whose endpoints fit in no window of k consecutive
-    qubits, i.e. chain distance >= k; equals (N-k)(N-k+1)/2.  The actual
-    construction may cover extra pairs (wraparound/strided supplementary
-    blocks) and therefore only ever needs fewer.
-    """
-    return sum(1 for i, j in itertools.combinations(range(n), 2) if j - i >= k)

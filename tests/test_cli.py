@@ -125,12 +125,16 @@ class TestFidelitySweep:
         assert runner.invoke(main, args + ["--output", str(b)]).exit_code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_size_not_multiple_of_block_exits_2(self, runner, tmp_path):
+    def test_size_not_multiple_of_block_runs(self, runner, tmp_path):
+        # trailing qubits go to pair gates: N=6 runs with one 4-qubit block
+        out = tmp_path / "x.csv"
         result = runner.invoke(main, [
-            "fidelity-sweep", "--sizes", "6", "--k", "4",
-            "--output", str(tmp_path / "x.csv"),
+            "fidelity-sweep", "--sizes", "6", "--k", "4", "--c-grid", "0",
+            "--steps", "1", "--trajectories", "2", "--output", str(out),
         ])
-        assert result.exit_code == EXIT_CONFIG
+        assert result.exit_code == 0, result.output
+        meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+        assert [p["block_size"] for p in meta["synthesis_plan"]] == [4]
 
 
 class TestScaling:
@@ -145,7 +149,7 @@ class TestScaling:
         assert lines[0].startswith("N,runtime_digital")
         assert [ln.split(",")[0] for ln in lines[1:]] == ["8", "16", "24"]
         meta = json.loads((tmp_path / "scaling.csv.meta.json").read_text())
-        assert meta["trotter_steps_assumption"] == 10
+        assert meta["steps"] == 10
         enh = (tmp_path / "scaling_enhancement.csv").read_text().splitlines()
         assert enh[0] == "instance_class,block_size,enhancement_factor"
         # three instance classes, block sizes 2..6 each
@@ -221,8 +225,12 @@ class TestInvalidInputExits2:
         ["emit-circuit", "--mode", "mixed", "--path", "homogeneous"],
         ["fidelity-sweep", "--k", "0", "--steps", "1"],
         ["fidelity-sweep", "--sizes", "4.7", "--steps", "1"],
+        ["solve", "--n", "3", "--c", "nan", "--steps", "1"],
+        ["solve", "--n", "3", "--c", "inf", "--steps", "1"],
+        ["fidelity-sweep", "--c-grid", "nan", "--steps", "1"],
     ], ids=["solve-p2", "solve-n1", "sweep-trajectories0",
-            "emit-mixed-homogeneous", "sweep-k0", "sweep-fractional-size"])
+            "emit-mixed-homogeneous", "sweep-k0", "sweep-fractional-size",
+            "solve-c-nan", "solve-c-inf", "sweep-c-nan"])
     def test_flags(self, runner, tmp_path, args):
         out = ["--output", str(tmp_path / "out")]
         result = runner.invoke(main, args + out)
@@ -260,12 +268,14 @@ class TestInvalidInputExits2:
     @pytest.mark.parametrize("command,option,text", [
         ("scaling", "--hardware-file", "[]"),
         ("scaling", "--hardware-file", '{"t_M_us": "abc"}'),
+        ("scaling", "--hardware-file", '{"t_M": 500, "coherence": 0.001}'),
         ("solve", "--config", "[1, 2]"),
         ("solve", "--config", '{"stpes": 3}'),
         ("solve", "--config", '{"k": [4]}'),
         ("solve", "--config", '{"c": null}'),
         ("solve", "--config", '{"k": 4.5}'),
     ], ids=["hardware-not-an-object", "hardware-string-duration",
+            "hardware-unknown-keys",
             "config-not-an-object", "config-unknown-key", "config-list",
             "config-null", "config-fractional-int"])
     def test_hardware_and_config_files(self, runner, tmp_path, command,

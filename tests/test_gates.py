@@ -66,7 +66,12 @@ class TestGmsUnitary:
         rng = np.random.default_rng(k)
         for theta, phi in rng.uniform(-2 * math.pi, 2 * math.pi, (4, 2)):
             axis = math.cos(phi) * PAULI["X"] + math.sin(phi) * PAULI["Y"]
-            s = sum(pauli_on(k, {i: axis}) for i in range(k))
+            s = 0
+            for i in range(k):
+                term = np.ones((1, 1))
+                for q in range(k):
+                    term = np.kron(term, axis if q == i else PAULI["I"])
+                s = s + term
             vals, vecs = np.linalg.eigh(s @ s)
             ref = (vecs * np.exp(-0.25j * theta * vals)) @ vecs.conj().T
             np.testing.assert_allclose(

@@ -8,10 +8,16 @@ from dacqo import _kernels, simulator
 from dacqo.counterdiabatic import Schedule, exact_evolution
 from dacqo.gates import Gate, gate_unitary, rotation_unitary
 from dacqo.paulis import HADAMARD, PAULI, kron_all, phase_distance
-from dacqo.problem import CapabilityError, IsingProblem, random_spin_glass
+from dacqo.problem import (
+    CapabilityError,
+    IsingProblem,
+    all_energies,
+    mis_to_ising,
+    random_graph,
+    random_spin_glass,
+)
 from dacqo.simulator import (
     NoiseModel,
-    apply_gate,
     circuit_unitary,
     gate_fidelity,
     optimal_state_indices,
@@ -29,35 +35,6 @@ def _homogeneous_k4():
         {p: 1.0 for p in itertools.combinations(range(4), 2)},
         [1.0] * 4,
     )
-
-
-class TestApplyGate:
-    def test_x_rotation_on_first_qubit(self):
-        # exp(-i pi/2 X) = -i X flips qubit 0 (the most significant bit)
-        state = np.zeros(4, dtype=complex)
-        state[0] = 1.0
-        out = apply_gate(state, Gate("1q", (0,), math.pi / 2, axis="x"), 2)
-        np.testing.assert_allclose(out, [0, 0, -1j, 0], atol=1e-14)
-
-    def test_two_qubit_gate_on_reversed_qubits(self):
-        # applying u on (1, 0) equals applying the swapped u on (0, 1)
-        rng = np.random.default_rng(4)
-        state = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        u = np.linalg.qr(rng.standard_normal((4, 4))
-                         + 1j * rng.standard_normal((4, 4)))[0]
-        swap = np.eye(4)[[0, 2, 1, 3]]
-        a = apply_gate(state.copy(), Gate("gms", (1, 0), 0.0), 3,
-                       unitary=u)
-        b = apply_gate(state.copy(), Gate("gms", (0, 1), 0.0), 3,
-                       unitary=swap @ u @ swap)
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(0)
-        state = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        state /= np.linalg.norm(state)
-        out = apply_gate(state, Gate("gms", (1, 3), 0.8, phi=0.3), 4)
-        assert np.linalg.norm(out) == pytest.approx(1.0)
 
 
 class TestPerturbAnalogBlock:
@@ -113,6 +90,20 @@ class TestOptimalStateIndices:
     def test_field_selects_all_up(self):
         idx, _ = optimal_state_indices(IsingProblem(3, {}, [-1.0] * 3))
         np.testing.assert_array_equal(idx, [0])
+
+    @pytest.mark.parametrize("mode", ["homogeneous", "mixed", "fully_nonuniform"])
+    def test_indices_are_the_minima_of_all_energies(self, mode):
+        # spin glasses in each weight class and MIS graphs in the matching
+        # node-weight class; ties are exact in the first two classes
+        weights = {"homogeneous": "unweighted"}.get(mode, mode)
+        for n in range(1, 9):
+            for seed in range(3):
+                for p in (random_spin_glass(n, seed, mode),
+                          mis_to_ising(random_graph(n, seed, 0.4, weights))):
+                    e = all_energies(p)
+                    idx, _ = optimal_state_indices(p)
+                    np.testing.assert_array_equal(
+                        idx, np.flatnonzero(e == e.min()))
 
 
 class TestCircuitUnitary:

@@ -18,7 +18,6 @@ from dacqo.synthesis import (
     _sign_matrix,
     analytic_depth,
     coverage_plan,
-    leftover_pair_count,
     schedule_pairs,
     solve_block_inhomogeneity,
     synthesis_plan,
@@ -271,10 +270,6 @@ class TestAnalyticDepth:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             analytic_depth(8, 4, "bogus")
-
-    @pytest.mark.parametrize("n,k", [(8, 4), (12, 4), (10, 3), (9, 2)])
-    def test_leftover_pair_count_closed_form(self, n, k):
-        assert leftover_pair_count(n, k) == (n - k) * (n - k + 1) // 2
 
 
 def _ring(n=4, J=1.0, h=1.0):
