@@ -52,7 +52,12 @@ from .problem import (
     random_graph,
     random_spin_glass,
 )
-from .simulator import NoiseModel, run, success_vs_fidelity_sweep
+from .simulator import (
+    NoiseModel,
+    check_simulation_width,
+    run,
+    success_vs_fidelity_sweep,
+)
 from .synthesis import (
     SYNTHESIS_PATHS,
     SynthesisError,
@@ -196,6 +201,7 @@ def main():
 def cmd_solve(**cfg):
     """Run one instance end to end and report the outcome."""
     problem = _get_problem(cfg)
+    check_simulation_width(problem.n_qubits)
     schedule = _get_schedule(cfg)
     path, k = synthesis_plan(problem, cfg["k"])
     circuit = synthesize(problem, schedule, k, path)
@@ -244,6 +250,7 @@ def cmd_fidelity_sweep(**cfg):
     c_grid = _parse_list(cfg["c_grid"], float)
     if not sizes or not c_grid:
         raise ValueError("sizes and c_grid must be nonempty")
+    check_simulation_width(max(sizes))
     k = cfg["k"]
     if k < 2:
         raise ValueError(f"block size k must be >= 2, got {k}")

@@ -56,6 +56,7 @@ __all__ = [
     "RunResult",
     "perturb_analog_block",
     "gate_fidelity",
+    "check_simulation_width",
     "run",
     "success_vs_fidelity_sweep",
     "circuit_unitary",
@@ -66,6 +67,16 @@ _WIDTH_CAP = 14
 # cap on the amplitudes of a chunk's state matrix and on the entries of a
 # stacked block unitary: 2^18 complex128 values, 4 MiB
 _CHUNK_ENTRIES = 2**18
+
+
+def check_simulation_width(n: int) -> None:
+    """Raise CapabilityError if n qubits exceed the simulator's width cap.
+
+    Callers check before synthesis and brute force, whose cost grows with
+    n long before the state vector is built.
+    """
+    if n > _WIDTH_CAP:
+        raise CapabilityError(f"simulation capped at {_WIDTH_CAP} qubits")
 
 
 @dataclass(frozen=True)
@@ -206,8 +217,7 @@ def run(
 ) -> RunResult:
     """Execute the circuit and report success probability and block fidelity."""
     n = circuit.width
-    if n > _WIDTH_CAP:
-        raise CapabilityError(f"simulation capped at {_WIDTH_CAP} qubits")
+    check_simulation_width(n)
     if noise is None:
         noise = NoiseModel()
     if trajectories < 1:
@@ -273,6 +283,7 @@ def success_vs_fidelity_sweep(
     block-size clamp.  Returns a list of (mean gms_fidelity, success_probability, stderr, c)
     tuples.
     """
+    check_simulation_width(problem.n_qubits)
     circuit = synthesize(problem, schedule, block_size)
     truth = brute_force_ground_state(problem)
     rows = []

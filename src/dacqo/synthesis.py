@@ -12,7 +12,9 @@ k-qubit GMS blocks:
   * every pair covered zero times gets a 2-qubit GMS at full strength and
     every pair covered c >= 2 times gets a correction at -(c-1) times the
     strength; these 2-qubit gates are packed into parallel rounds by
-    maximum-matching peeling,
+    the circle method or maximum-matching peeling, stopping once the
+    rounds reach the pair graph's largest degree (a lower bound), with
+    each pair set scheduled once per process,
   * each GMS is followed by its conjugate parasitic-term canceller.
 
 Inhomogeneous instances replace each k-qubit block with k(k-1)/2
@@ -24,6 +26,7 @@ own target strength (first-order accurate in the angles).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -217,18 +220,33 @@ def _peel_rounds(pairs, seed):
 def schedule_pairs(pairs, n: int, seed: int = 0, trials: int = 12):
     """Pack pairs into parallel rounds (disjoint qubits per round).
 
-    Deterministic: tries the circle method plus a few seeded
-    matching-peeling passes and keeps the shortest schedule found.
+    Deterministic: tries the circle method, then up to ``trials`` seeded
+    matching-peeling passes (seeds ``seed``, ``seed + 1``, ...), and keeps
+    the shortest schedule found, the earliest on a tie.  Every round is a
+    matching, so no schedule is shorter than the largest degree of the
+    pair graph; the passes stop once the best schedule reaches that bound,
+    which returns the schedule running every pass would.  Schedules are
+    cached per process by pair set, ``n``, ``seed`` and ``trials``; each
+    call returns fresh round lists.
     """
-    pairs = sorted(set(pairs))
+    rounds = _schedule(tuple(sorted(set(pairs))), n, seed, trials)
+    return [list(rnd) for rnd in rounds]
+
+
+@functools.lru_cache(maxsize=64)
+def _schedule(pairs, n, seed, trials):
+    """Rounds of ``schedule_pairs`` for sorted distinct ``pairs``, as tuples."""
     if not pairs:
-        return []
+        return ()
+    max_degree = np.bincount(np.ravel(pairs)).max()
     best = _circle_rounds(pairs, n)
     for t in range(trials):
+        if len(best) == max_degree:
+            break
         cand = _peel_rounds(pairs, seed + t)
         if len(cand) < len(best):
             best = cand
-    return best
+    return tuple(tuple(rnd) for rnd in best)
 
 
 # ---------------------------------------------------------------------------

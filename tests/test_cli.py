@@ -4,12 +4,17 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import dacqo.cli
 from dacqo.cli import EXIT_CAPABILITY, EXIT_CONFIG, EXIT_NUMERICAL, main
 
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called past the width cap")
 
 
 class TestSolve:
@@ -51,6 +56,12 @@ class TestSolve:
     def test_size_cap_exits_3(self, runner):
         result = runner.invoke(main, ["solve", "--n", "25", "--steps", "1"])
         assert result.exit_code == EXIT_CAPABILITY
+
+    def test_width_cap_checked_before_synthesis(self, runner, monkeypatch):
+        monkeypatch.setattr(dacqo.cli, "synthesize", _must_not_run)
+        monkeypatch.setattr(dacqo.cli, "brute_force_ground_state", _must_not_run)
+        result = runner.invoke(main, ["solve", "--n", "15", "--steps", "1"])
+        assert result.exit_code == EXIT_CAPABILITY, result.output
 
     def test_unknown_flag_exits_2(self, runner):
         result = runner.invoke(main, ["solve", "--frobnicate", "1"])
@@ -124,6 +135,17 @@ class TestFidelitySweep:
         assert runner.invoke(main, args + ["--output", str(a)]).exit_code == 0
         assert runner.invoke(main, args + ["--output", str(b)]).exit_code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_width_cap_checked_before_any_size_runs(self, runner, tmp_path,
+                                                     monkeypatch):
+        for name in ("synthesize_digital_baseline", "run",
+                     "success_vs_fidelity_sweep"):
+            monkeypatch.setattr(dacqo.cli, name, _must_not_run)
+        result = runner.invoke(main, [
+            "fidelity-sweep", "--sizes", "4,15", "--steps", "1",
+            "--output", str(tmp_path / "s.csv"),
+        ])
+        assert result.exit_code == EXIT_CAPABILITY, result.output
 
     def test_size_not_multiple_of_block_runs(self, runner, tmp_path):
         # trailing qubits go to pair gates: N=6 runs with one 4-qubit block

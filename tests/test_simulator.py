@@ -263,3 +263,18 @@ class TestSweep:
             p, Schedule(1.0, 4), 4, [0.0, 0.1], trajectories=4
         )
         assert rows[-1][0] == 1.0 and rows[-1][3] == 0.0
+
+    def test_width_cap_checked_before_synthesis(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("called past the width cap")
+
+        monkeypatch.setattr(simulator, "synthesize", must_not_run)
+        monkeypatch.setattr(simulator, "brute_force_ground_state", must_not_run)
+        p = random_spin_glass(15, 0, "homogeneous")
+        with pytest.raises(CapabilityError):
+            success_vs_fidelity_sweep(p, Schedule(1.0, 1), 4, [0.0])
+
+    def test_width_cap_is_fourteen(self):
+        simulator.check_simulation_width(14)
+        with pytest.raises(CapabilityError):
+            simulator.check_simulation_width(15)

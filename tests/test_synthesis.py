@@ -1,20 +1,31 @@
+import collections
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dacqo.counterdiabatic import Schedule, exact_evolution
 from dacqo.gates import Gate
 from dacqo.paulis import pauli_on, phase_distance
-from dacqo.problem import IsingProblem, random_spin_glass
+from dacqo.problem import (
+    IsingProblem,
+    mis_to_ising,
+    random_graph,
+    random_spin_glass,
+)
 from dacqo.simulator import circuit_unitary
 from dacqo.synthesis import (
     Circuit,
     SynthesisError,
     _block_sandwich_layers,
+    _circle_rounds,
     _flip_masks,
+    _peel_rounds,
     _sign_matrix,
     analytic_depth,
     coverage_plan,
@@ -86,6 +97,30 @@ class TestCoveragePlan:
             coverage_plan(4, 5)
 
 
+@st.composite
+def _pair_sets(draw):
+    """(n, pairs) with 2 <= n <= 20, each pair kept with a drawn probability."""
+    n = draw(st.integers(2, 20))
+    density = draw(st.integers(1, 10)) / 10
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    every = list(itertools.combinations(range(n), 2))
+    keep = rng.random(len(every)) < density
+    return n, [p for p, k in zip(every, keep) if k]
+
+
+def _schedule_every_trial(pairs, n, seed, trials=12):
+    """The circle method then every peel trial, keeping the strictly shortest."""
+    pairs = sorted(set(pairs))
+    if not pairs:
+        return []
+    best = _circle_rounds(pairs, n)
+    for t in range(trials):
+        cand = _peel_rounds(pairs, seed + t)
+        if len(cand) < len(best):
+            best = cand
+    return best
+
+
 class TestSchedulePairs:
     def test_rounds_are_disjoint(self):
         pairs = list(itertools.combinations(range(7), 2))
@@ -109,6 +144,27 @@ class TestSchedulePairs:
     def test_deterministic(self):
         pairs = list(itertools.combinations(range(9), 2))
         assert schedule_pairs(pairs, 9) == schedule_pairs(pairs, 9)
+
+    @given(_pair_sets(), st.integers(0, 3))
+    @example((1, []), 0)
+    @example((20, list(itertools.combinations(range(20), 2))), 0)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_matches_running_every_trial(self, drawn, seed):
+        n, pairs = drawn
+        want = _schedule_every_trial(pairs, n, seed)
+        rounds = schedule_pairs(pairs, n, seed)
+        assert rounds == want
+        for rnd in rounds:
+            qubits = [q for p in rnd for q in p]
+            assert len(qubits) == len(set(qubits))
+        assert sorted(p for rnd in rounds for p in rnd) == sorted(pairs)
+        degree = collections.Counter(q for p in pairs for q in p)
+        assert len(rounds) >= max(degree.values(), default=0)
+        # a caller that edits its schedule leaves the next call's alone
+        rounds.append([(0, 1)])
+        for rnd in rounds:
+            rnd.clear()
+        assert schedule_pairs(pairs, n, seed) == want
 
 
 class TestHomogeneousSynthesis:
@@ -379,3 +435,27 @@ class TestEdgeInstances:
         c = synthesize(p, Schedule(1.0, 3), 4, path)
         assert c.depth_report().total == 3
         assert {g.axis for g in c.gates()} == {"z"}
+
+
+class TestCircuitBytes:
+    """SHA-256 of ``synthesize(...).to_json()`` for fixed inputs.
+
+    Pins the circuit bytes on each synthesis path, so a change that must
+    leave circuits alone (scheduling, angles, layer packing) is checked on
+    every test run.
+    """
+
+    @pytest.mark.parametrize("problem, steps, path, digest", [
+        (random_spin_glass(32, 0, "homogeneous"), 1, "auto",
+         "d1a526c0482564bca023084db269d776e16cbc170c1d3f2ef509b3008bfa4824"),
+        (random_spin_glass(16, 0, "fully_nonuniform"), 10, "inhomogeneous",
+         "6ef417a1129910dab8fdd4300ff89ea8fccd008a9e4ca433bcf0d357d4c5126f"),
+        (random_spin_glass(16, 0, "fully_nonuniform"), 10, "digital",
+         "8f425a82d4bc05b3683fa4f440e0093520c7274db4f5295c080c453dfb4aa1d3"),
+        (mis_to_ising(random_graph(14, 0, weight_mode="fully_nonuniform")), 10,
+         "auto",
+         "10e0763fbb533859714be9a2cc135b1087d85840a5cace2a1dfa779233d7aa60"),
+    ], ids=["homogeneous-n32", "inhomogeneous-n16", "digital-n16", "mis14"])
+    def test_sha256(self, problem, steps, path, digest):
+        circuit = synthesize(problem, Schedule(1.0, steps), 4, path)
+        assert hashlib.sha256(circuit.to_json().encode()).hexdigest() == digest
