@@ -15,7 +15,6 @@ from .hardware import (
     HardwareSpec,
     RuntimeReport,
     circuit_runtime,
-    default_spec,
     enhancement_factor,
 )
 from .problem import (

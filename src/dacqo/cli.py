@@ -40,7 +40,6 @@ from .extrapolation import fit_extrapolation
 from .hardware import (
     HardwareSpec,
     analytic_runtime,
-    default_spec,
     enhancement_factor,
 )
 from .problem import (
@@ -298,7 +297,7 @@ def cmd_fidelity_sweep(**cfg):
 @_guarded
 def cmd_scaling(**cfg):
     """Analytic runtime scaling plus MIS enhancement factors."""
-    spec = default_spec() if cfg["hardware_file"] is None else \
+    spec = HardwareSpec() if cfg["hardware_file"] is None else \
         HardwareSpec.from_json(Path(cfg["hardware_file"]).read_text())
     max_n = cfg["max_n"]
     steps = cfg["steps"]

@@ -43,7 +43,6 @@ __all__ = [
     "gate_unitary",
     "step_angles",
     "solve_gms_angles",
-    "gms_conjugate_pauli",
     "generator_pauli_coefficients",
 ]
 
@@ -219,57 +218,6 @@ def solve_gms_angles(theta_xx: float, theta_xy: float, qubits=(0, 1)) -> list:
     if abs(theta_m) >= _EPS:
         gates.append(Gate("gms_dag", qubits, theta=theta_m, phi=math.pi / 2))
     return gates
-
-
-# ---------------------------------------------------------------------------
-# Pauli conjugation ladder
-# ---------------------------------------------------------------------------
-
-# single-qubit products P * X -> (phase, letter)
-_TIMES_X = {"I": (1.0, "X"), "X": (1.0, "I"), "Y": (-1j, "Z"), "Z": (1j, "Y")}
-
-
-def gms_conjugate_pauli(k: int, theta: float, target_qubit: int) -> dict:
-    """Pauli expansion of U Z_l U^dag under pairwise-XX conjugation.
-
-    U is the product over all pairs i<j of exp(-i theta/4 X_i X_j), i.e.
-    gms_unitary(k, theta/2, 0) up to global phase.  Returns a dict mapping
-    a sorted tuple of (qubit, letter) to its real coefficient.  For k=2:
-    cos(theta/2) Z_l - sin(theta/2) Y_l X_k.
-    """
-    if not 2 <= k <= 5:
-        raise CapabilityError("gms_conjugate_pauli supports 2..5 qubits")
-    if not 0 <= target_qubit < k:
-        raise ValueError("target_qubit out of range")
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    terms = {((target_qubit, "Z"),): 1.0 + 0j}
-    for i in range(k):
-        for j in range(i + 1, k):
-            new = {}
-            for string, coeff in terms.items():
-                letters = dict(string)
-                li, lj = letters.get(i, "I"), letters.get(j, "I")
-                odd = (li in "YZ") + (lj in "YZ")
-                if odd % 2 == 0:  # commutes with X_i X_j
-                    new[string] = new.get(string, 0) + coeff
-                    continue
-                new[string] = new.get(string, 0) + c * coeff
-                ph_i, li2 = _TIMES_X[li]
-                ph_j, lj2 = _TIMES_X[lj]
-                letters[i], letters[j] = li2, lj2
-                key = tuple(
-                    sorted((q, l) for q, l in letters.items() if l != "I")
-                )
-                new[key] = new.get(key, 0) + 1j * s * ph_i * ph_j * coeff
-            terms = new
-    out = {}
-    for string, coeff in terms.items():
-        if abs(coeff) < 1e-15:
-            continue
-        assert abs(coeff.imag) < 1e-12, "conjugation produced complex weight"
-        out[string] = float(coeff.real)
-    return out
 
 
 def generator_pauli_coefficients(U: np.ndarray, n: int) -> dict:

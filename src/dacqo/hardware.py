@@ -23,7 +23,6 @@ from .synthesis import (
 __all__ = [
     "HardwareSpec",
     "RuntimeReport",
-    "default_spec",
     "circuit_runtime",
     "enhancement_factor",
     "analytic_runtime",
@@ -81,14 +80,10 @@ class RuntimeReport:
     within_coherence: bool
 
 
-def default_spec() -> HardwareSpec:
-    return HardwareSpec()
-
-
-def circuit_runtime(report, spec: HardwareSpec = None) -> RuntimeReport:
+def circuit_runtime(
+    report, spec: HardwareSpec = HardwareSpec()
+) -> RuntimeReport:
     """Wall-clock runtime of a circuit or depth report on a device profile."""
-    if spec is None:
-        spec = default_spec()
     if isinstance(report, Circuit):
         report = report.depth_report()
     if not isinstance(report, DepthReport):
@@ -103,8 +98,8 @@ def circuit_runtime(report, spec: HardwareSpec = None) -> RuntimeReport:
 
 
 def analytic_runtime(
-    n: int, trotter_steps: int, spec: HardwareSpec = None, path: str = "daqc_homog",
-    k: int = 4,
+    n: int, trotter_steps: int, spec: HardwareSpec = HardwareSpec(),
+    path: str = "daqc_homog", k: int = 4,
 ) -> float:
     """Closed-form runtime for large-N all-to-all instances.
 
@@ -118,8 +113,6 @@ def analytic_runtime(
                    (the cost model counts entangling rounds and the global
                    rotation layers only)
     """
-    if spec is None:
-        spec = default_spec()
     if path == "digital":
         multi = 3 * (n - 1)
         single = 3
@@ -139,7 +132,7 @@ def analytic_runtime(
 def enhancement_factor(
     problem: IsingProblem,
     schedule,
-    spec: HardwareSpec = None,
+    spec: HardwareSpec = HardwareSpec(),
     block_sizes=(2, 3, 4),
 ) -> dict:
     """Runtime ratio R_digital / R_DAQC per analog block size.
@@ -150,8 +143,6 @@ def enhancement_factor(
     otherwise, with k clamped to the qubit count).  Keys are the requested
     block sizes.
     """
-    if spec is None:
-        spec = default_spec()
     if any(k < 2 or k > 6 for k in block_sizes):
         raise ValueError("block sizes must lie in 2..6")
     digital = circuit_runtime(

@@ -22,6 +22,14 @@ homogeneous sub-blocks sandwiched between Z-pi flips on qubit masks; the
 flips negate the coupling of every pair with exactly one endpoint in the
 mask, and solving the resulting +-1 linear system steers each pair to its
 own target strength (first-order accurate in the angles).
+
+Every path builds a circuit the same way: step -> factors -> layers.  A
+synthesizer lists one trotter step as an ordered list of factors, each a
+list of gate groups on disjoint qubits (blocks with their cancellers, the
+flips of a sub-block, pair prescriptions, conjugated XX gates, a rotation
+layer).  One step loop evaluates the step's angles once and packs every
+factor into parallel layers, the r-th layer holding the r-th gate of each
+group.
 """
 
 from __future__ import annotations
@@ -250,37 +258,51 @@ def _schedule(pairs, n, seed, trials):
 
 
 # ---------------------------------------------------------------------------
-# layer assembly helpers
+# step -> factors -> layers
 # ---------------------------------------------------------------------------
 
-def _stage_layers(gate_groups):
-    """Interleave per-slot gate groups into parallel layers.
+def _stage_layers(factor):
+    """Interleave the gate groups of one factor into parallel layers.
 
-    ``gate_groups`` is a list of gate lists, one per disjoint qubit slot
-    (e.g. one per block).  Layer r collects the r-th gate of every group,
-    so main gates and cancellers line up across slots.
+    A factor lists gate groups on disjoint qubits (e.g. one per block).
+    Layer r collects the r-th gate of every group, so main gates and
+    cancellers line up across groups; an empty factor gives no layers.
     """
-    depth = max((len(g) for g in gate_groups), default=0)
-    layers = []
-    for r in range(depth):
-        layer = [g[r] for g in gate_groups if len(g) > r]
-        if layer:
-            layers.append(layer)
-    return layers
+    depth = max((len(g) for g in factor), default=0)
+    return [[g[r] for g in factor if len(g) > r] for r in range(depth)]
 
 
-def _rotation_layers(rotations):
-    """One single-qubit layer per (axis, per-qubit angles), skipping zeros."""
+def _circuit(n, problem, schedule, step_factors):
+    """Circuit of every trotter step, each packed factor by factor.
+
+    ``step_factors(angles)`` lists one step's factors in execution order;
+    this is the only loop over steps and the only place layers are formed.
+    """
     layers = []
-    for axis, thetas in rotations:
-        layer = [
-            Gate("1q", (q,), theta=theta, axis=axis)
-            for q, theta in enumerate(thetas)
-            if abs(theta) >= _EPS
-        ]
-        if layer:
-            layers.append(layer)
-    return layers
+    for step in range(1, schedule.trotter_steps + 1):
+        for factor in step_factors(step_angles(problem, schedule, step)):
+            layers.extend(_stage_layers(factor))
+    return Circuit(width=n, layers=tuple(layers))
+
+
+def _rotations(axis, thetas):
+    """Factor of one rotation layer: a gate per qubit, skipping zero angles."""
+    return [
+        [Gate("1q", (q,), theta=theta, axis=axis)]
+        for q, theta in enumerate(thetas)
+        if abs(theta) >= _EPS
+    ]
+
+
+def _pair_rounds(rounds, xx, xy):
+    """One factor per round: each pair's 2-qubit GMS prescription.
+
+    ``xx``/``xy`` map a pair to its angles; a pair whose angles vanish
+    emits nothing.
+    """
+    return [
+        [solve_gms_angles(xx[p], xy[p], p) for p in rnd] for rnd in rounds
+    ]
 
 
 def synthesize_homogeneous(
@@ -303,68 +325,60 @@ def synthesize_homogeneous(
         primary, supplementary, coverage = coverage_plan(n, block_size)
         needed = correction_weights(coverage)
         rounds = schedule_pairs(needed, n)
-    layers = []
-    for step in range(1, schedule.trotter_steps + 1):
-        ang = step_angles(problem, schedule, step)
+
+    def step_factors(ang):
         a, b = (ang.xx[pair], ang.xy[pair]) if pair is not None else (0.0, 0.0)
         if abs(a) >= _EPS or abs(b) >= _EPS:
             for family in (primary, supplementary):
-                groups = [solve_gms_angles(a, b, block) for block in family]
-                layers.extend(_stage_layers(groups))
-            for rnd in rounds:
-                groups = [
-                    solve_gms_angles(needed[p] * a, needed[p] * b, p)
-                    for p in rnd
-                ]
-                layers.extend(_stage_layers(groups))
-        layers.extend(
-            _rotation_layers(
-                (axis, [theta] * n)
-                for axis, theta in (("x", ang.x[0]), ("z", ang.z), ("y", ang.y[0]))
+                yield [solve_gms_angles(a, b, block) for block in family]
+            yield from _pair_rounds(
+                rounds,
+                {p: w * a for p, w in needed.items()},
+                {p: w * b for p, w in needed.items()},
             )
-        )
-    return Circuit(width=n, layers=tuple(layers))
+        for axis, theta in (("x", ang.x[0]), ("z", ang.z), ("y", ang.y[0])):
+            yield _rotations(axis, [theta] * n)
+
+    return _circuit(n, problem, schedule, step_factors)
 
 
 # ---------------------------------------------------------------------------
 # inhomogeneous path
 # ---------------------------------------------------------------------------
 
-def _flip_masks(k: int):
-    """Qubit masks for the k(k-1)/2 sign-flip sandwiches of one block.
+@functools.cache
+def _sign_system(k: int):
+    """Sign-flip system of one k-qubit block: (pairs, masks, M).
 
-    Candidate masks (singletons, then pairs, then triples) are added
-    greedily whenever they increase the rank of the per-pair sign matrix,
-    so the resulting square system is invertible by construction.
+    ``pairs`` are the local pairs i<j and ``masks`` the qubit sets of the
+    k(k-1)/2 flip sandwiches; M[p, m] = (-1)^|p & mask_m| is the sign the
+    sandwich on mask m gives pair p's coupling.  Candidate masks
+    (singletons, then pairs, then triples) are added greedily whenever
+    they increase the rank of M, so the square system is invertible by
+    construction.  Built once per k; every caller shares the tuples and
+    the read-only M.
     """
-    n_pairs = k * (k - 1) // 2
-    pairs = list(itertools.combinations(range(k), 2))
-    candidates = [frozenset([q]) for q in range(k)]
-    candidates += [frozenset(p) for p in pairs]
-    candidates += [frozenset(t) for t in itertools.combinations(range(k), 3)]
+    pairs = tuple(itertools.combinations(range(k), 2))
+    candidates = [
+        frozenset(c)
+        for size in (1, 2, 3)
+        for c in itertools.combinations(range(k), size)
+    ]
     masks, cols = [], []
     for m in candidates:
         col = [(-1.0) ** len(set(p) & m) for p in pairs]
-        trial = np.array(cols + [col]).T
-        if np.linalg.matrix_rank(trial) > len(cols):
+        if np.linalg.matrix_rank(np.array(cols + [col]).T) > len(cols):
             masks.append(m)
             cols.append(col)
-        if len(masks) == n_pairs:
+        if len(masks) == len(pairs):
             break
-    if len(masks) != n_pairs:
+    if len(masks) != len(pairs):
         raise SynthesisError(f"no invertible flip-mask family for k={k}")
-    return masks
-
-
-def _sign_matrix(k: int, masks):
-    pairs = list(itertools.combinations(range(k), 2))
-    M = np.array(
-        [
-            [(-1.0) ** len(set(p) & m) for m in masks]
-            for p in pairs
-        ]
-    )
-    return pairs, M
+    M = np.ascontiguousarray(np.array(cols).T)
+    if abs(np.linalg.det(M)) < 1e-9:
+        raise SynthesisError(f"sign system singular for k={k}")
+    M.flags.writeable = False
+    return pairs, tuple(masks), M
 
 
 def solve_block_inhomogeneity(k: int, target_xx: dict, target_xy: dict):
@@ -380,10 +394,7 @@ def solve_block_inhomogeneity(k: int, target_xx: dict, target_xy: dict):
     """
     if not 2 <= k <= 6:
         raise ValueError("block inhomogeneity supported for k in 2..6")
-    masks = _flip_masks(k)
-    pairs, M = _sign_matrix(k, masks)
-    if abs(np.linalg.det(M)) < 1e-9:
-        raise SynthesisError(f"sign system singular for k={k}")
+    pairs, masks, M = _sign_system(k)
     x = np.array([target_xx.get(p, 0.0) for p in pairs])
     y = np.array([target_xy.get(p, 0.0) for p in pairs])
     a = np.linalg.solve(M, x)
@@ -393,36 +404,27 @@ def solve_block_inhomogeneity(k: int, target_xx: dict, target_xy: dict):
     return list(zip(masks, a, b))
 
 
-def _block_sandwich_layers(block, sub_solutions):
-    """Layers of one inhomogeneous block-set family.
+def _flip_sandwich(sets, solutions):
+    """Factors of the sign-flip sub-blocks of disjoint qubit sets.
 
-    ``block`` lists qubit index tuples (disjoint sets), ``sub_solutions``
-    the per-set solve_block_inhomogeneity output, aligned by sub-block
-    index so independent sets run their m-th sub-block in parallel.
+    ``solutions`` holds each set's solve_block_inhomogeneity output.  The
+    m-th sub-blocks of all sets run in parallel: Z flips, exp(-i pi/2 Z),
+    on their masks, the sub-block gates, then the same flips.  A sub-block whose
+    weights vanish emits nothing.
     """
-    layers = []
-    n_sub = max((len(s) for s in sub_solutions), default=0)
-    for m in range(n_sub):
+    factors = []
+    for subs in zip(*solutions):
         flips, groups = [], []
-        for qubits, subs in zip(block, sub_solutions):
-            if m >= len(subs):
-                continue
-            mask, am, bm = subs[m]
+        for qubits, (mask, am, bm) in zip(sets, subs):
             if abs(am) < _EPS and abs(bm) < _EPS:
                 continue
-            flips.extend(
-                Gate("1q", (qubits[q],), theta=math.pi / 2, axis="z")
+            flips += [
+                [Gate("1q", (qubits[q],), theta=math.pi / 2, axis="z")]
                 for q in sorted(mask)
-            )
+            ]
             groups.append(solve_gms_angles(am, bm, qubits))
-        if not groups:
-            continue
-        if flips:
-            layers.append(list(flips))
-        layers.extend(_stage_layers(groups))
-        if flips:
-            layers.append(list(flips))
-    return layers
+        factors += [flips, groups, flips]
+    return factors
 
 
 def synthesize_inhomogeneous(
@@ -450,9 +452,8 @@ def synthesize_inhomogeneous(
         if (i, j) not in in_set and abs(Jmat[i, j]) > 0
     )
     rounds = schedule_pairs(cross_pairs, n)
-    layers = []
-    for step in range(1, schedule.trotter_steps + 1):
-        ang = step_angles(problem, schedule, step)
+
+    def step_factors(ang):
         # in-set couplings via sign-flip sub-blocks
         live_sets = []
         solutions = []
@@ -465,30 +466,18 @@ def synthesize_inhomogeneous(
                 continue
             live_sets.append(s)
             solutions.append(solve_block_inhomogeneity(k, tx, ty))
-        layers.extend(_block_sandwich_layers(live_sets, solutions))
-        # cross-set couplings as per-pair 2-qubit gates; a pair whose
-        # angles vanish this step emits nothing
-        for rnd in rounds:
-            groups = [solve_gms_angles(ang.xx[p], ang.xy[p], p) for p in rnd]
-            layers.extend(_stage_layers(groups))
-        layers.extend(
-            _rotation_layers((("x", ang.x), ("z", [ang.z] * n), ("y", ang.y)))
-        )
-    return Circuit(width=n, layers=tuple(layers))
+        yield from _flip_sandwich(live_sets, solutions)
+        # cross-set couplings as per-pair 2-qubit gates
+        yield from _pair_rounds(rounds, ang.xx, ang.xy)
+        for axis, thetas in (("x", ang.x), ("z", [ang.z] * n), ("y", ang.y)):
+            yield _rotations(axis, thetas)
+
+    return _circuit(n, problem, schedule, step_factors)
 
 
 # ---------------------------------------------------------------------------
 # digital baseline
 # ---------------------------------------------------------------------------
-
-def _xx_layer(rnd, theta):
-    """Native XX gates exp(-i theta[p] X X) for the pairs of one round."""
-    return [
-        Gate("gms", p, theta=2.0 * theta[p], phi=0.0)
-        for p in rnd
-        if abs(theta[p]) >= _EPS
-    ]
-
 
 def synthesize_digital_baseline(
     problem: IsingProblem, schedule: Schedule
@@ -505,38 +494,34 @@ def synthesize_digital_baseline(
     pairs = sorted(p for p in itertools.combinations(range(n), 2)
                    if abs(Jmat[p]) > 0)
     rounds = schedule_pairs(pairs, n)
-    layers = []
-    for step in range(1, schedule.trotter_steps + 1):
-        ang = step_angles(problem, schedule, step)
-        # XX
+
+    def step_factors(ang):
+        # native XX gates exp(-i theta X X), 2 theta as the GMS angle
         for rnd in rounds:
-            layer = _xx_layer(rnd, ang.xx)
-            if layer:
-                layers.append(layer)
-        # X, Z
-        layers.extend(_rotation_layers((("x", ang.x), ("z", [ang.z] * n))))
-        # YX then XY: conjugate the rotated qubit (first for YX, second for XY)
+            yield [
+                [Gate("gms", p, theta=2.0 * ang.xx[p], phi=0.0)]
+                for p in rnd
+                if abs(ang.xx[p]) >= _EPS
+            ]
+        yield _rotations("x", ang.x)
+        yield _rotations("z", [ang.z] * n)
+        # YX then XY: exp(-i theta Y X) = V exp(-i theta X X) V^dag with
+        # V = exp(-i pi/4 Z) on the rotated qubit (first for YX, second
+        # for XY); V^dag executes first
         for which in (0, 1):
             for rnd in rounds:
-                layer = _xx_layer(rnd, ang.xy)
-                if not layer:
-                    continue
-                # exp(-i theta Y X) = V exp(-i theta X X) V^dag with
-                # V = exp(-i pi/4 Z) on the rotated qubit; V^dag executes first
-                conj = [
-                    Gate("1q", (g.qubits[which],), theta=-math.pi / 4, axis="z")
-                    for g in layer
+                yield [
+                    [
+                        Gate("1q", (p[which],), theta=-math.pi / 4, axis="z"),
+                        Gate("gms", p, theta=2.0 * ang.xy[p], phi=0.0),
+                        Gate("1q", (p[which],), theta=math.pi / 4, axis="z"),
+                    ]
+                    for p in rnd
+                    if abs(ang.xy[p]) >= _EPS
                 ]
-                unconj = [
-                    Gate("1q", (g.qubits[which],), theta=math.pi / 4, axis="z")
-                    for g in layer
-                ]
-                layers.append(conj)
-                layers.append(layer)
-                layers.append(unconj)
-        # Y
-        layers.extend(_rotation_layers((("y", ang.y),)))
-    return Circuit(width=n, layers=tuple(layers))
+        yield _rotations("y", ang.y)
+
+    return _circuit(n, problem, schedule, step_factors)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from dacqo.gates import (
     Gate,
     gate_unitary,
     generator_pauli_coefficients,
-    gms_conjugate_pauli,
     gms_unitary,
     rotation_unitary,
     solve_gms_angles,
@@ -222,39 +221,6 @@ class TestSolveGmsAngles:
             assert coeffs[pair[1]] == pytest.approx(txy, abs=1e-9)
             assert coeffs[pair[2]] == pytest.approx(txy, abs=1e-9)
             assert abs(coeffs.get(pair[3], 0.0)) < 1e-9
-
-
-class TestConjugatePauli:
-    def test_two_qubit_closed_form(self):
-        theta = 0.83
-        out = gms_conjugate_pauli(2, theta, 0)
-        assert out[((0, "Z"),)] == pytest.approx(math.cos(theta / 2))
-        assert out[((0, "Y"), (1, "X"))] == pytest.approx(-math.sin(theta / 2))
-        assert len(out) == 2
-
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_matches_dense_conjugation(self, k):
-        theta, target = 0.61, 1 % k
-        # product over pairs of exp(-i theta/4 X_i X_j) equals
-        # gms_unitary(k, theta/2, 0) up to a global phase
-        u = gms_unitary(k, theta / 2.0, 0.0)
-        dense = u @ pauli_on(k, {target: "Z"}) @ u.conj().T
-        out = gms_conjugate_pauli(k, theta, target)
-        rebuilt = sum(
-            w * pauli_on(k, dict(string)) for string, w in out.items()
-        )
-        np.testing.assert_allclose(rebuilt, dense, atol=1e-12)
-
-    def test_weights_sum_to_one(self):
-        # unitary conjugation preserves the normalized HS norm
-        out = gms_conjugate_pauli(5, 1.1, 3)
-        assert sum(w * w for w in out.values()) == pytest.approx(1.0)
-
-    def test_bounds(self):
-        with pytest.raises(CapabilityError):
-            gms_conjugate_pauli(6, 0.5, 0)
-        with pytest.raises(ValueError):
-            gms_conjugate_pauli(3, 0.5, 3)
 
 
 class TestGeneratorCoefficients:

@@ -7,7 +7,6 @@ from dacqo.hardware import (
     HardwareSpec,
     analytic_runtime,
     circuit_runtime,
-    default_spec,
     enhancement_factor,
 )
 from dacqo.problem import IsingProblem, random_spin_glass
@@ -16,7 +15,7 @@ from dacqo.synthesis import DepthReport, synthesize_homogeneous
 
 class TestHardwareSpec:
     def test_defaults(self):
-        spec = default_spec()
+        spec = HardwareSpec()
         assert spec.t_M == pytest.approx(930e-6)
         assert spec.t_S == pytest.approx(130e-6)
         assert spec.coherence_time == 1.0

@@ -22,11 +22,11 @@ from dacqo.simulator import circuit_unitary
 from dacqo.synthesis import (
     Circuit,
     SynthesisError,
-    _block_sandwich_layers,
     _circle_rounds,
-    _flip_masks,
+    _flip_sandwich,
     _peel_rounds,
-    _sign_matrix,
+    _sign_system,
+    _stage_layers,
     analytic_depth,
     coverage_plan,
     schedule_pairs,
@@ -197,13 +197,32 @@ class TestHomogeneousSynthesis:
             synthesize_homogeneous(p, Schedule(1.0, 1), 5)
 
 
+def _signs_from_masks(pairs, masks):
+    """M[p, m] = (-1)^|p & mask_m|, built from the masks alone."""
+    return np.array([[(-1.0) ** len(set(p) & m) for m in masks] for p in pairs])
+
+
+def _sandwich_circuit(k, subs):
+    """The flip sandwich of one k-qubit block, packed factor by factor."""
+    factors = _flip_sandwich([tuple(range(k))], [subs])
+    return Circuit(k, [layer for f in factors for layer in _stage_layers(f)])
+
+
 class TestFlipMasks:
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_full_rank(self, k):
-        masks = _flip_masks(k)
+        pairs, masks, M = _sign_system(k)
+        assert pairs == tuple(itertools.combinations(range(k), 2))
         assert len(masks) == k * (k - 1) // 2
-        _, M = _sign_matrix(k, masks)
-        assert abs(np.linalg.det(M)) > 1e-9
+        own = _signs_from_masks(pairs, masks)
+        assert abs(np.linalg.det(own)) > 1e-9
+        np.testing.assert_array_equal(M, own)
+
+    def test_sign_matrix_is_read_only(self):
+        M = _sign_system(4)[2]
+        assert M.flags.c_contiguous
+        with pytest.raises(ValueError):
+            M[0, 0] = 0.0
 
 
 class TestBlockInhomogeneity:
@@ -212,7 +231,8 @@ class TestBlockInhomogeneity:
         tx = {(0, 1): eps, (0, 2): eps, (1, 2): -eps}
         subs = solve_block_inhomogeneity(3, tx, {})
         masks = [m for m, _, _ in subs]
-        pairs, M = _sign_matrix(3, masks)
+        pairs = list(itertools.combinations(range(3), 2))
+        M = _signs_from_masks(pairs, masks)
         a = np.array([am for _, am, _ in subs])
         x = np.array([tx[p] for p in pairs])
         assert np.abs(M @ a - x).max() < 1e-12
@@ -222,8 +242,7 @@ class TestBlockInhomogeneity:
         tx = {(0, 1): eps, (0, 2): -0.5 * eps, (1, 2): 0.7 * eps}
         ty = {(0, 1): 0.4 * eps, (0, 2): 0.2 * eps, (1, 2): -0.3 * eps}
         subs = solve_block_inhomogeneity(3, tx, ty)
-        layers = _block_sandwich_layers([(0, 1, 2)], [subs])
-        u = circuit_unitary(Circuit(3, layers))
+        u = circuit_unitary(_sandwich_circuit(3, subs))
         G = np.zeros((8, 8), dtype=complex)
         for (i, j), v in tx.items():
             G = G + v * pauli_on(3, {i: "X", j: "X"})
@@ -246,8 +265,7 @@ class TestBlockInhomogeneity:
                 tx = dict(zip(pairs, eps * x))
                 ty = dict(zip(pairs, eps * y))
                 subs = solve_block_inhomogeneity(k, tx, ty)
-                layers = _block_sandwich_layers([tuple(range(k))], [subs])
-                u = circuit_unitary(Circuit(k, layers))
+                u = circuit_unitary(_sandwich_circuit(k, subs))
                 G = sum(v * pauli_on(k, {i: "X", j: "X"})
                         for (i, j), v in tx.items())
                 G = G + sum(v * (pauli_on(k, {i: "X", j: "Y"})
@@ -445,17 +463,33 @@ class TestCircuitBytes:
     every test run.
     """
 
-    @pytest.mark.parametrize("problem, steps, path, digest", [
-        (random_spin_glass(32, 0, "homogeneous"), 1, "auto",
+    @pytest.mark.parametrize("problem, steps, k, path, digest", [
+        (random_spin_glass(32, 0, "homogeneous"), 1, 4, "auto",
          "d1a526c0482564bca023084db269d776e16cbc170c1d3f2ef509b3008bfa4824"),
-        (random_spin_glass(16, 0, "fully_nonuniform"), 10, "inhomogeneous",
+        (random_spin_glass(16, 0, "fully_nonuniform"), 10, 4, "inhomogeneous",
          "6ef417a1129910dab8fdd4300ff89ea8fccd008a9e4ca433bcf0d357d4c5126f"),
-        (random_spin_glass(16, 0, "fully_nonuniform"), 10, "digital",
+        (random_spin_glass(16, 0, "fully_nonuniform"), 10, 4, "digital",
          "8f425a82d4bc05b3683fa4f440e0093520c7274db4f5295c080c453dfb4aa1d3"),
         (mis_to_ising(random_graph(14, 0, weight_mode="fully_nonuniform")), 10,
-         "auto",
+         4, "auto",
          "10e0763fbb533859714be9a2cc135b1087d85840a5cace2a1dfa779233d7aa60"),
-    ], ids=["homogeneous-n32", "inhomogeneous-n16", "digital-n16", "mis14"])
-    def test_sha256(self, problem, steps, path, digest):
-        circuit = synthesize(problem, Schedule(1.0, steps), 4, path)
+        # k=2: no sign-flip sets, every coupling is a cross pair
+        (random_spin_glass(8, 1, "mixed"), 3, 2, "inhomogeneous",
+         "c1400ef683dfec0717b73453cd18685c399df72dc229144eb39cae6543915c45"),
+        # k=6 on 8 qubits: one sign-flip set and 2 trailing qubits
+        (random_spin_glass(8, 1, "fully_nonuniform"), 3, 6, "inhomogeneous",
+         "1c7c92d5c68517c8c44179baf08796318ae43699adcba4b08bec4ca76cef36d3"),
+        # N < k^2: the shifted supplementary block family
+        (random_spin_glass(6, 0, "homogeneous"), 3, 4, "auto",
+         "b88343434346967584083f38fc5edda8de5feb2e9b9e9cbcb15f13fd705edfbe"),
+        # a stored zero coupling and no fields
+        (IsingProblem(5, {(0, 1): 0.0, (2, 3): 1.0}), 3, 4, "auto",
+         "6957968e20b52a9403b5d505d083d074c472cae0aca53fc7ba145715b1ab94c4"),
+        (IsingProblem(5, {(0, 1): 0.0, (2, 3): 1.0}), 3, 4, "digital",
+         "5573bc13c78992d0ae783e9680feee283554453819afa257d50489ac1c8e5b16"),
+    ], ids=["homogeneous-n32", "inhomogeneous-n16", "digital-n16", "mis14",
+            "mixed-n8-k2", "nonuniform-n8-k6", "homogeneous-n6-shifted",
+            "zero-coupling-auto", "zero-coupling-digital"])
+    def test_sha256(self, problem, steps, k, path, digest):
+        circuit = synthesize(problem, Schedule(1.0, steps), k, path)
         assert hashlib.sha256(circuit.to_json().encode()).hexdigest() == digest
