@@ -4,7 +4,10 @@ Applies a dense 2^k x 2^k unitary along the axes of k chosen qubits of a
 2^n state vector, or of every column of a (2^n, m) matrix at once.  A
 stacked (m, 2^k, 2^k) unitary applies a different matrix to each column,
 which is how one noisy trajectory per column gets its own perturbed gate.
-Qubit order follows ``dacqo.paulis``: qubit 0 is the most significant bit.
+A shared unitary on one ascending run of qubits is one broadcast matmul
+on a reshaped view; every other case goes through ``tensordot`` and a
+transpose.  Qubit order follows ``dacqo.paulis``: qubit 0 is the most
+significant bit.
 """
 
 from __future__ import annotations
@@ -21,12 +24,24 @@ def apply_unitary(state: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarra
     is not modified.
     """
     k = len(qubits)
-    psi = state.reshape((2,) * n + state.shape[1:])
     if u.ndim == 2:
+        q0 = qubits[0]
+        rest = state.size >> (q0 + k)
+        # on one ascending run of qubits the state is a (2^q0, 2^k, rest)
+        # array, and one broadcast matmul applies u without transposes.
+        # numpy runs one small gemm per leading index, which pays off for
+        # at most 64 of them or for trailing extents of at least 64
+        if tuple(qubits) == tuple(range(q0, q0 + k)) and (
+            2**q0 <= 64 or rest >= 64
+        ):
+            psi = np.matmul(u, state.reshape(2**q0, 2**k, rest))
+            return psi.reshape(state.shape)
+        psi = state.reshape((2,) * n + state.shape[1:])
         u_t = u.reshape((2,) * (2 * k))
         psi = np.tensordot(u_t, psi, axes=(range(k, 2 * k), qubits))
         psi = np.moveaxis(psi, range(k), qubits)
         return np.ascontiguousarray(psi).reshape(state.shape)
+    psi = state.reshape((2,) * n + state.shape[1:])
     if state.ndim != 2 or u.shape[0] != state.shape[1]:
         raise ValueError("a stacked unitary needs one matrix per state column")
     m = state.shape[1]

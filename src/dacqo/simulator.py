@@ -17,12 +17,15 @@ problem Hamiltonian is diagonal.
 Trajectories run in chunks: a chunk holds its trajectories as the columns
 of one (2^n, B) state matrix and applies each gate once to all of them.
 A perturbed GMS block is a stacked (B, d, d) unitary, one perturbation
-per column, drawn and projected in one batch; a Pauli error rewrites only
-the columns it hit.  A chunk holds at most ``_CHUNK_ENTRIES`` state
-amplitudes, and at most as many entries of a stacked block unitary, so
-memory stays bounded at any width.  The noise seed is split with
-``SeedSequence(seed).spawn`` into one generator per chunk, so a seed gives
-the same result on every run.
+per column, drawn and projected in one batch (``_polar``: scaled
+Newton-Schulz matmuls, or LAPACK's SVD where that is faster, with the
+same draws either way).  A Pauli error rewrites only the columns it hit.
+A chunk holds at most ``_CHUNK_ENTRIES`` state amplitudes, and at most as
+many entries of a stacked block unitary, so memory stays bounded at any
+width.  The noise seed is split with ``SeedSequence(seed).spawn`` into
+one generator per chunk, so a seed gives the same result on every run.
+A sweep over noise amplitudes builds the circuit's ideal gate unitaries
+once.
 """
 
 from __future__ import annotations
@@ -67,6 +70,10 @@ _WIDTH_CAP = 14
 # cap on the amplitudes of a chunk's state matrix and on the entries of a
 # stacked block unitary: 2^18 complex128 values, 4 MiB
 _CHUNK_ENTRIES = 2**18
+# the polar projection's Newton-Schulz stop: max|X^H X - I| at most
+# _POLAR_TOL, within _POLAR_MAX_ITER updates (then the SVD)
+_POLAR_TOL = 1e-13
+_POLAR_MAX_ITER = 20
 
 
 def check_simulation_width(n: int) -> None:
@@ -115,15 +122,74 @@ def perturb_analog_block(
     With ``draws`` = B, returns a (B, d, d) stack of independent
     perturbations of ``u``, drawn and projected in one batch; otherwise
     one (d, d) matrix.  ``u`` itself is returned when c == 0.  The
-    projection is the unitary polar factor W V^dag of the SVD W S V^dag.
+    projection is the unitary polar factor of U + c G (``_polar``: scaled
+    Newton-Schulz matmuls, or the SVD W S V^dag -> W V^dag where that is
+    faster); the draws do not depend on which one runs.
     """
     if c == 0:
         return u
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     shape = u.shape if draws is None else (draws,) + u.shape
     g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
-    w, _, vh = np.linalg.svd(u + c * g)
+    v = _polar((u + c * g).reshape((-1,) + u.shape))
+    return v.reshape(shape)
+
+
+def _svd_polar(x: np.ndarray) -> np.ndarray:
+    w, _, vh = np.linalg.svd(x)
     return w @ vh
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonals of a C-contiguous (B, d, d) stack."""
+    b, d, _ = a.shape
+    return a.reshape(b, d * d)[:, :: d + 1]
+
+
+def _polar(x: np.ndarray) -> np.ndarray:
+    """Unitary polar factor of every matrix of a (B, d, d) stack.
+
+    Runs the Newton-Schulz iteration X <- X - X (X^H X - I) / 2 (Bjorck &
+    Bowie 1971; Higham 1986) on the whole stack.  Each matrix is first
+    scaled so that sigma_max <= 1.5: sigma_max^2 is at most the largest
+    row sum of |X^H X|, and polar(a X) = polar(X) for a > 0.  Unscaled, a
+    singular value above sqrt(3) turns negative in one step, and the
+    iteration converges to a unitary that is not the polar factor, with a
+    residual that does not show it.  The iteration stops once
+    max|X^H X - I| <= _POLAR_TOL; a matrix still above it after
+    _POLAR_MAX_ITER updates gets the SVD.
+
+    Batched matmuls beat LAPACK's SVD only with enough work per call and
+    few iterations, so small blocks (d < 8), small stacks (B d^2 < 1024)
+    and a large first residual r0 = max|X^H X - I| go to the SVD directly.
+    r0 sqrt(d) tracks the spread of the squared singular values, which
+    sets the iteration count; the SVD wins above about 6 at every d
+    measured (8 to 256).
+    """
+    b, d, _ = x.shape
+    if d < 8 or b * d * d < 1024:
+        return _svd_polar(x)
+    r = np.matmul(x.conj().swapaxes(1, 2), x)
+    scale2 = np.minimum(1.0, 2.25 / np.abs(r).sum(axis=2).max(axis=1))
+    _diagonal(r)[:] -= 1
+    if np.abs(r).max() * math.sqrt(d) > 6:
+        return _svd_polar(x)
+    # scaling X by a maps X^H X - I to a^2 (X^H X - I) + (a^2 - 1) I
+    y = x * np.sqrt(scale2)[:, None, None]
+    r *= scale2[:, None, None]
+    _diagonal(r)[:] += (scale2 - 1)[:, None]
+    for _ in range(_POLAR_MAX_ITER):
+        if np.abs(r).max() <= _POLAR_TOL:
+            return y
+        r *= -0.5
+        _diagonal(r)[:] += 1
+        y = y @ r  # X (I - R / 2)
+        r = np.matmul(y.conj().swapaxes(1, 2), y)
+        _diagonal(r)[:] -= 1
+    bad = np.abs(r).max(axis=(1, 2)) > _POLAR_TOL
+    if bad.any():
+        y[bad] = _svd_polar(x[bad])
+    return y
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray):
@@ -216,15 +282,19 @@ def run(
     truth: GroundTruth = None,
 ) -> RunResult:
     """Execute the circuit and report success probability and block fidelity."""
-    n = circuit.width
-    check_simulation_width(n)
+    check_simulation_width(circuit.width)
+    gates = list(circuit.gates())
+    ideal = [gate_unitary(g) for g in gates]
+    return _run(circuit.width, gates, ideal, problem, noise, trajectories, truth)
+
+
+def _run(n, gates, ideal, problem, noise, trajectories, truth) -> RunResult:
+    """``run`` on a circuit's gate list and their ideal unitaries."""
     if noise is None:
         noise = NoiseModel()
     if trajectories < 1:
         raise ValueError("trajectories must be >= 1")
     indices, truth = optimal_state_indices(problem, truth)
-    gates = list(circuit.gates())
-    ideal = [gate_unitary(g) for g in gates]
     if noise.is_trivial:
         trajectories = 1
     c = noise.analog_noise_amplitude
@@ -280,19 +350,22 @@ def success_vs_fidelity_sweep(
     """One noisy run per analog-noise amplitude, sorted by realized fidelity.
 
     The circuit follows ``synthesis_plan``'s automatic path choice and
-    block-size clamp.  Returns a list of (mean gms_fidelity, success_probability, stderr, c)
+    block-size clamp; its ideal gate unitaries are built once for the
+    whole grid.  Returns a list of (mean gms_fidelity, success_probability, stderr, c)
     tuples.
     """
     check_simulation_width(problem.n_qubits)
     circuit = synthesize(problem, schedule, block_size)
     truth = brute_force_ground_state(problem)
+    gates = list(circuit.gates())
+    ideal = [gate_unitary(g) for g in gates]
     rows = []
     for i, c in enumerate(c_grid):
         noise = NoiseModel(
             analog_noise_amplitude=float(c), depolarizing_rate=0.0,
             seed=seed + i,
         )
-        res = run(circuit, problem, noise, trajectories, truth=truth)
+        res = _run(circuit.width, gates, ideal, problem, noise, trajectories, truth)
         rows.append((res.gms_fidelity, res.success_probability, res.stderr, float(c)))
     rows.sort(key=lambda r: r[0])
     return rows

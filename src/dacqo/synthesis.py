@@ -538,10 +538,15 @@ def synthesis_plan(problem: IsingProblem, block_size: int, path: str = "auto"):
     homogeneous and the sign-flip one otherwise; ``digital`` picks the
     baseline, which has no block size (None).  The block size is clamped
     to 2..N, and to at most 6 on the inhomogeneous path.  Forcing the
-    homogeneous path on an inhomogeneous instance raises ValueError.
+    homogeneous path on an inhomogeneous instance raises ValueError, and
+    so does a problem of fewer than 2 qubits, on every path.
     """
     if path not in SYNTHESIS_PATHS:
         raise ValueError(f"unknown synthesis path {path!r}")
+    if problem.n_qubits < 2:
+        raise ValueError(
+            f"synthesis needs at least 2 qubits, got N={problem.n_qubits}"
+        )
     if path == "digital":
         return path, None
     homogeneous = problem.is_homogeneous()

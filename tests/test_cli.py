@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 import dacqo.cli
 from dacqo.cli import EXIT_CAPABILITY, EXIT_CONFIG, EXIT_NUMERICAL, main
+from dacqo.synthesis import SYNTHESIS_PATHS
 
 
 @pytest.fixture
@@ -229,6 +230,22 @@ class TestEmitCircuit:
             "emit-circuit", "--n", "4", "--path", "telepathic",
         ])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("path", SYNTHESIS_PATHS)
+    def test_one_qubit_exits_2_on_every_path(self, runner, tmp_path, path):
+        out = tmp_path / "circuit.json"
+        result = runner.invoke(main, [
+            "emit-circuit", "--n", "1", "--steps", "1", "--path", path,
+            "--output", str(out),
+        ])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert "at least 2 qubits, got N=1" in result.output
+        assert not out.exists()
+
+    def test_one_qubit_solve_names_n(self, runner):
+        result = runner.invoke(main, ["solve", "--n", "1", "--steps", "1"])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert "at least 2 qubits, got N=1" in result.output
 
 
 class TestInvalidInputExits2:

@@ -18,6 +18,21 @@ def _random_unitary(k, seed):
     return np.linalg.qr(m)[0]
 
 
+def _einsum_reference(mat, u, qubits, n):
+    """``u`` on ``qubits`` of every column of ``mat``, by einsum indices."""
+    k = len(qubits)
+    axes = [chr(ord("a") + i) for i in range(n)] + ["z"]
+    new = [chr(ord("A") + j) for j in range(k)]
+    out = list(axes)
+    for j, q in enumerate(qubits):
+        out[q] = new[j]
+    spec = "".join(new + [axes[q] for q in qubits]) + "," + "".join(axes) \
+        + "->" + "".join(out)
+    psi = np.einsum(spec, u.reshape((2,) * (2 * k)),
+                    mat.reshape((2,) * n + (mat.shape[1],)))
+    return psi.reshape(mat.shape)
+
+
 class TestNumpyKernel:
     def test_single_qubit_bit_order(self):
         # qubit 0 is the most significant bit of the state index
@@ -54,6 +69,12 @@ class TestNumpyKernel:
         (4, (2, 0), 5),
         (5, (1, 4), 32),
         (6, (5, 2, 0), 3),
+    ] + [
+        # ascending runs at both ends of the register, at each width: the
+        # runs ending on qubit 8 take the matmul path only at width 64
+        (9, qubits, m)
+        for qubits in ((0,), (0, 1, 2), (8,), (6, 7, 8))
+        for m in (1, 4, 16, 64)
     ])
     def test_matrix_matches_column_loop(self, n, qubits, m):
         rng = np.random.default_rng(n)
@@ -66,6 +87,8 @@ class TestNumpyKernel:
             ref[:, c] = _kernels.apply_unitary(mat[:, c].copy(), u, qubits, n)
         assert out.shape == (2**n, m)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            out, _einsum_reference(mat, u, qubits, n), rtol=0, atol=1e-13)
         np.testing.assert_array_equal(mat, before)
 
 

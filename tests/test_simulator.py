@@ -66,6 +66,97 @@ class TestPerturbAnalogBlock:
         )
 
 
+def _svd_polar(x):
+    w, _, vh = np.linalg.svd(x)
+    return w @ vh
+
+
+def _perturbed_stack(d, b, c, seed):
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((d, d))
+                     + 1j * rng.standard_normal((d, d)))[0]
+    g = rng.standard_normal((b, d, d)) + 1j * rng.standard_normal((b, d, d))
+    return u + c * g / math.sqrt(2)
+
+
+class TestPolar:
+    """The Newton-Schulz projection against LAPACK's SVD."""
+
+    @staticmethod
+    def _count_svd(monkeypatch):
+        sizes = []
+
+        def counted(x):
+            sizes.append(len(x))
+            return _svd_polar(x)
+
+        monkeypatch.setattr(simulator, "_svd_polar", counted)
+        return sizes
+
+    @pytest.mark.parametrize("c", [0.02, 0.12, 0.4])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16, 32, 64])
+    def test_matches_svd_and_is_unitary(self, monkeypatch, d, c):
+        # the smallest stack the shape rule lets Newton-Schulz run on (at
+        # d >= 8; smaller blocks always take the SVD)
+        b = max(2, 1024 // d**2)
+        x = _perturbed_stack(d, b, c, seed=d)
+        sizes = self._count_svd(monkeypatch)
+        v = simulator._polar(x)
+        np.testing.assert_allclose(v, _svd_polar(x), rtol=0, atol=1e-12)
+        gram = np.matmul(v.conj().swapaxes(1, 2), v)
+        assert np.abs(gram - np.eye(d)).max() <= 1e-13
+        if d >= 8 and c == 0.02:
+            assert sizes == []  # converged without the SVD
+
+    def test_singular_values_above_sqrt3_are_scaled(self, monkeypatch):
+        # unscaled, these converge to a unitary 0.8 away from the polar
+        # factor while X^H X - I still vanishes
+        rng = np.random.default_rng(0)
+        d = 8
+        sigma = np.linspace(0.5, 1.9, d)
+        haar = [np.linalg.qr(rng.standard_normal((d, d))
+                             + 1j * rng.standard_normal((d, d)))[0]
+                for _ in range(32)]
+        x = np.stack([w * sigma @ v for w, v in zip(haar[::2], haar[1::2])])
+        sizes = self._count_svd(monkeypatch)
+        v = simulator._polar(x)
+        assert sizes == []
+        np.testing.assert_allclose(v, _svd_polar(x), rtol=0, atol=1e-12)
+
+    def test_iteration_cap_falls_back_to_svd(self, monkeypatch):
+        x = _perturbed_stack(16, 4, 0.02, seed=1)
+        monkeypatch.setattr(simulator, "_POLAR_MAX_ITER", 1)
+        sizes = self._count_svd(monkeypatch)
+        v = simulator._polar(x)
+        assert sizes == [4]
+        np.testing.assert_allclose(v, _svd_polar(x), rtol=0, atol=1e-12)
+
+    def test_only_unconverged_matrices_fall_back(self, monkeypatch):
+        # at c = 0.02 a 16x16 block converges in 5 updates, at c = 0.12 in
+        # about 8: with a cap of 6 only the noisier one needs the SVD
+        x = np.concatenate([_perturbed_stack(16, 3, 0.02, seed=2),
+                            _perturbed_stack(16, 1, 0.12, seed=3)])
+        monkeypatch.setattr(simulator, "_POLAR_MAX_ITER", 6)
+        sizes = self._count_svd(monkeypatch)
+        v = simulator._polar(x)
+        assert sizes == [1]
+        np.testing.assert_allclose(v, _svd_polar(x), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d,draws", [(16, 32), (4, 8), (8, None)])
+    def test_draws_follow_the_seeded_stream(self, d, draws):
+        # the projection of u + c g with g re-drawn from the same seed, in
+        # the same order: real parts of the whole stack, then imaginary
+        u = gate_unitary(Gate("gms", tuple(range(d.bit_length() - 1)), 0.7))
+        c, seed = 0.08, 21
+        shape = u.shape if draws is None else (draws,) + u.shape
+        rng = np.random.default_rng(seed)
+        g = (rng.standard_normal(shape)
+             + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+        v = perturb_analog_block(u, c, seed, draws)
+        assert v.shape == shape
+        np.testing.assert_allclose(v, _svd_polar(u + c * g), rtol=0, atol=1e-12)
+
+
 class TestGateFidelity:
     def test_identity(self):
         assert gate_fidelity(np.eye(4), np.eye(4)) == pytest.approx(1.0)
@@ -263,6 +354,19 @@ class TestSweep:
             p, Schedule(1.0, 4), 4, [0.0, 0.1], trajectories=4
         )
         assert rows[-1][0] == 1.0 and rows[-1][3] == 0.0
+
+    def test_builds_each_gate_unitary_once(self, monkeypatch):
+        calls = []
+
+        def counted(gate):
+            calls.append(gate)
+            return gate_unitary(gate)
+
+        monkeypatch.setattr(simulator, "gate_unitary", counted)
+        p = _homogeneous_k4()
+        sch = Schedule(1.0, 2)
+        success_vs_fidelity_sweep(p, sch, 4, [0.0, 0.05, 0.1], trajectories=4)
+        assert calls == list(synthesize(p, sch, 4).gates())
 
     def test_width_cap_checked_before_synthesis(self, monkeypatch):
         def must_not_run(*args, **kwargs):

@@ -22,6 +22,7 @@ from dacqo.simulator import circuit_unitary
 from dacqo.synthesis import (
     Circuit,
     SynthesisError,
+    SYNTHESIS_PATHS,
     _circle_rounds,
     _flip_sandwich,
     _peel_rounds,
@@ -420,6 +421,14 @@ class TestSynthesisPlan:
     def test_unknown_path(self):
         with pytest.raises(ValueError, match="unknown synthesis path"):
             synthesis_plan(_ring(), 4, "telepathic")
+
+    @pytest.mark.parametrize("path", SYNTHESIS_PATHS)
+    def test_one_qubit_rejected_on_every_path(self, path):
+        p = IsingProblem(1, {}, [1.0])
+        with pytest.raises(ValueError, match="N=1"):
+            synthesis_plan(p, 4, path)
+        with pytest.raises(ValueError, match="N=1"):
+            synthesize(p, Schedule(1.0, 1), 4, path)
 
     def test_synthesize_follows_plan(self):
         p = random_spin_glass(6, 1, "mixed")
