@@ -24,12 +24,13 @@ A chunk holds at most ``_CHUNK_ENTRIES`` state amplitudes, and at most as
 many entries of a stacked block unitary, so memory stays bounded at any
 width.  The noise seed is split with ``SeedSequence(seed).spawn`` into
 one generator per chunk, so a seed gives the same result on every run.
-A sweep over noise amplitudes builds the circuit's ideal gate unitaries
-once.
+``run`` keeps the ideal gate unitaries of the circuit it ran last, so a
+sweep over noise amplitudes builds them once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -159,21 +160,15 @@ def _polar(x: np.ndarray) -> np.ndarray:
     max|X^H X - I| <= _POLAR_TOL; a matrix still above it after
     _POLAR_MAX_ITER updates gets the SVD.
 
-    Batched matmuls beat LAPACK's SVD only with enough work per call and
-    few iterations, so small blocks (d < 8), small stacks (B d^2 < 1024)
-    and a large first residual r0 = max|X^H X - I| go to the SVD directly.
-    r0 sqrt(d) tracks the spread of the squared singular values, which
-    sets the iteration count; the SVD wins above about 6 at every d
-    measured (8 to 256).
+    Blocks of d < 8 go to the SVD directly: there LAPACK is faster than
+    the batched matmuls.
     """
-    b, d, _ = x.shape
-    if d < 8 or b * d * d < 1024:
+    d = x.shape[-1]
+    if d < 8:
         return _svd_polar(x)
     r = np.matmul(x.conj().swapaxes(1, 2), x)
     scale2 = np.minimum(1.0, 2.25 / np.abs(r).sum(axis=2).max(axis=1))
     _diagonal(r)[:] -= 1
-    if np.abs(r).max() * math.sqrt(d) > 6:
-        return _svd_polar(x)
     # scaling X by a maps X^H X - I to a^2 (X^H X - I) + (a^2 - 1) I
     y = x * np.sqrt(scale2)[:, None, None]
     r *= scale2[:, None, None]
@@ -274,6 +269,20 @@ def trotter_reference_unitary(
 _PAULI_OPS = np.stack([PAULI["X"], PAULI["Y"], PAULI["Z"]])
 
 
+@functools.lru_cache(maxsize=1)
+def _ideal_unitaries(circuit: Circuit) -> tuple:
+    """The circuit's gates and their ideal unitaries, read-only.
+
+    Kept for the last circuit run: a noise sweep runs one circuit once
+    per amplitude.
+    """
+    gates = tuple(circuit.gates())
+    ideal = tuple(gate_unitary(g) for g in gates)
+    for u in ideal:
+        u.flags.writeable = False
+    return gates, ideal
+
+
 def run(
     circuit: Circuit,
     problem: IsingProblem,
@@ -282,19 +291,14 @@ def run(
     truth: GroundTruth = None,
 ) -> RunResult:
     """Execute the circuit and report success probability and block fidelity."""
-    check_simulation_width(circuit.width)
-    gates = list(circuit.gates())
-    ideal = [gate_unitary(g) for g in gates]
-    return _run(circuit.width, gates, ideal, problem, noise, trajectories, truth)
-
-
-def _run(n, gates, ideal, problem, noise, trajectories, truth) -> RunResult:
-    """``run`` on a circuit's gate list and their ideal unitaries."""
+    n = circuit.width
+    check_simulation_width(n)
     if noise is None:
         noise = NoiseModel()
     if trajectories < 1:
         raise ValueError("trajectories must be >= 1")
     indices, truth = optimal_state_indices(problem, truth)
+    gates, ideal = _ideal_unitaries(circuit)
     if noise.is_trivial:
         trajectories = 1
     c = noise.analog_noise_amplitude
@@ -350,22 +354,20 @@ def success_vs_fidelity_sweep(
     """One noisy run per analog-noise amplitude, sorted by realized fidelity.
 
     The circuit follows ``synthesis_plan``'s automatic path choice and
-    block-size clamp; its ideal gate unitaries are built once for the
-    whole grid.  Returns a list of (mean gms_fidelity, success_probability, stderr, c)
+    block-size clamp; ``run`` builds its ideal gate unitaries once for
+    the whole grid.  Returns a list of (mean gms_fidelity, success_probability, stderr, c)
     tuples.
     """
     check_simulation_width(problem.n_qubits)
     circuit = synthesize(problem, schedule, block_size)
     truth = brute_force_ground_state(problem)
-    gates = list(circuit.gates())
-    ideal = [gate_unitary(g) for g in gates]
     rows = []
     for i, c in enumerate(c_grid):
         noise = NoiseModel(
             analog_noise_amplitude=float(c), depolarizing_rate=0.0,
             seed=seed + i,
         )
-        res = _run(circuit.width, gates, ideal, problem, noise, trajectories, truth)
+        res = run(circuit, problem, noise, trajectories, truth=truth)
         rows.append((res.gms_fidelity, res.success_probability, res.stderr, float(c)))
     rows.sort(key=lambda r: r[0])
     return rows

@@ -96,10 +96,8 @@ class TestPolar:
     @pytest.mark.parametrize("c", [0.02, 0.12, 0.4])
     @pytest.mark.parametrize("d", [2, 4, 8, 16, 32, 64])
     def test_matches_svd_and_is_unitary(self, monkeypatch, d, c):
-        # the smallest stack the shape rule lets Newton-Schulz run on (at
-        # d >= 8; smaller blocks always take the SVD)
-        b = max(2, 1024 // d**2)
-        x = _perturbed_stack(d, b, c, seed=d)
+        # blocks of d < 8 always take the SVD
+        x = _perturbed_stack(d, 4, c, seed=d)
         sizes = self._count_svd(monkeypatch)
         v = simulator._polar(x)
         np.testing.assert_allclose(v, _svd_polar(x), rtol=0, atol=1e-12)
@@ -356,17 +354,33 @@ class TestSweep:
         assert rows[-1][0] == 1.0 and rows[-1][3] == 0.0
 
     def test_builds_each_gate_unitary_once(self, monkeypatch):
-        calls = []
+        calls, runs = [], []
 
         def counted(gate):
             calls.append(gate)
             return gate_unitary(gate)
 
+        def counted_run(*args, **kwargs):
+            runs.append(kwargs["noise"] if "noise" in kwargs else args[2])
+            return run(*args, **kwargs)
+
+        simulator._ideal_unitaries.cache_clear()
         monkeypatch.setattr(simulator, "gate_unitary", counted)
+        monkeypatch.setattr(simulator, "run", counted_run)
         p = _homogeneous_k4()
         sch = Schedule(1.0, 2)
         success_vs_fidelity_sweep(p, sch, 4, [0.0, 0.05, 0.1], trajectories=4)
         assert calls == list(synthesize(p, sch, 4).gates())
+        # every amplitude still goes through the public run
+        assert [r.analog_noise_amplitude for r in runs] == [0.0, 0.05, 0.1]
+
+    def test_cached_unitaries_are_read_only(self):
+        circuit = synthesize(_homogeneous_k4(), Schedule(1.0, 2), 4)
+        gates, ideal = simulator._ideal_unitaries(circuit)
+        assert gates == tuple(circuit.gates())
+        for g, u in zip(gates, ideal):
+            np.testing.assert_array_equal(u, gate_unitary(g))
+            assert not u.flags.writeable
 
     def test_width_cap_checked_before_synthesis(self, monkeypatch):
         def must_not_run(*args, **kwargs):
