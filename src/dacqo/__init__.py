@@ -10,7 +10,7 @@ from .counterdiabatic import (
     rotated_full_hamiltonian,
 )
 from .extrapolation import ExtrapolationFit, fit_extrapolation
-from .gates import Gate, gms_unitary, solve_gms_angles, step_angles
+from .gates import Gate, gms_unitary, solve_gms_angles, trotter_angles
 from .hardware import (
     HardwareSpec,
     RuntimeReport,

@@ -161,16 +161,16 @@ def _with_cd(operators: tuple) -> tuple:
     return Hf, D, -0.5j * commutator(Hf, D)
 
 
-def _hamiltonian(
-    problem: IsingProblem, schedule: Schedule, t: float, operators: tuple
-) -> np.ndarray:
-    """lambda H_f + (1-lambda) D + 2 lambda_dot alpha_1 C (no alpha_1 at rest)."""
+def _hamiltonian(coefficients: tuple, operators: tuple) -> np.ndarray:
+    """lambda H_f + (1-lambda) D + 2 lambda_dot alpha_1 C (no CD term at rest).
+
+    ``coefficients`` is one (lambda, lambda_dot, alpha_1) of ``_coefficients``.
+    """
     Hf, D, C = operators
-    lam = schedule.lam(t)
-    ldot = schedule.lam_dot(t)
+    lam, ldot, a1 = coefficients
     H = lam * Hf + (1.0 - lam) * D
     if ldot:
-        H += (2.0 * ldot * alpha1_analytic(problem, lam)) * C
+        H += (2.0 * ldot * a1) * C
     return H
 
 
@@ -231,9 +231,8 @@ def gamma_closed_forms(problem: IsingProblem, lam: float) -> tuple:
     return g1, g2
 
 
-def alpha1_analytic(problem: IsingProblem, lambda_value: float) -> float:
-    """Closed-form first-order CD coefficient, alpha_1 = -Gamma_1/Gamma_2."""
-    sums = _coupling_sums(problem)
+def _alpha1(sums: tuple, lambda_value: float) -> float:
+    """alpha_1 = -Gamma_1/Gamma_2 from the coupling sums of a problem."""
     sh2, _, sJ2, _, _, _ = sums
     R = _denominator(sums, lambda_value)
     if R == 0.0:
@@ -241,6 +240,27 @@ def alpha1_analytic(problem: IsingProblem, lambda_value: float) -> float:
             "alpha_1 denominator vanished (all-zero problem?)"
         )
     return -0.25 * (sh2 + 2 * sJ2) / R
+
+
+def alpha1_analytic(problem: IsingProblem, lambda_value: float) -> float:
+    """Closed-form first-order CD coefficient, alpha_1 = -Gamma_1/Gamma_2."""
+    return _alpha1(_coupling_sums(problem), lambda_value)
+
+
+def _coefficients(problem: IsingProblem, schedule: Schedule, times):
+    """Yield (lambda, lambda_dot, alpha_1) at each of ``times``, lazily.
+
+    The one rule for the CD coefficient, shared by the trotter angles and
+    the dense Hamiltonians: the coupling sums are formed once, and alpha_1
+    is 0 wherever lambda_dot is 0 or the problem has no nonzero coupling
+    or field (there alpha_1 = 0/0 and the CD term C vanishes anyway).
+    """
+    sums = _coupling_sums(problem)
+    live = any(problem.couplings.values()) or problem.fields.any()
+    for t in times:
+        lam = schedule.lam(t)
+        ldot = schedule.lam_dot(t)
+        yield lam, ldot, _alpha1(sums, lam) if ldot and live else 0.0
 
 
 def gamma_oracle(problem: IsingProblem, lam: float) -> tuple:
@@ -274,7 +294,8 @@ def cd_generator(problem: IsingProblem, lambda_value: float) -> np.ndarray:
 
 def full_hamiltonian(problem: IsingProblem, schedule: Schedule, t: float) -> np.ndarray:
     """Original-frame H(t) = H_ad(lambda(t)) + lambda_dot(t) * cd_generator."""
-    return _hamiltonian(problem, schedule, t, _with_cd(_operators(problem)))
+    (c,) = _coefficients(problem, schedule, (t,))
+    return _hamiltonian(c, _with_cd(_operators(problem)))
 
 
 def rotated_full_hamiltonian(
@@ -292,8 +313,8 @@ def rotated_full_hamiltonian(
     """
     if not 0.0 <= t <= schedule.total_time:
         raise ValueError("t outside [0, T]")
-    operators = _with_cd(_operators(problem, rotated=True))
-    return _hamiltonian(problem, schedule, t, operators)
+    (c,) = _coefficients(problem, schedule, (t,))
+    return _hamiltonian(c, _with_cd(_operators(problem, rotated=True)))
 
 
 def hadamard_frame(n: int) -> np.ndarray:
@@ -308,14 +329,15 @@ def exact_evolution(
 
     Ordered product of exp(-i H'(t_k) dt) over a midpoint grid of
     ``steps`` slices.  Later factors multiply on the left.  H_f',
-    sum_i Z_i and C are built once and recombined for each slice.
+    sum_i Z_i, C and the coupling sums of alpha_1 are built once and
+    recombined for each slice.
     """
     if problem.n_qubits > 10:
         raise CapabilityError("exact_evolution capped at 10 qubits")
     operators = _with_cd(_operators(problem, rotated=True))
     dt = schedule.total_time / steps
+    times = ((k + 0.5) * dt for k in range(steps))
     U = np.eye(2**problem.n_qubits, dtype=complex)
-    for k in range(steps):
-        t = (k + 0.5) * dt
-        U = expm(-1j * dt * _hamiltonian(problem, schedule, t, operators)) @ U
+    for c in _coefficients(problem, schedule, times):
+        U = expm(-1j * dt * _hamiltonian(c, operators)) @ U
     return U

@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .counterdiabatic import Schedule, alpha1_analytic, hadamard_frame
+from .counterdiabatic import Schedule, _coefficients, hadamard_frame
 from .paulis import PAULI, pauli_on
 from .problem import CapabilityError, IsingProblem
 
@@ -41,7 +41,7 @@ __all__ = [
     "gms_unitary",
     "rotation_unitary",
     "gate_unitary",
-    "step_angles",
+    "trotter_angles",
     "solve_gms_angles",
     "generator_pauli_coefficients",
 ]
@@ -159,35 +159,34 @@ def gate_unitary(gate: Gate) -> np.ndarray:
     return u
 
 
-def step_angles(problem: IsingProblem, schedule: Schedule, step: int) -> StepAngles:
-    """Trotter angles of every channel for one step (1-based).
+def trotter_angles(problem: IsingProblem, schedule: Schedule):
+    """Yield the trotter angles of every channel, one ``StepAngles`` per step.
 
-    lambda, lambda_dot and alpha_1 are evaluated at the step midpoint;
-    the step duration is T/n.  The Y-channel coefficient carries the
-    rotated-frame sign (-lambda_dot * alpha_1, positive since alpha_1 < 0);
-    it is zero for a problem with no couplings and no fields, whose
-    alpha_1 is undefined.
+    lambda, lambda_dot and alpha_1 come from ``counterdiabatic`` at each
+    step midpoint; the step duration is T/n.  The Y-channel coefficient
+    carries the rotated-frame sign (-lambda_dot * alpha_1, positive since
+    alpha_1 < 0); it is zero for a problem with no couplings and no
+    fields, whose alpha_1 is undefined.  A generator, so a sweep holds
+    one step's angles at a time.
     """
     J = problem.coupling_matrix()
     h = problem.fields
-    t = schedule.midpoint(step)
     dt = schedule.total_time / schedule.trotter_steps
-    lam = schedule.lam(t)
-    ldot = schedule.lam_dot(t)
-    cd = 0.0
-    if ldot and (J.any() or h.any()):
-        cd = -ldot * alpha1_analytic(problem, lam)
-    angles = StepAngles(
-        xx=lam * J * dt,
-        xy=2.0 * cd * J * dt,
-        x=lam * h * dt,
-        y=2.0 * cd * h * dt,
-        z=(1.0 - lam) * dt,
-    )
-    for name, value in zip(angles._fields, angles):
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"step {step}: {name} angles are not finite")
-    return angles
+    midpoints = map(schedule.midpoint, range(1, schedule.trotter_steps + 1))
+    coefficients = _coefficients(problem, schedule, midpoints)
+    for step, (lam, ldot, a1) in enumerate(coefficients, start=1):
+        cd = -ldot * a1
+        angles = StepAngles(
+            xx=lam * J * dt,
+            xy=2.0 * cd * J * dt,
+            x=lam * h * dt,
+            y=2.0 * cd * h * dt,
+            z=(1.0 - lam) * dt,
+        )
+        for name, value in zip(angles._fields, angles):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"step {step}: {name} angles are not finite")
+        yield angles
 
 
 def solve_gms_angles(theta_xx: float, theta_xy: float, qubits=(0, 1)) -> list:

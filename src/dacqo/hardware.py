@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .problem import IsingProblem
 from .synthesis import (
+    _FLIP_BLOCK_CAP,
     Circuit,
     DepthReport,
     analytic_depth,
@@ -143,8 +144,8 @@ def enhancement_factor(
     otherwise, with k clamped to the qubit count).  Keys are the requested
     block sizes.
     """
-    if any(k < 2 or k > 6 for k in block_sizes):
-        raise ValueError("block sizes must lie in 2..6")
+    if any(k < 2 or k > _FLIP_BLOCK_CAP for k in block_sizes):
+        raise ValueError(f"block sizes must lie in 2..{_FLIP_BLOCK_CAP}")
     digital = circuit_runtime(
         synthesize_digital_baseline(problem, schedule), spec
     ).runtime_seconds

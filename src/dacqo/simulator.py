@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .gates import Gate, gate_unitary, solve_gms_angles, step_angles
+from .gates import _EPS, Gate, gate_unitary, solve_gms_angles, trotter_angles
 from .paulis import HADAMARD, PAULI, _bit_weights
 from .problem import (
     CapabilityError,
@@ -47,7 +47,6 @@ from .problem import (
     brute_force_ground_state,
 )
 from .synthesis import (
-    _EPS,
     Circuit,
     correction_weights,
     coverage_plan,
@@ -248,8 +247,7 @@ def trotter_reference_unitary(
         primary, supplementary, coverage = coverage_plan(n, block_size)
         needed = correction_weights(coverage)
         rounds = schedule_pairs(needed, n)
-    for step in range(1, schedule.trotter_steps + 1):
-        ang = step_angles(problem, schedule, step)
+    for ang in trotter_angles(problem, schedule):
         a, b = (ang.xx[pair], ang.xy[pair]) if pair is not None else (0.0, 0.0)
         if abs(a) >= _EPS or abs(b) >= _EPS:
             for block in primary + supplementary:

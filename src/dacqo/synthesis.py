@@ -44,7 +44,7 @@ import networkx as nx
 import numpy as np
 
 from .counterdiabatic import Schedule
-from .gates import Gate, solve_gms_angles, step_angles
+from .gates import _EPS, Gate, solve_gms_angles, trotter_angles
 from .problem import IsingProblem
 
 __all__ = [
@@ -63,7 +63,8 @@ __all__ = [
     "schedule_pairs",
 ]
 
-_EPS = 1e-14
+# largest block the sign-flip (inhomogeneous) construction takes
+_FLIP_BLOCK_CAP = 6
 
 
 class SynthesisError(Exception):
@@ -279,8 +280,8 @@ def _circuit(n, problem, schedule, step_factors):
     this is the only loop over steps and the only place layers are formed.
     """
     layers = []
-    for step in range(1, schedule.trotter_steps + 1):
-        for factor in step_factors(step_angles(problem, schedule, step)):
+    for angles in trotter_angles(problem, schedule):
+        for factor in step_factors(angles):
             layers.extend(_stage_layers(factor))
     return Circuit(width=n, layers=tuple(layers))
 
@@ -392,8 +393,10 @@ def solve_block_inhomogeneity(k: int, target_xx: dict, target_xy: dict):
     sandwich by a conjugate gate (the flips change XX/XY/YX/YY signs
     identically, so one system serves all channels).
     """
-    if not 2 <= k <= 6:
-        raise ValueError("block inhomogeneity supported for k in 2..6")
+    if not 2 <= k <= _FLIP_BLOCK_CAP:
+        raise ValueError(
+            f"block inhomogeneity supported for k in 2..{_FLIP_BLOCK_CAP}"
+        )
     pairs, masks, M = _sign_system(k)
     x = np.array([target_xx.get(p, 0.0) for p in pairs])
     y = np.array([target_xy.get(p, 0.0) for p in pairs])
@@ -440,8 +443,8 @@ def synthesize_inhomogeneous(
     """
     n = problem.n_qubits
     k = block_size
-    if not 2 <= k <= 6:
-        raise ValueError("block_size must be in 2..6")
+    if not 2 <= k <= _FLIP_BLOCK_CAP:
+        raise ValueError(f"block_size must be in 2..{_FLIP_BLOCK_CAP}")
     Jmat = problem.coupling_matrix()
     sets = [tuple(range(b, b + k)) for b in range(0, n - k + 1, k)] if k > 2 else []
     local_pairs = list(itertools.combinations(range(k), 2))
@@ -558,7 +561,7 @@ def synthesis_plan(problem: IsingProblem, block_size: int, path: str = "auto"):
         )
     k = max(2, min(block_size, problem.n_qubits))
     if path == "inhomogeneous":
-        k = min(k, 6)
+        k = min(k, _FLIP_BLOCK_CAP)
     return path, k
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dacqo import counterdiabatic
 from dacqo.counterdiabatic import (
     Schedule,
     adiabatic_hamiltonian,
@@ -16,7 +17,9 @@ from dacqo.counterdiabatic import (
     problem_hamiltonian,
     rotated_full_hamiltonian,
 )
+from dacqo.paulis import pauli_on
 from dacqo.problem import IsingProblem, all_energies, random_spin_glass
+from dacqo.synthesis import synthesize
 
 
 class TestSchedule:
@@ -238,3 +241,35 @@ class TestExactEvolution:
         U = exact_evolution(p, sch, 50)
         off = U - np.diag(np.diag(U))
         assert np.abs(off).max() < 1e-9
+
+
+class TestCoefficients:
+    """(lambda, lambda_dot, alpha_1) come from one rule for every consumer."""
+
+    def test_all_zero_problem_has_no_cd_term(self):
+        # alpha_1 = 0/0 without couplings or fields: the CD term is off,
+        # as in the trotter angles, and only (1 - lambda) sum Z remains
+        p = IsingProblem(3)
+        sch = Schedule(1.0, 6)
+        driver = sum(pauli_on(3, {i: "Z"}) for i in range(3))
+        H = rotated_full_hamiltonian(p, sch, 0.3)
+        np.testing.assert_allclose(H, (1.0 - sch.lam(0.3)) * driver, atol=1e-15)
+        W = hadamard_frame(3)
+        np.testing.assert_allclose(
+            W @ full_hamiltonian(p, sch, 0.3) @ W.conj().T, H, atol=1e-12
+        )
+
+    def test_coupling_sums_formed_once_per_sweep(self, monkeypatch):
+        calls = []
+        sums = counterdiabatic._coupling_sums
+
+        def counted(problem):
+            calls.append(problem)
+            return sums(problem)
+
+        monkeypatch.setattr(counterdiabatic, "_coupling_sums", counted)
+        p = random_spin_glass(5, 1, "fully_nonuniform")
+        synthesize(p, Schedule(1.0, 10), 3)
+        assert len(calls) == 1
+        exact_evolution(p, Schedule(1.0, 10), 50)
+        assert len(calls) == 2

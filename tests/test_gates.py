@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -13,7 +14,7 @@ from dacqo.gates import (
     gms_unitary,
     rotation_unitary,
     solve_gms_angles,
-    step_angles,
+    trotter_angles,
 )
 from dacqo.paulis import PAULI, kron_all, pauli_on
 from dacqo.problem import CapabilityError, IsingProblem
@@ -132,7 +133,7 @@ class TestStepAngles:
         p = IsingProblem(4, J, h)
         sch = Schedule(2.0, 4)
         step = 2
-        ang = step_angles(p, sch, step)
+        ang = list(trotter_angles(p, sch))[step - 1]
         t = sch.midpoint(step)
         lam, ldot = sch.lam(t), sch.lam_dot(t)
         dt = 0.5
@@ -152,22 +153,30 @@ class TestStepAngles:
         # alpha_1 < 0 and lambda_dot > 0 mid-schedule, so the rotated-frame
         # counterdiabatic coefficient comes out positive
         p = IsingProblem(2, {(0, 1): 1.0}, [1.0, 1.0])
-        ang = step_angles(p, Schedule(1.0, 2), 1)
+        ang = next(trotter_angles(p, Schedule(1.0, 2)))
         assert ang.y[0] > 0 and ang.y[1] > 0
         assert ang.xy[0, 1] > 0
 
     def test_rejects_nan(self):
         p = IsingProblem(2, {(0, 1): 1.0}, [1.0, 1.0])
         sch = Schedule(1.0, 2, lam=lambda t: math.nan, lam_dot=lambda t: 1.0)
-        with pytest.raises(ValueError, match="not finite"):
-            step_angles(p, sch, 1)
+        with pytest.raises(ValueError, match="^step 1: xx angles are not finite"):
+            next(trotter_angles(p, sch))
 
     def test_all_zero_problem_has_no_cd_term(self):
         # alpha_1 is undefined (0/0) without couplings or fields
-        ang = step_angles(IsingProblem(3), Schedule(1.0, 2), 1)
-        assert not ang.xx.any() and not ang.xy.any()
-        assert not ang.x.any() and not ang.y.any()
-        assert ang.z > 0
+        for ang in trotter_angles(IsingProblem(3), Schedule(1.0, 2)):
+            assert not ang.xx.any() and not ang.xy.any()
+            assert not ang.x.any() and not ang.y.any()
+            assert ang.z > 0
+
+    def test_one_step_at_a_time(self):
+        # a generator: a sweep never holds every step's N x N matrices
+        p = IsingProblem(3, {(0, 1): 1.0}, [0.5, 0.0, 0.0])
+        sch = Schedule(1.0, 5)
+        angles = trotter_angles(p, sch)
+        assert inspect.isgenerator(angles)
+        assert len(list(angles)) == sch.trotter_steps
 
 
 def _composed_generator(gates, k):

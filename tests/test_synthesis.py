@@ -463,6 +463,16 @@ class TestEdgeInstances:
         assert c.depth_report().total == 3
         assert {g.axis for g in c.gates()} == {"z"}
 
+    @pytest.mark.parametrize("problem", [
+        IsingProblem(3), IsingProblem(3, {(0, 1): 0.0}),
+    ], ids=["no-terms", "zero-coupling"])
+    def test_all_zero_problem_follows_exact_evolution(self, problem):
+        # both are products of exp(-i (1 - lambda(t_k)) dt sum Z) on the
+        # same midpoint grid; the CD term is off in both
+        sch = Schedule(1.0, 6)
+        circ = circuit_unitary(synthesize(problem, sch, 2))
+        assert phase_distance(exact_evolution(problem, sch, 6), circ) <= 1e-12
+
 
 class TestCircuitBytes:
     """SHA-256 of ``synthesize(...).to_json()`` for fixed inputs.
@@ -502,3 +512,19 @@ class TestCircuitBytes:
     def test_sha256(self, problem, steps, k, path, digest):
         circuit = synthesize(problem, Schedule(1.0, steps), k, path)
         assert hashlib.sha256(circuit.to_json().encode()).hexdigest() == digest
+
+    def test_sha256_of_90_inputs(self):
+        # the circuits of N x weight class x k x seed, in that order, on
+        # the default path, hashed into one digest
+        h = hashlib.sha256()
+        for n, mode, k, seed in itertools.product(
+            (3, 4, 6, 8, 9),
+            ("homogeneous", "mixed", "fully_nonuniform"),
+            (2, 3, 4),
+            (0, 1),
+        ):
+            problem = random_spin_glass(n, seed, mode)
+            h.update(synthesize(problem, Schedule(1.0, 10), k).to_json().encode())
+        assert h.hexdigest() == (
+            "e46e38893e8ee280336b88fa98a9cbffa0563ab96f17ccf35b9a64ae2303c62d"
+        )
