@@ -26,7 +26,9 @@ The gate layer works in a frame rotated by a Hadamard on every qubit
 (Z -> X, X -> Z, Y -> -Y), where the entangling terms become XX/XY/YX and
 the driver is diagonal; ``rotated_full_hamiltonian`` builds that frame's
 generator and ``exact_evolution`` integrates it as a trotter-free reference,
-building H_f, sum_i Z_i and C once per call and recombining them per slice.
+building H_f, sum_i Z_i and C once per call, recombining them per slice and
+exponentiating each slice through ``numpy.linalg.eigh`` of the Hermitian
+H'(t), so the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .paulis import HADAMARD, commutator, hs_norm_sq, kron_all, pauli_on
 from .problem import CapabilityError, IsingProblem
@@ -330,7 +331,9 @@ def exact_evolution(
     Ordered product of exp(-i H'(t_k) dt) over a midpoint grid of
     ``steps`` slices.  Later factors multiply on the left.  H_f',
     sum_i Z_i, C and the coupling sums of alpha_1 are built once and
-    recombined for each slice.
+    recombined for each slice.  Each factor comes from the eigenpairs
+    of the Hermitian H'(t_k) = V diag(w) V^dagger and is applied to the
+    running product U as V diag(e^{-i w dt}) (V^dagger U).
     """
     if problem.n_qubits > 10:
         raise CapabilityError("exact_evolution capped at 10 qubits")
@@ -339,5 +342,6 @@ def exact_evolution(
     times = ((k + 0.5) * dt for k in range(steps))
     U = np.eye(2**problem.n_qubits, dtype=complex)
     for c in _coefficients(problem, schedule, times):
-        U = expm(-1j * dt * _hamiltonian(c, operators)) @ U
+        w, v = np.linalg.eigh(_hamiltonian(c, operators))
+        U = (v * np.exp(-1j * dt * w)) @ (v.conj().T @ U)
     return U

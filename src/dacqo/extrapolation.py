@@ -5,6 +5,11 @@ Models the minimum analog-block fidelity needed at size N as
     f(N) = L + (K - L) * exp(-decay_rate * N),    L fixed at 1,
 
 i.e. the requirement decays toward perfect fidelity as systems grow.
+Invalid points raise ``ValueError`` before the fit; data that admits no
+fit (every N equal) raises ``numpy.linalg.LinAlgError``, and a fit that
+does not converge raises ``RuntimeError``.  scipy's ``curve_fit`` is
+imported only when a fit runs, so importing this module does not load
+scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 __all__ = ["ExtrapolationFit", "fit_extrapolation"]
 
@@ -35,16 +39,20 @@ def fit_extrapolation(points) -> ExtrapolationFit:
         raise ValueError("need at least 3 points")
     ns = np.array([p[0] for p in pts])
     fs = np.array([p[1] for p in pts])
-    if np.all(ns == ns[0]):
-        raise ValueError("degenerate fit: all N equal")
+    if not (np.isfinite(ns).all() and np.isfinite(fs).all()):
+        raise ValueError("N and required fidelity must be finite")
     if np.any((fs <= 0) | (fs > 1)):
         raise ValueError("required fidelities must lie in (0, 1]")
+    if np.all(ns == ns[0]):
+        raise np.linalg.LinAlgError("degenerate fit: all N equal")
 
     def model(n, K, rate):
         return 1.0 + (K - 1.0) * np.exp(-rate * n)
 
     if np.allclose(fs, 1.0):
         return ExtrapolationFit(L=1.0, K=1.0, decay_rate=0.0, residual=0.0)
+    from scipy.optimize import curve_fit
+
     k0 = float(fs[np.argmin(ns)])
     (K, rate), _ = curve_fit(
         model, ns, fs, p0=(k0, 0.1), maxfev=20000

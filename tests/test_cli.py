@@ -454,3 +454,30 @@ class TestFit:
         self._write_points(src, [(8, 0.9), (8, 0.92), (8, 0.95)])
         result = runner.invoke(main, ["fit", "--input", str(src)])
         assert result.exit_code == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("rows,message", [
+        ([(4, 0.9), (8, 0.95)], "at least 3 points"),
+        ([(4, 0.9), ("nan", 0.95), (12, 0.99)], "finite"),
+        ([(4, 0.9), ("inf", 0.95), (12, 0.99)], "finite"),
+        ([(4, 0.9), (8, "nan"), (12, 0.99)], "finite"),
+        ([(4, 0.9), (8, "inf"), (12, 0.99)], "finite"),
+        ([(4, 0.9), (8, 1.5), (12, 0.99)], "(0, 1]"),
+    ], ids=["two-rows", "nan-n", "inf-n", "nan-fidelity", "inf-fidelity",
+            "fidelity-above-1"])
+    def test_invalid_points_exit_2(self, runner, tmp_path, rows, message):
+        src = tmp_path / "points.csv"
+        self._write_points(src, rows)
+        result = runner.invoke(main, ["fit", "--input", str(src)])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert message in result.output
+
+    def test_fit_that_does_not_converge_exits_4(self, runner, tmp_path,
+                                                monkeypatch):
+        def no_convergence(points):
+            raise RuntimeError("Optimal parameters not found")
+
+        monkeypatch.setattr(dacqo.cli, "fit_extrapolation", no_convergence)
+        src = tmp_path / "points.csv"
+        self._write_points(src, [(4, 0.9), (8, 0.95), (12, 0.99)])
+        result = runner.invoke(main, ["fit", "--input", str(src)])
+        assert result.exit_code == EXIT_NUMERICAL, result.output

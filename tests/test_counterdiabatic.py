@@ -242,6 +242,24 @@ class TestExactEvolution:
         off = U - np.diag(np.diag(U))
         assert np.abs(off).max() < 1e-9
 
+    @pytest.mark.parametrize("n,mode", [
+        (4, "homogeneous"), (6, "fully_nonuniform"),
+    ])
+    def test_matches_expm_product(self, n, mode):
+        # an independent propagator: scipy's expm of each slice's H'(t)
+        # at the same midpoints, multiplied on the left
+        from scipy.linalg import expm
+
+        p = random_spin_glass(n, 3, mode)
+        sch = Schedule(1.0, 10)
+        slices = 100
+        dt = sch.total_time / slices
+        ref = np.eye(2**n, dtype=complex)
+        for k in range(slices):
+            H = rotated_full_hamiltonian(p, sch, (k + 0.5) * dt)
+            ref = expm(-1j * dt * H) @ ref
+        assert np.abs(exact_evolution(p, sch, slices) - ref).max() <= 1e-12
+
 
 class TestCoefficients:
     """(lambda, lambda_dot, alpha_1) come from one rule for every consumer."""

@@ -56,3 +56,15 @@ class TestValidation:
             fit_extrapolation([(4, 0.9), (8, 1.2), (12, 0.99)])
         with pytest.raises(ValueError):
             fit_extrapolation([(4, 0.9), (8, -0.1), (12, 0.99)])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            fit_extrapolation([(4, 0.9), (bad, 0.95), (12, 0.99)])
+        with pytest.raises(ValueError, match="finite"):
+            fit_extrapolation([(4, 0.9), (8, bad), (12, 0.99)])
+
+    def test_all_equal_sizes_is_a_numerical_failure(self):
+        # the data is valid but admits no fit; still a ValueError subclass
+        with pytest.raises(np.linalg.LinAlgError):
+            fit_extrapolation([(4, 0.9), (4, 0.95), (4, 0.99)])
