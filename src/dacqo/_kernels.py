@@ -5,9 +5,9 @@ Applies a dense 2^k x 2^k unitary along the axes of k chosen qubits of a
 stacked (m, 2^k, 2^k) unitary applies a different matrix to each column,
 which is how one noisy trajectory per column gets its own perturbed gate.
 A shared unitary on one ascending run of qubits is one broadcast matmul
-on a reshaped view; every other case goes through ``tensordot`` and a
-transpose.  Qubit order follows ``dacqo.paulis``: qubit 0 is the most
-significant bit.
+on a reshaped view; every other case permutes the gate's qubit axes to
+the front, runs one matmul and permutes them back.  Qubit order follows
+``dacqo.paulis``: qubit 0 is the most significant bit.
 """
 
 from __future__ import annotations
@@ -24,34 +24,33 @@ def apply_unitary(state: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarra
     is not modified.
     """
     k = len(qubits)
+    q0 = qubits[0]
+    rest = state.size >> (q0 + k)
+    # on one ascending run of qubits the state is a (2^q0, 2^k, rest)
+    # array, and one broadcast matmul applies a shared u without
+    # transposes.  numpy runs one small gemm per leading index, which pays
+    # off for at most 64 of them or for trailing extents of at least 64
+    if u.ndim == 2 and tuple(qubits) == tuple(range(q0, q0 + k)) and (
+        2**q0 <= 64 or rest >= 64
+    ):
+        psi = np.matmul(u, state.reshape(2**q0, 2**k, rest))
+        return psi.reshape(state.shape)
+    others = tuple(q for q in range(n) if q not in qubits)
     if u.ndim == 2:
-        q0 = qubits[0]
-        rest = state.size >> (q0 + k)
-        # on one ascending run of qubits the state is a (2^q0, 2^k, rest)
-        # array, and one broadcast matmul applies u without transposes.
-        # numpy runs one small gemm per leading index, which pays off for
-        # at most 64 of them or for trailing extents of at least 64
-        if tuple(qubits) == tuple(range(q0, q0 + k)) and (
-            2**q0 <= 64 or rest >= 64
-        ):
-            psi = np.matmul(u, state.reshape(2**q0, 2**k, rest))
-            return psi.reshape(state.shape)
-        psi = state.reshape((2,) * n + state.shape[1:])
-        u_t = u.reshape((2,) * (2 * k))
-        psi = np.tensordot(u_t, psi, axes=(range(k, 2 * k), qubits))
-        psi = np.moveaxis(psi, range(k), qubits)
-        return np.ascontiguousarray(psi).reshape(state.shape)
-    psi = state.reshape((2,) * n + state.shape[1:])
-    if state.ndim != 2 or u.shape[0] != state.shape[1]:
-        raise ValueError("a stacked unitary needs one matrix per state column")
-    m = state.shape[1]
-    # column axis first, then the gate's qubits, then the others: each
-    # column becomes a (2^k, 2^(n-k)) block for its own matrix
-    order = (n, *qubits, *(q for q in range(n) if q not in qubits))
-    psi = np.matmul(u, psi.transpose(order).reshape(m, 2**k, -1))
-    return psi.reshape((m,) + (2,) * n).transpose(np.argsort(order)).reshape(
-        state.shape
-    )
+        # the gate's qubits first, then the others and the column axis:
+        # the whole state is one (2^k, 2^(n-k) m) block
+        order = (*qubits, *others, *range(n, state.ndim + n - 1))
+        shape = (2**k, -1)
+    else:
+        if state.ndim != 2 or u.shape[0] != state.shape[1]:
+            raise ValueError("a stacked unitary needs one matrix per state column")
+        # column axis first: each column is a (2^k, 2^(n-k)) block for
+        # its own matrix
+        order = (n, *qubits, *others)
+        shape = (state.shape[1], 2**k, -1)
+    psi = state.reshape((2,) * n + state.shape[1:]).transpose(order)
+    out = np.matmul(u, psi.reshape(shape)).reshape(psi.shape)
+    return out.transpose(np.argsort(order)).reshape(state.shape)
 
 
 def backend_name() -> str:

@@ -153,6 +153,8 @@ _schedule_options = _options(
 
 
 def _get_problem(cfg) -> IsingProblem:
+    if cfg["problem_file"] and cfg["graph_file"]:
+        raise ValueError("give --problem-file or --graph-file, not both")
     if cfg["problem_file"]:
         return IsingProblem.from_json(Path(cfg["problem_file"]).read_text())
     if cfg["graph_file"]:
@@ -192,7 +194,13 @@ def main():
     # Freezing them takes them out of the collector's count of long-lived
     # objects, which sets when a full collection runs; otherwise the size
     # of the import heap decides whether a command pays a 30 ms gen-2
-    # pass partway through.
+    # pass partway through.  Only the first command of a process freezes:
+    # later ones would also freeze the garbage of the commands before.
+    _freeze_import_heap()
+
+
+@functools.cache
+def _freeze_import_heap() -> None:
     gc.freeze()
 
 

@@ -216,31 +216,28 @@ def _coupling_sums(problem: IsingProblem):
     return sh2, sh4, sJ2, sJ4, shJ, s3
 
 
-def _denominator(sums: tuple, lam: float) -> float:
+def _gammas(sums: tuple, lam: float) -> tuple:
+    """(Gamma_1, Gamma_2) from the coupling sums of a problem."""
     sh2, sh4, sJ2, sJ4, shJ, s3 = sums
-    return (1 - lam) ** 2 * (sh2 + 8 * sJ2) + lam**2 * (
-        sh4 + 2 * sJ4 + 6 * shJ + 6 * s3
-    )
+    g1 = 4 * sh2 + 8 * sJ2
+    g2 = 16.0 * ((1 - lam) ** 2 * (sh2 + 8 * sJ2)
+                 + lam**2 * (sh4 + 2 * sJ4 + 6 * shJ + 6 * s3))
+    return g1, g2
 
 
 def gamma_closed_forms(problem: IsingProblem, lam: float) -> tuple:
     """(Gamma_1, Gamma_2) from the closed-form coefficient sums."""
-    sums = _coupling_sums(problem)
-    sh2, _, sJ2, _, _, _ = sums
-    g1 = 4 * sh2 + 8 * sJ2
-    g2 = 16.0 * _denominator(sums, lam)
-    return g1, g2
+    return _gammas(_coupling_sums(problem), lam)
 
 
 def _alpha1(sums: tuple, lambda_value: float) -> float:
     """alpha_1 = -Gamma_1/Gamma_2 from the coupling sums of a problem."""
-    sh2, _, sJ2, _, _, _ = sums
-    R = _denominator(sums, lambda_value)
-    if R == 0.0:
+    g1, g2 = _gammas(sums, lambda_value)
+    if g2 == 0.0:
         raise ZeroDivisionError(
             "alpha_1 denominator vanished (all-zero problem?)"
         )
-    return -0.25 * (sh2 + 2 * sJ2) / R
+    return -g1 / g2
 
 
 def alpha1_analytic(problem: IsingProblem, lambda_value: float) -> float:

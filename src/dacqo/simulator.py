@@ -215,10 +215,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     n = circuit.width
     if n > 12:
         raise CapabilityError("dense circuit unitary capped at 12 qubits")
-    u = np.eye(2**n, dtype=np.complex128)
-    for gate in circuit.gates():
-        u = _kernels.apply_unitary(u, gate_unitary(gate), gate.qubits, n)
-    return u
+    return _compose(circuit.gates(), n)
 
 
 def trotter_reference_unitary(
@@ -236,31 +233,32 @@ def trotter_reference_unitary(
     n = problem.n_qubits
     if n > 10:
         raise CapabilityError("reference product capped at 10 qubits")
-    u = np.eye(2**n, dtype=np.complex128)
-
-    def mul(gate):
-        nonlocal u
-        u = _kernels.apply_unitary(u, gate_unitary(gate), gate.qubits, n)
-
     pair = next(iter(problem.couplings), None)
     if pair is not None:
         primary, supplementary, coverage = coverage_plan(n, block_size)
         needed = correction_weights(coverage)
         rounds = schedule_pairs(needed, n)
+
+    gates = []
     for ang in trotter_angles(problem, schedule):
         a, b = (ang.xx[pair], ang.xy[pair]) if pair is not None else (0.0, 0.0)
         if abs(a) >= _EPS or abs(b) >= _EPS:
             for block in primary + supplementary:
-                for gate in solve_gms_angles(a, b, block):
-                    mul(gate)
+                gates += solve_gms_angles(a, b, block)
             for rnd in rounds:
                 for p in rnd:
-                    for gate in solve_gms_angles(needed[p] * a, needed[p] * b, p):
-                        mul(gate)
+                    gates += solve_gms_angles(needed[p] * a, needed[p] * b, p)
         for axis, theta in (("x", ang.x[0]), ("z", ang.z), ("y", ang.y[0])):
             if abs(theta) >= _EPS:
-                for q in range(n):
-                    mul(Gate("1q", (q,), theta=theta, axis=axis))
+                gates += (Gate("1q", (q,), theta=theta, axis=axis) for q in range(n))
+    return _compose(gates, n)
+
+
+def _compose(gates, n: int) -> np.ndarray:
+    """Dense product of ``gates`` on n qubits, the first gate applied first."""
+    u = np.eye(2**n, dtype=np.complex128)
+    for gate in gates:
+        u = _kernels.apply_unitary(u, gate_unitary(gate), gate.qubits, n)
     return u
 
 

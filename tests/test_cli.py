@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -304,6 +305,24 @@ class TestInvalidInputExits2:
         assert result.exit_code == EXIT_CONFIG, result.output
         assert isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("command", ["solve", "emit-circuit"])
+    def test_problem_and_graph_file_together(self, runner, tmp_path, command):
+        from dacqo.problem import random_graph, random_spin_glass
+
+        pf = self._problem_file(tmp_path, random_spin_glass(4, 1).to_json())
+        gf = tmp_path / "graph.json"
+        gf.write_text(random_graph(6, 0).to_json())
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            command, "--problem-file", pf, "--graph-file", str(gf),
+            "--steps", "1", "--output", str(out),
+        ])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "--problem-file" in result.output
+        assert "--graph-file" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,option,text", [
         ("scaling", "--hardware-file", "[]"),
         ("scaling", "--hardware-file", '{"t_M_us": "abc"}'),
@@ -337,6 +356,19 @@ class TestInvalidInputExits2:
         result = runner.invoke(main, args)
         assert result.exit_code == EXIT_CONFIG, result.output
         assert isinstance(result.exception, SystemExit)
+
+
+class TestInProcessCommands:
+    def test_import_heap_is_frozen_once_per_process(self, runner):
+        # a later command must not freeze the garbage of the earlier ones
+        counts = []
+        for _ in range(10):
+            result = runner.invoke(main, [
+                "solve", "--n", "4", "--steps", "2", "--trajectories", "2",
+            ])
+            assert result.exit_code == 0, result.output
+            counts.append(gc.get_freeze_count())
+        assert counts[-1] <= counts[0]
 
 
 class TestConfigFile:

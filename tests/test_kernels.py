@@ -75,6 +75,13 @@ class TestNumpyKernel:
         (9, qubits, m)
         for qubits in ((0,), (0, 1, 2), (8,), (6, 7, 8))
         for m in (1, 4, 16, 64)
+    ] + [
+        # trajectory-chunk shapes of a 14-qubit solve that take the
+        # permute branch
+        (14, (10,), 4),
+        (14, (13,), 4),
+        (14, (3, 11), 4),
+        (14, (12, 13), 4),
     ])
     def test_matrix_matches_column_loop(self, n, qubits, m):
         rng = np.random.default_rng(n)
@@ -98,6 +105,7 @@ class TestNumpyKernel:
         (4, (3, 1), 5),
         (5, (0, 1, 2, 3, 4), 4),
         (6, (4, 0, 2), 2),
+        (14, (10, 11, 12, 13), 4),
     ])
     def test_stacked_unitary_matches_column_loop(self, n, qubits, m):
         # u[b] acts on column b alone
