@@ -236,6 +236,7 @@ def cmd_solve(**cfg):
         "gms_fidelity": result.gms_fidelity,
         "stderr": result.stderr,
         "trajectories": result.trajectories,
+        "kernel_applications": result.kernel_applications,
         "depth": circuit.depth_report().total,
         "synthesis_path": path,
         "block_size": k,
@@ -313,9 +314,13 @@ def cmd_fidelity_sweep(**cfg):
 @_guarded
 def cmd_scaling(**cfg):
     """Analytic runtime scaling plus MIS enhancement factors."""
+    max_n = cfg["max_n"]
+    if cfg["n_step"] < 1:
+        raise ValueError(f"--n-step must be >= 1, got {cfg['n_step']}")
+    if max_n < 8:
+        raise ValueError(f"--max-n must be >= 8, the table's first N; got {max_n}")
     spec = HardwareSpec() if cfg["hardware_file"] is None else \
         HardwareSpec.from_json(Path(cfg["hardware_file"]).read_text())
-    max_n = cfg["max_n"]
     steps = cfg["steps"]
     sizes = list(range(8, max_n + 1, cfg["n_step"]))
     if sizes and sizes[-1] != max_n:

@@ -108,8 +108,10 @@ class Schedule:
     lam_dot: Callable = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.total_time <= 0:
-            raise ValueError("total_time must be positive")
+        if not (math.isfinite(self.total_time) and self.total_time > 0):
+            raise ValueError(
+                f"total_time must be finite and positive, got {self.total_time}"
+            )
         if self.trotter_steps < 1:
             raise ValueError("trotter_steps must be >= 1")
         if self.lam is None:

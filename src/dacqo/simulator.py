@@ -15,17 +15,35 @@ in the X basis (a Hadamard on every qubit before measuring), where the
 problem Hamiltonian is diagonal.
 
 Trajectories run in chunks: a chunk holds its trajectories as the columns
-of one (2^n, B) state matrix and applies each gate once to all of them.
-A perturbed GMS block is a stacked (B, d, d) unitary, one perturbation
-per column, drawn and projected in one batch (``_polar``: scaled
-Newton-Schulz matmuls, or LAPACK's SVD where that is faster, with the
-same draws either way).  A Pauli error rewrites only the columns it hit.
+of one (2^n, B) state matrix.  Each gate gets one operator for the whole
+chunk.  A perturbed GMS block is a stacked (B, d, d) unitary, one
+perturbation per column, drawn and projected in one batch (``_polar``:
+scaled Newton-Schulz matmuls, or LAPACK's SVD where that is faster, with
+the same draws either way).  A Pauli error is folded into the operator
+of the gate it follows: for each hit column b, v_b becomes P v_b, with P
+on the hit qubit's position in the gate, which makes a shared unitary a
+stacked one.  The draws follow the gates in circuit order, so every
+error site of the per-gate model is kept.
+
+The operators are then applied in fused groups (``_Fuser``; gate fusion
+as in qsim, Isakov et al. 2021).  A gate joins the open groups it
+touches while their qubits and its own number at most w, the circuit's
+widest gate; otherwise those groups are applied to the state and the
+gate opens a new one.  Open groups are disjoint, so they commute.  A
+group's product is composed with the state kernel on its (2^s, 2^s)
+matrix, or on its stacked columns, and applied to the state in one
+kernel call; the measurement's Hadamards join the same stream.  Fusion
+is on only when a group's 4^w entries are fewer than the state's 2^n
+amplitudes; otherwise (N=4 with 4-qubit blocks, say) every group is one
+gate.  ``RunResult.kernel_applications`` counts the calls on the state.
+
 A chunk holds at most ``_CHUNK_ENTRIES`` state amplitudes, and at most as
-many entries of a stacked block unitary, so memory stays bounded at any
-width.  The noise seed is split with ``SeedSequence(seed).spawn`` into
-one generator per chunk, so a seed gives the same result on every run.
-``run`` keeps the ideal gate unitaries of the circuit it ran last, so a
-sweep over noise amplitudes builds them once.
+many entries of a stacked operator (a perturbed block, or with p > 0
+any gate), so memory stays bounded at any width.  The noise seed is
+split with ``SeedSequence(seed).spawn`` into one generator per chunk, so
+a seed gives the same result on every run.  ``run`` keeps the ideal gate
+unitaries of the circuit it ran last, so a sweep over noise amplitudes
+builds them once.
 """
 
 from __future__ import annotations
@@ -112,6 +130,8 @@ class RunResult:
     gms_fidelity: float
     trajectories: int
     stderr: float = 0.0
+    # state-kernel calls, summed over chunks (fused groups and Hadamards)
+    kernel_applications: int = 0
 
 
 def perturb_analog_block(
@@ -203,10 +223,15 @@ def optimal_state_indices(problem: IsingProblem, truth: GroundTruth = None):
     return np.sort((spins == -1) @ _bit_weights(n)), truth
 
 
-def _measure_success(state: np.ndarray, n: int, indices: np.ndarray) -> np.ndarray:
-    """Success probability of each column of a (2^n, B) state matrix."""
-    for q in range(n):
-        state = _kernels.apply_unitary(state, HADAMARD, (q,), n)
+def _measure_success(fuser: _Fuser, indices: np.ndarray) -> np.ndarray:
+    """Success probability of each column of the fuser's state matrix.
+
+    The Hadamards that turn the X basis into the computational one join
+    the fuser's stream, then every open group is applied.
+    """
+    for q in range(fuser.n):
+        fuser.add(HADAMARD, (q,))
+    state = fuser.finish()
     return np.sum(np.abs(state[indices]) ** 2, axis=0)
 
 
@@ -215,7 +240,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     n = circuit.width
     if n > 12:
         raise CapabilityError("dense circuit unitary capped at 12 qubits")
-    return _compose(circuit.gates(), n)
+    return _product(((gate_unitary(g), g.qubits) for g in circuit.gates()), range(n))
 
 
 def trotter_reference_unitary(
@@ -251,15 +276,25 @@ def trotter_reference_unitary(
         for axis, theta in (("x", ang.x[0]), ("z", ang.z), ("y", ang.y[0])):
             if abs(theta) >= _EPS:
                 gates += (Gate("1q", (q,), theta=theta, axis=axis) for q in range(n))
-    return _compose(gates, n)
+    return _product(((gate_unitary(g), g.qubits) for g in gates), range(n))
 
 
-def _compose(gates, n: int) -> np.ndarray:
-    """Dense product of ``gates`` on n qubits, the first gate applied first."""
-    u = np.eye(2**n, dtype=np.complex128)
-    for gate in gates:
-        u = _kernels.apply_unitary(u, gate_unitary(gate), gate.qubits, n)
-    return u
+def _product(ops, qubits) -> np.ndarray:
+    """Dense product of the (operator, qubits) pairs ``ops`` on ``qubits``.
+
+    The first operator is applied first.  Returns a (2^s, 2^s) matrix
+    for s qubits, or a (B, 2^s, 2^s) stack once an operator is a stacked
+    (B, d, d) one.
+    """
+    position = {q: i for i, q in enumerate(qubits)}
+    s = len(position)
+    d = 2**s
+    m = np.eye(d, dtype=np.complex128)
+    for op, on in ops:
+        if op.ndim == 3 and m.ndim == 2:
+            m = np.broadcast_to(m[:, None, :], (d, len(op), d))
+        m = _kernels.apply_unitary(m, op, [position[q] for q in on], s)
+    return m if m.ndim == 2 else m.transpose(1, 0, 2)
 
 
 _PAULI_OPS = np.stack([PAULI["X"], PAULI["Y"], PAULI["Z"]])
@@ -277,6 +312,87 @@ def _ideal_unitaries(circuit: Circuit) -> tuple:
     for u in ideal:
         u.flags.writeable = False
     return gates, ideal
+
+
+def _fold_pauli_errors(v: np.ndarray, draws: np.ndarray, p: float) -> np.ndarray:
+    """Gate operator ``v`` followed by the Pauli errors that ``draws`` hit.
+
+    ``draws`` holds one uniform draw per gate qubit (row j for the gate's
+    qubit j) and trajectory; a draw below p hits with X, Y or Z, by which
+    third of [0, p) it falls in.  For each hit column b, v_b becomes
+    P_j v_b, so a shared (d, d) ``v`` becomes a (B, d, d) stack.
+    """
+    hits = draws < p
+    if not hits.any():
+        return v
+    if v.ndim == 2:
+        v = np.repeat(v[None], draws.shape[1], axis=0)
+    for j in np.flatnonzero(hits.any(axis=1)):
+        hit = np.flatnonzero(hits[j])
+        ops = _PAULI_OPS[(draws[j, hit] / p * 3).astype(int) % 3]
+        # the hit matrices as (d, h, d) columns; P acts on their bit j
+        cols = v[hit].transpose(1, 0, 2)
+        v[hit] = _kernels.apply_unitary(cols, ops, (int(j),), len(draws)).transpose(1, 0, 2)
+    return v
+
+
+class _Fuser:
+    """Applies a stream of gates to a (2^n, B) state matrix in fused groups.
+
+    An open group holds the operators, shared (d, d) or stacked (B, d, d),
+    of gates whose qubits together number at most ``limit``.  A gate joins
+    the open groups it touches when their qubits and its own stay within
+    the limit; otherwise those groups are applied to the state and the
+    gate opens a group of its own, or is applied at once if it is wider
+    than the limit.  Open groups are disjoint, so they commute and can be
+    applied in any order.  A group's product is formed with the state
+    kernel on its (2^s, 2^s) matrix, or on its stacked (2^s, B, 2^s)
+    columns, and applied to the state in one more call.
+    """
+
+    def __init__(self, state: np.ndarray, limit: int):
+        self.state = state
+        self.n = state.shape[0].bit_length() - 1
+        self.limit = limit
+        self.groups = []  # (qubits, [(operator, gate qubits), ...])
+        self.applications = 0
+
+    def add(self, op: np.ndarray, qubits: tuple) -> None:
+        touched, rest = [], []
+        for group in self.groups:
+            (rest if group[0].isdisjoint(qubits) else touched).append(group)
+        self.groups = rest
+        if len(qubits) <= self.limit:
+            union = frozenset(qubits).union(*(g[0] for g in touched))
+            if len(union) <= self.limit:
+                ops = [o for g in touched for o in g[1]]
+                rest.append((union, ops + [(op, qubits)]))
+                return
+        for group in touched:
+            self._flush(group)
+        if len(qubits) <= self.limit:
+            rest.append((frozenset(qubits), [(op, qubits)]))
+        else:
+            self._apply(op, qubits)  # no group can hold it
+
+    def finish(self) -> np.ndarray:
+        """Apply every open group and return the state."""
+        for group in self.groups:
+            self._flush(group)
+        self.groups = []
+        return self.state
+
+    def _flush(self, group) -> None:
+        union, ops = group
+        if len(ops) == 1:
+            self._apply(*ops[0])
+        else:
+            qubits = tuple(sorted(union))
+            self._apply(_product(ops, qubits), qubits)
+
+    def _apply(self, u: np.ndarray, qubits: tuple) -> None:
+        self.state = _kernels.apply_unitary(self.state, u, qubits, self.n)
+        self.applications += 1
 
 
 def run(
@@ -300,34 +416,38 @@ def run(
     c = noise.analog_noise_amplitude
     p = noise.depolarizing_rate
     analog = [c > 0 and g.kind in ("gms", "gms_dag") for g in gates]
-    block_entries = max((u.size for u, a in zip(ideal, analog) if a), default=1)
+    # a perturbed block, and any gate a Pauli error hits, is stacked
+    block_entries = max(
+        (u.size for u, a in zip(ideal, analog) if a or p > 0), default=1
+    )
     width = max(1, _CHUNK_ENTRIES // max(2**n, block_entries))
+    widest = max((len(g.qubits) for g in gates), default=1)
+    # a fused group is worth its composition only while its matrix is
+    # smaller than the state; otherwise each gate is applied on its own,
+    # in circuit order
+    limit = widest if 4**widest < 2**n else 0
     starts = range(0, trajectories, width)
     chunk_seeds = np.random.SeedSequence(noise.seed).spawn(len(starts))
     successes = np.empty(trajectories)
     fid_sum, fid_count = 0.0, 0
+    applications = 0
     for start, chunk_seed in zip(starts, chunk_seeds):
         rng = np.random.default_rng(chunk_seed)
         b = min(width, trajectories - start)
         state = np.zeros((2**n, b), dtype=np.complex128)
         state[-1] = 1.0  # |1...1>
+        fuser = _Fuser(state, limit)
         for g, u, perturbed in zip(gates, ideal, analog):
             v = u
             if perturbed:
                 v = perturb_analog_block(u, c, rng, b)
                 fid_sum += float(gate_fidelity(u, v).sum())
                 fid_count += b
-            state = _kernels.apply_unitary(state, v, g.qubits, n)
             if p > 0:
-                draws = rng.random((len(g.qubits), b))
-                for q, r in zip(g.qubits, draws):
-                    hit = np.flatnonzero(r < p)
-                    if hit.size:
-                        ops = _PAULI_OPS[(r[hit] / p * 3).astype(int) % 3]
-                        state[:, hit] = _kernels.apply_unitary(
-                            state[:, hit], ops, (q,), n
-                        )
-        successes[start:start + b] = _measure_success(state, n, indices)
+                v = _fold_pauli_errors(v, rng.random((len(g.qubits), b)), p)
+            fuser.add(v, g.qubits)
+        successes[start:start + b] = _measure_success(fuser, indices)
+        applications += fuser.applications
     mean = float(successes.mean())
     stderr = float(successes.std(ddof=1) / math.sqrt(trajectories)) if trajectories > 1 else 0.0
     fidelity = fid_sum / fid_count if fid_count else 1.0
@@ -336,6 +456,7 @@ def run(
         gms_fidelity=fidelity,
         trajectories=trajectories,
         stderr=stderr,
+        kernel_applications=applications,
     )
 
 

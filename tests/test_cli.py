@@ -32,6 +32,28 @@ class TestSolve:
         assert 0.0 <= report["success_probability"] <= 1.0
         assert report["depth"] > 0
 
+    def test_reports_kernel_applications(self, runner, monkeypatch):
+        from dacqo import _kernels
+
+        calls = []
+        apply_unitary = _kernels.apply_unitary
+
+        def counted(state, u, qubits, n):
+            calls.append(n)
+            return apply_unitary(state, u, qubits, n)
+
+        monkeypatch.setattr(_kernels, "apply_unitary", counted)
+        result = runner.invoke(main, [
+            "solve", "--n", "4", "--steps", "2", "--c", "0.05",
+            "--trajectories", "4",
+        ])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        keys = list(report)
+        assert keys.index("kernel_applications") == keys.index("trajectories") + 1
+        # at N=4 every gate is its own group: one state-kernel call per gate
+        assert report["kernel_applications"] == calls.count(4) > 0
+
     def test_problem_file(self, runner, tmp_path):
         from dacqo.problem import random_spin_glass
 
@@ -276,6 +298,33 @@ class TestInvalidInputExits2:
         result = runner.invoke(main, args + out)
         assert result.exit_code == EXIT_CONFIG, result.output
         assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("command", ["solve", "emit-circuit", "fidelity-sweep"])
+    @pytest.mark.parametrize("t", ["nan", "inf", "-1", "0"])
+    def test_total_time_must_be_finite_and_positive(self, runner, tmp_path,
+                                                    command, t):
+        result = runner.invoke(main, [
+            command, "--t", t, "--steps", "1",
+            "--output", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "total_time" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args,flag", [
+        (["--n-step", "0"], "--n-step"),
+        (["--n-step", "-1"], "--n-step"),
+        (["--max-n", "7"], "--max-n"),
+        (["--max-n", "-8"], "--max-n"),
+    ])
+    def test_scaling_range(self, runner, tmp_path, args, flag):
+        out = tmp_path / "scaling.csv"
+        result = runner.invoke(main, ["scaling", *args, "--output", str(out)])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert flag in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [
         '{"n": 2, "J": [[1, 1, 1.0]], "h": [0.0, 0.0]}',

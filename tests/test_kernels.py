@@ -121,6 +121,23 @@ class TestNumpyKernel:
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(mat, before)
 
+    @pytest.mark.parametrize("n,qubits,m,r", [
+        (2, (1,), 3, 4),
+        (3, (2, 0), 2, 8),
+        (4, (0, 1, 2, 3), 4, 16),
+    ])
+    def test_stacked_unitary_acts_on_each_column_block(self, n, qubits, m, r):
+        # on a (2^n, m, r) array u[b] acts on all r columns of state[:, b]
+        rng = np.random.default_rng(n + 40)
+        arr = rng.standard_normal((2**n, m, r)) + 1j * rng.standard_normal((2**n, m, r))
+        us = np.stack([_random_unitary(len(qubits), 7 * n + b) for b in range(m)])
+        out = _kernels.apply_unitary(arr, us, qubits, n)
+        assert out.shape == arr.shape
+        for b in range(m):
+            np.testing.assert_allclose(
+                out[:, b], _kernels.apply_unitary(arr[:, b], us[b], qubits, n),
+                rtol=0, atol=1e-13)
+
     def test_stacked_unitary_needs_one_matrix_per_column(self):
         us = np.stack([_random_unitary(1, b) for b in range(3)])
         with pytest.raises(ValueError):

@@ -396,3 +396,117 @@ class TestSweep:
         simulator.check_simulation_width(14)
         with pytest.raises(CapabilityError):
             simulator.check_simulation_width(15)
+
+
+def _per_gate_run(circuit, problem, noise, trajectories):
+    """``run`` without fusion: the kernel per gate, then Pauli rewrites of
+    the hit columns, from the same draws in the same order."""
+    n = circuit.width
+    gates = list(circuit.gates())
+    ideal = [gate_unitary(g) for g in gates]
+    c, p = noise.analog_noise_amplitude, noise.depolarizing_rate
+    analog = [c > 0 and g.kind != "1q" for g in gates]
+    entries = max((u.size for u, a in zip(ideal, analog) if a or p > 0), default=1)
+    width = max(1, simulator._CHUNK_ENTRIES // max(2**n, entries))
+    starts = range(0, trajectories, width)
+    seeds = np.random.SeedSequence(noise.seed).spawn(len(starts))
+    idx, _ = optimal_state_indices(problem)
+    successes, fid_sum, fid_count = [], 0.0, 0
+    for start, seed in zip(starts, seeds):
+        rng = np.random.default_rng(seed)
+        b = min(width, trajectories - start)
+        state = np.zeros((2**n, b), dtype=complex)
+        state[-1] = 1.0
+        for g, u, perturbed in zip(gates, ideal, analog):
+            v = u
+            if perturbed:
+                v = perturb_analog_block(u, c, rng, b)
+                fid_sum += float(gate_fidelity(u, v).sum())
+                fid_count += b
+            state = _kernels.apply_unitary(state, v, g.qubits, n)
+            if p > 0:
+                for q, r in zip(g.qubits, rng.random((len(g.qubits), b))):
+                    hit = np.flatnonzero(r < p)
+                    if hit.size:
+                        ops = np.stack([PAULI[a] for a in "XYZ"])[
+                            (r[hit] / p * 3).astype(int) % 3]
+                        state[:, hit] = _kernels.apply_unitary(
+                            state[:, hit], ops, (q,), n)
+        for q in range(n):
+            state = _kernels.apply_unitary(state, HADAMARD, (q,), n)
+        successes.extend(np.sum(np.abs(state[idx]) ** 2, axis=0))
+    successes = np.array(successes)
+    stderr = successes.std(ddof=1) / math.sqrt(trajectories) if trajectories > 1 else 0.0
+    return successes.mean(), stderr, fid_sum / fid_count if fid_count else 1.0
+
+
+def _counting_kernel(monkeypatch):
+    """Record the qubit count ``n`` of every state-kernel call."""
+    calls = []
+    apply_unitary = _kernels.apply_unitary
+
+    def counted(state, u, qubits, n):
+        calls.append(n)
+        return apply_unitary(state, u, qubits, n)
+
+    monkeypatch.setattr(_kernels, "apply_unitary", counted)
+    return calls
+
+
+class TestFusedGroups:
+    """``run`` applies each chunk's gates in fused groups."""
+
+    @pytest.mark.parametrize("n,mode,k,path,chunk_entries", [
+        (9, "fully_nonuniform", 4, "inhomogeneous", 2048),
+        (6, "mixed", 2, "digital", 256),
+    ])
+    @pytest.mark.parametrize("c,p", [(0.05, 0.05), (0.0, 0.05), (0.05, 0.0)])
+    def test_matches_per_gate_loop(self, monkeypatch, n, mode, k, path,
+                                   chunk_entries, c, p):
+        # 10 trajectories in chunks of 4, 4 and 2
+        monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", chunk_entries)
+        problem = random_spin_glass(n, 2, mode)
+        circuit = synthesize(problem, Schedule(1.0, 3), k, path)
+        noise = NoiseModel(c, p, seed=6)
+        res = run(circuit, problem, noise, trajectories=10)
+        mean, stderr, fidelity = _per_gate_run(circuit, problem, noise, 10)
+        widest = max(len(g.qubits) for g in circuit.gates())
+        assert 4**widest < 2**n  # fusion is on
+        assert res.trajectories == 10
+        assert res.gms_fidelity == fidelity
+        assert res.success_probability == pytest.approx(mean, rel=1e-12, abs=0)
+        assert res.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
+        # noise this strong hits gates in every chunk
+        assert p == 0 or not math.isclose(res.success_probability,
+                                          run(circuit, problem).success_probability)
+
+    def test_noiseless_matches_per_gate_loop(self):
+        problem = mis_to_ising(random_graph(10, 1))
+        circuit = synthesize(problem, Schedule(1.0, 3), 4)
+        res = run(circuit, problem)
+        mean, _, _ = _per_gate_run(circuit, problem, NoiseModel(), 1)
+        assert res.success_probability == pytest.approx(mean, rel=1e-12, abs=0)
+        assert res.stderr == 0.0 and res.gms_fidelity == 1.0
+
+    def test_one_group_per_gate_at_four_qubits(self, monkeypatch):
+        # 4^4 entries of a 4-qubit block exceed the 2^4 amplitudes
+        calls = _counting_kernel(monkeypatch)
+        p = _homogeneous_k4()
+        circuit = synthesize_homogeneous(p, Schedule(1.0, 3), 4)
+        res = run(circuit, p, NoiseModel(0.05, 0.0, seed=1), trajectories=8)
+        assert len(calls) == len(list(circuit.gates())) + 4
+        assert calls == [4] * len(calls)
+        assert res.kernel_applications == len(calls)
+
+    def test_fuses_at_the_width_cap(self, monkeypatch):
+        calls = _counting_kernel(monkeypatch)
+        problem = mis_to_ising(random_graph(14, 0))
+        circuit = synthesize(problem, Schedule(1.0, 2), 4)
+        res = run(circuit, problem, NoiseModel(0.05, 0.01, seed=2),
+                  trajectories=2)
+        gates = len(list(circuit.gates()))
+        state_calls = calls.count(14)
+        assert res.kernel_applications == state_calls
+        assert 0 < 4 * state_calls <= gates
+        # composing a group works on its own matrix, never the state
+        assert max(n for n in calls if n != 14) <= 4
