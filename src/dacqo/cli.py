@@ -12,7 +12,8 @@ Every command accepts ``--config file.json``, a JSON object keyed by the
 command's parameter names (``T`` for ``--t``, ``c_grid`` for
 ``--c-grid``).  It becomes click's default map: each value is parsed like
 the same text given as a flag, and a flag beats the file.  Each default is
-declared once, on its option.  The effective configuration, defaults
+declared once, on its option, and so is each range that only the CLI
+imposes (``--k``, ``--n-step``, ``--max-n``); the library checks the rest.  The effective configuration, defaults
 included, is the ``solve`` report's ``config`` and the body of every CSV's
 ``<name>.meta.json`` sidecar, and all randomness derives from one master
 seed so reruns are byte-identical.
@@ -73,6 +74,8 @@ EXIT_NUMERICAL = 4
 
 # depolarizing rate at which a 2-qubit gate has 99.5% fidelity
 TWO_QUBIT_995_RATE = 1.0 - 0.995**0.5
+# threshold_37pct is this fraction of the noiseless success probability
+THRESHOLD_FRACTION = 0.37
 
 
 def _guarded(fn):
@@ -148,7 +151,8 @@ _schedule_options = _options(
     click.option("--t", "T", type=float, default=1.0),
     _steps,
     click.option("--profile", default="sin2sin2"),
-    click.option("--k", type=int, default=4),
+    click.option("--k", type=click.IntRange(min=2), default=4,
+                 help="GMS block size, clamped to N (and to 6 on sign flips)"),
 )
 
 
@@ -179,6 +183,14 @@ def _write_csv(path, header, rows, sidecar: dict):
     meta["version"] = __version__
     with open(path.with_name(path.name + ".meta.json"), "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
+
+
+def _write_report(report: dict, output) -> None:
+    """Print ``report`` as JSON, and also write it to ``output`` if given."""
+    text = json.dumps(report, indent=2)
+    if output:
+        Path(output).write_text(text + "\n")
+    click.echo(text)
 
 
 def _parse_list(text, cast):
@@ -215,6 +227,8 @@ def _freeze_import_heap() -> None:
 @_guarded
 def cmd_solve(**cfg):
     """Run one instance end to end and report the outcome."""
+    if not (cfg["problem_file"] or cfg["graph_file"]):
+        check_simulation_width(cfg["n"])  # before N(N-1)/2 couplings are drawn
     problem = _get_problem(cfg)
     check_simulation_width(problem.n_qubits)
     schedule = _get_schedule(cfg)
@@ -227,7 +241,7 @@ def cmd_solve(**cfg):
     )
     truth = brute_force_ground_state(problem)
     result = run(circuit, problem, noise, cfg["trajectories"], truth=truth)
-    report = {
+    _write_report({
         "n_qubits": problem.n_qubits,
         "ground_energy": truth.energy,
         "ground_energy_with_offset": truth.energy + problem.offset,
@@ -241,11 +255,7 @@ def cmd_solve(**cfg):
         "synthesis_path": path,
         "block_size": k,
         "config": dict(sorted(cfg.items())),
-    }
-    text = json.dumps(report, indent=2)
-    if cfg["output"]:
-        Path(cfg["output"]).write_text(text + "\n")
-    click.echo(text)
+    }, cfg["output"])
 
 
 @main.command("fidelity-sweep")
@@ -257,7 +267,6 @@ def cmd_solve(**cfg):
 @_mode
 @_schedule_options
 @_trajectories
-@click.option("--threshold", type=float, default=0.37)
 @click.option("--output", default="fidelity_sweep.csv")
 @_guarded
 def cmd_fidelity_sweep(**cfg):
@@ -267,16 +276,13 @@ def cmd_fidelity_sweep(**cfg):
     if not sizes or not c_grid:
         raise ValueError("sizes and c_grid must be nonempty")
     check_simulation_width(max(sizes))
-    k = cfg["k"]
-    if k < 2:
-        raise ValueError(f"block size k must be >= 2, got {k}")
     seed = cfg["seed"]
     trajectories = cfg["trajectories"]
     schedule = _get_schedule(cfg)
     rows, plans = [], []
     for n in sizes:
         problem = random_spin_glass(n, seed, cfg["mode"])
-        path, block = synthesis_plan(problem, k)
+        path, block = synthesis_plan(problem, cfg["k"])
         plans.append({"N": n, "synthesis_path": path, "block_size": block})
         digital = synthesize_digital_baseline(problem, schedule)
         base = run(
@@ -286,12 +292,12 @@ def cmd_fidelity_sweep(**cfg):
             trajectories,
         ).success_probability
         sweep = success_vs_fidelity_sweep(
-            problem, schedule, k, c_grid, trajectories, seed=seed
+            problem, schedule, cfg["k"], c_grid, trajectories, seed=seed
         )
         ideal = max(s for _, s, _, c in sweep if c == 0.0) if 0.0 in c_grid \
             else sweep[-1][1]
         for fid, succ, _, _ in sweep:
-            rows.append((n, fid, succ, base, cfg["threshold"] * ideal))
+            rows.append((n, fid, succ, base, THRESHOLD_FRACTION * ideal))
     rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(
         cfg["output"],
@@ -305,8 +311,9 @@ def cmd_fidelity_sweep(**cfg):
 
 @main.command("scaling")
 @_config
-@click.option("--max-n", "max_n", type=int, default=100)
-@click.option("--n-step", "n_step", type=int, default=8)
+@click.option("--max-n", "max_n", type=click.IntRange(min=8), default=100,
+              help="last N of the table, which starts at N=8")
+@click.option("--n-step", "n_step", type=click.IntRange(min=1), default=8)
 @_steps
 @_seed
 @click.option("--hardware-file", type=_INPUT)
@@ -315,34 +322,19 @@ def cmd_fidelity_sweep(**cfg):
 def cmd_scaling(**cfg):
     """Analytic runtime scaling plus MIS enhancement factors."""
     max_n = cfg["max_n"]
-    if cfg["n_step"] < 1:
-        raise ValueError(f"--n-step must be >= 1, got {cfg['n_step']}")
-    if max_n < 8:
-        raise ValueError(f"--max-n must be >= 8, the table's first N; got {max_n}")
     spec = HardwareSpec() if cfg["hardware_file"] is None else \
         HardwareSpec.from_json(Path(cfg["hardware_file"]).read_text())
-    steps = cfg["steps"]
     sizes = list(range(8, max_n + 1, cfg["n_step"]))
-    if sizes and sizes[-1] != max_n:
+    if sizes[-1] != max_n:
         sizes.append(max_n)
-    rows = []
-    for n in sizes:
-        rows.append(
-            (
-                n,
-                analytic_runtime(n, steps, spec, "digital"),
-                analytic_runtime(n, steps, spec, "daqc_homog"),
-                analytic_runtime(n, steps, spec, "daqc_inhomog"),
-            )
-        )
+    paths = ("digital", "daqc_homog", "daqc_inhomog")
+    rows = [
+        (n, *(analytic_runtime(n, cfg["steps"], spec, p) for p in paths))
+        for n in sizes
+    ]
     out = cfg["output"]
     sidecar = {"command": "scaling", **cfg}
-    _write_csv(
-        out,
-        ["N", "runtime_digital", "runtime_daqc_homog", "runtime_daqc_inhomog"],
-        rows,
-        sidecar,
-    )
+    _write_csv(out, ["N", *(f"runtime_{p}" for p in paths)], rows, sidecar)
     # enhancement factors on 16-node MIS instances of the three classes
     enh_rows = []
     schedule = Schedule(total_time=1.0, trotter_steps=1)
@@ -409,17 +401,13 @@ def cmd_fit(input_file, output):
     except RuntimeError as e:  # curve_fit did not converge
         click.echo(f"numerical failure: {e}", err=True)
         sys.exit(EXIT_NUMERICAL)
-    report = {
+    _write_report({
         "L": fit.L,
         "K": fit.K,
         "decay_rate": fit.decay_rate,
         "residual": fit.residual,
         "prediction_n52": float(fit(52)),
-    }
-    text = json.dumps(report, indent=2)
-    if output:
-        Path(output).write_text(text + "\n")
-    click.echo(text)
+    }, output)
 
 
 if __name__ == "__main__":

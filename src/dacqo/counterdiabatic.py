@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -57,7 +58,7 @@ __all__ = [
     "driver_hamiltonian",
 ]
 
-_DENSE_CAP = 14
+_DENSE_CAP = 12
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +109,13 @@ class Schedule:
     lam_dot: Callable = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.total_time) and self.total_time > 0):
-            raise ValueError(
-                f"total_time must be finite and positive, got {self.total_time}"
-            )
-        if self.trotter_steps < 1:
-            raise ValueError("trotter_steps must be >= 1")
+        t, steps = self.total_time, self.trotter_steps
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) \
+                or not (math.isfinite(t) and t > 0):
+            raise ValueError(f"total_time must be finite and positive, got {t}")
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) \
+                or steps < 1:
+            raise ValueError(f"trotter_steps must be an integer >= 1, got {steps}")
         if self.lam is None:
             if self.profile not in _PROFILES:
                 raise ValueError(

@@ -114,6 +114,8 @@ def analytic_runtime(
                    (the cost model counts entangling rounds and the global
                    rotation layers only)
     """
+    if trotter_steps < 1:
+        raise ValueError(f"trotter_steps must be >= 1, got {trotter_steps}")
     if path == "digital":
         multi = 3 * (n - 1)
         single = 3

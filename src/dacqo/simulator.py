@@ -38,8 +38,10 @@ amplitudes; otherwise (N=4 with 4-qubit blocks, say) every group is one
 gate.  ``RunResult.kernel_applications`` counts the calls on the state.
 
 A chunk holds at most ``_CHUNK_ENTRIES`` state amplitudes, and at most as
-many entries of a stacked operator (a perturbed block, or with p > 0
-any gate), so memory stays bounded at any width.  The noise seed is
+many entries as a stacked operator of the widest gate (4^w), so memory
+stays bounded at any width; only a hand-built 1-qubit circuit with c > 0
+and more than 2^16 trajectories gets more chunks than a bound over the
+stacked gates alone would give.  The noise seed is
 split with ``SeedSequence(seed).spawn`` into one generator per chunk, so
 a seed gives the same result on every run.  ``run`` keeps the ideal gate
 unitaries of the circuit it ran last, so a sweep over noise amplitudes
@@ -416,12 +418,9 @@ def run(
     c = noise.analog_noise_amplitude
     p = noise.depolarizing_rate
     analog = [c > 0 and g.kind in ("gms", "gms_dag") for g in gates]
-    # a perturbed block, and any gate a Pauli error hits, is stacked
-    block_entries = max(
-        (u.size for u, a in zip(ideal, analog) if a or p > 0), default=1
-    )
-    width = max(1, _CHUNK_ENTRIES // max(2**n, block_entries))
     widest = max((len(g.qubits) for g in gates), default=1)
+    # the widest gate bounds the entries of a stacked operator
+    width = max(1, _CHUNK_ENTRIES // max(2**n, 4**widest))
     # a fused group is worth its composition only while its matrix is
     # smaller than the state; otherwise each gate is applied on its own,
     # in circuit order

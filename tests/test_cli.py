@@ -87,6 +87,12 @@ class TestSolve:
         result = runner.invoke(main, ["solve", "--n", "15", "--steps", "1"])
         assert result.exit_code == EXIT_CAPABILITY, result.output
 
+    def test_width_cap_checked_before_random_couplings(self, runner,
+                                                       monkeypatch):
+        monkeypatch.setattr(dacqo.cli, "random_spin_glass", _must_not_run)
+        result = runner.invoke(main, ["solve", "--n", "15", "--steps", "1"])
+        assert result.exit_code == EXIT_CAPABILITY, result.output
+
     def test_unknown_flag_exits_2(self, runner):
         result = runner.invoke(main, ["solve", "--frobnicate", "1"])
         assert result.exit_code == 2
@@ -280,24 +286,36 @@ class TestInvalidInputExits2:
         pf.write_text(text)
         return str(pf)
 
-    @pytest.mark.parametrize("args", [
-        ["solve", "--p", "2", "--n", "2", "--steps", "1"],
-        ["solve", "--n", "1", "--steps", "1"],
-        ["fidelity-sweep", "--trajectories", "0", "--steps", "1"],
-        ["emit-circuit", "--mode", "mixed", "--path", "homogeneous"],
-        ["fidelity-sweep", "--k", "0", "--steps", "1"],
-        ["fidelity-sweep", "--sizes", "4.7", "--steps", "1"],
-        ["solve", "--n", "3", "--c", "nan", "--steps", "1"],
-        ["solve", "--n", "3", "--c", "inf", "--steps", "1"],
-        ["fidelity-sweep", "--c-grid", "nan", "--steps", "1"],
+    @pytest.mark.parametrize("args,named", [
+        (["solve", "--p", "2", "--n", "2", "--steps", "1"], "p must lie"),
+        (["solve", "--n", "1", "--steps", "1"], "N=1"),
+        (["fidelity-sweep", "--trajectories", "0", "--steps", "1"],
+         "trajectories"),
+        (["emit-circuit", "--mode", "mixed", "--path", "homogeneous"],
+         "not homogeneous"),
+        (["fidelity-sweep", "--k", "0", "--steps", "1"], "'--k'"),
+        (["fidelity-sweep", "--sizes", "4.7", "--steps", "1"], "'4.7'"),
+        (["solve", "--n", "3", "--c", "nan", "--steps", "1"], "c must be"),
+        (["solve", "--n", "3", "--c", "inf", "--steps", "1"], "c must be"),
+        (["fidelity-sweep", "--c-grid", "nan", "--steps", "1"], "c must be"),
+        (["solve", "--k", "1", "--steps", "1"], "'--k'"),
+        (["emit-circuit", "--k", "0", "--steps", "1"], "'--k'"),
+        (["scaling", "--max-n", "8", "--steps", "0"], "trotter_steps"),
+        (["scaling", "--max-n", "8", "--steps", "-5"], "trotter_steps"),
+        (["fidelity-sweep", "--threshold", "0.5", "--steps", "1"],
+         "--threshold"),
     ], ids=["solve-p2", "solve-n1", "sweep-trajectories0",
             "emit-mixed-homogeneous", "sweep-k0", "sweep-fractional-size",
-            "solve-c-nan", "solve-c-inf", "sweep-c-nan"])
-    def test_flags(self, runner, tmp_path, args):
+            "solve-c-nan", "solve-c-inf", "sweep-c-nan", "solve-k1",
+            "emit-k0", "scaling-steps0", "scaling-steps-negative",
+            "sweep-threshold"])
+    def test_flags(self, runner, tmp_path, args, named):
         out = ["--output", str(tmp_path / "out")]
         result = runner.invoke(main, args + out)
         assert result.exit_code == EXIT_CONFIG, result.output
         assert isinstance(result.exception, SystemExit)
+        assert named in result.output
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["solve", "emit-circuit", "fidelity-sweep"])
     @pytest.mark.parametrize("t", ["nan", "inf", "-1", "0"])
@@ -381,10 +399,13 @@ class TestInvalidInputExits2:
         ("solve", "--config", '{"k": [4]}'),
         ("solve", "--config", '{"c": null}'),
         ("solve", "--config", '{"k": 4.5}'),
+        ("solve", "--config", '{"k": 1}'),
+        ("fidelity-sweep", "--config", '{"threshold": 0.37}'),
     ], ids=["hardware-not-an-object", "hardware-string-duration",
             "hardware-unknown-keys",
             "config-not-an-object", "config-unknown-key", "config-list",
-            "config-null", "config-fractional-int"])
+            "config-null", "config-fractional-int", "config-k1",
+            "config-threshold"])
     def test_hardware_and_config_files(self, runner, tmp_path, command,
                                        option, text):
         f = tmp_path / "in.json"

@@ -18,7 +18,12 @@ from dacqo.counterdiabatic import (
     rotated_full_hamiltonian,
 )
 from dacqo.paulis import pauli_on
-from dacqo.problem import IsingProblem, all_energies, random_spin_glass
+from dacqo.problem import (
+    CapabilityError,
+    IsingProblem,
+    all_energies,
+    random_spin_glass,
+)
 from dacqo.synthesis import synthesize
 
 
@@ -48,6 +53,37 @@ class TestSchedule:
     def test_unknown_profile(self):
         with pytest.raises(ValueError):
             Schedule(1.0, 1, profile="cubic")
+
+    @pytest.mark.parametrize("total_time,steps,field", [
+        (1.0, 2.5, "trotter_steps"),
+        (1.0, 2.0, "trotter_steps"),
+        (1.0, True, "trotter_steps"),
+        (1.0, "3", "trotter_steps"),
+        (1.0, 0, "trotter_steps"),
+        (True, 1, "total_time"),
+        ("1.0", 1, "total_time"),
+        (1j, 1, "total_time"),
+    ], ids=["fractional-steps", "float-steps", "bool-steps", "string-steps",
+            "zero-steps", "bool-time", "string-time", "complex-time"])
+    def test_rejects_bad_fields(self, total_time, steps, field):
+        with pytest.raises(ValueError, match=field):
+            Schedule(total_time, steps)
+
+    def test_accepts_numpy_scalars(self):
+        p = random_spin_glass(4, 0)
+        circuit = synthesize(p, Schedule(np.float64(1.5), np.int64(2)), 4)
+        assert circuit.to_json() == synthesize(p, Schedule(1.5, 2), 4).to_json()
+
+
+class TestDenseCap:
+    @pytest.mark.parametrize("build", [
+        problem_hamiltonian,
+        lambda p: cd_generator(p, 0.5),
+        lambda p: rotated_full_hamiltonian(p, Schedule(1.0, 1), 0.5),
+    ], ids=["problem_hamiltonian", "cd_generator", "rotated_full_hamiltonian"])
+    def test_dense_operators_capped_at_twelve_qubits(self, build):
+        with pytest.raises(CapabilityError, match="capped at 12"):
+            build(random_spin_glass(13, 0))
 
 
 class TestAdiabaticHamiltonian:

@@ -99,6 +99,12 @@ class TestAnalyticRuntime:
         with pytest.raises(ValueError):
             analytic_runtime(10, 1, path="acoustic")
 
+    @pytest.mark.parametrize("path", ["digital", "daqc_homog", "daqc_inhomog"])
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_rejects_fewer_than_one_step(self, path, steps):
+        with pytest.raises(ValueError, match="trotter_steps"):
+            analytic_runtime(8, steps, path=path)
+
 
 class TestEnhancementFactor:
     def test_small_homogeneous_instance(self):
