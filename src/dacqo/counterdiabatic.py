@@ -11,7 +11,10 @@ and the first-order approximate gauge potential adds a velocity term
     H(t) = H_ad + lambda_dot * 2 alpha_1 C,
     C = -(i/2) [H_f, sum_i X_i] = sum_i h_i Y_i + sum_{i<j} J_ij (Y_i Z_j + Z_i Y_j).
 
-C is formed as that commutator of dense operators, in either frame.
+C is formed as that commutator of dense operators, in either frame.  The
+operators H_f and sum_i X_i themselves are built by index arithmetic: each
+is a diagonal or a table of coefficients per bit-flip mask, never a sum of
+dense Pauli strings.
 
 ``alpha1_analytic`` evaluates the closed form obtained from the first two
 nested commutators O_1 = [H_ad, d_lambda H_ad], O_2 = [H_ad, O_1]:
@@ -41,8 +44,8 @@ from typing import Callable
 
 import numpy as np
 
-from .paulis import HADAMARD, commutator, hs_norm_sq, kron_all, pauli_on
-from .problem import CapabilityError, IsingProblem
+from .paulis import HADAMARD, _bit_weights, commutator, hs_norm_sq, kron_all
+from .problem import CapabilityError, IsingProblem, _spins, all_energies
 
 __all__ = [
     "Schedule",
@@ -138,26 +141,32 @@ class Schedule:
 # ---------------------------------------------------------------------------
 
 def _operators(problem: IsingProblem, rotated: bool = False) -> tuple:
-    """Dense (H_f, sum_i X_i) in one pass over couplings and fields.
+    """Dense (H_f, sum_i X_i), each built by one indexing step.
 
-    H_f is built from the letter Z and the transverse field from X, or X
-    and Z in the per-qubit Hadamard frame when ``rotated``.
+    Every term is a diagonal Z string or an X string, whose entry (r, c)
+    depends only on the flip mask r ^ c, so no Pauli string is formed.
+    In the original frame H_f is diag(``all_energies``) and sum_i X_i
+    has 1 at each single-bit mask w_i.  In the per-qubit Hadamard frame
+    (``rotated``) H_f' has J_ij at mask w_i | w_j and h_i at mask w_i,
+    and sum_i Z_i is the diagonal of the spin sums.
     """
     n = problem.n_qubits
     if n > _DENSE_CAP:
         raise CapabilityError(
             f"dense operators capped at {_DENSE_CAP} qubits, got {n}"
         )
-    zf, xd = ("X", "Z") if rotated else ("Z", "X")
-    Hf = np.zeros((2**n, 2**n), dtype=complex)
-    D = np.zeros_like(Hf)
-    for (i, j), v in problem.couplings.items():
-        Hf += v * pauli_on(n, {i: zf, j: zf})
-    for i, hi in enumerate(problem.fields):
-        if hi:
-            Hf += hi * pauli_on(n, {i: zf})
-        D += pauli_on(n, {i: xd})
-    return Hf, D
+    weights = _bit_weights(n)
+    b = np.arange(2**n)
+    flip = b[:, None] ^ b
+    if rotated:
+        coef = np.zeros(2**n, dtype=complex)
+        for (i, j), v in problem.couplings.items():
+            coef[weights[i] | weights[j]] = v
+        coef[weights] = problem.fields
+        return coef[flip], np.diag(_spins(b, n).sum(axis=1).astype(complex))
+    one = np.zeros(2**n, dtype=complex)
+    one[weights] = 1.0
+    return np.diag(all_energies(problem).astype(complex)), one[flip]
 
 
 def _with_cd(operators: tuple) -> tuple:
@@ -211,12 +220,17 @@ def _coupling_sums(problem: IsingProblem):
     shJ = sum(
         (h[i] ** 2 + h[j] ** 2) * v**2 for (i, j), v in problem.couplings.items()
     )
-    Jm = problem.coupling_matrix() if problem.couplings else None
     s3 = 0.0
-    if Jm is not None:
-        for i, j, k in itertools.combinations(range(problem.n_qubits), 3):
-            a, b, c = Jm[i, j], Jm[i, k], Jm[j, k]
-            s3 += a * a * b * b + a * a * c * c + b * b * c * c
+    if problem.couplings and problem.n_qubits >= 3:
+        Jm = problem.coupling_matrix()
+        i, j, k = np.array(
+            list(itertools.combinations(range(problem.n_qubits), 3))
+        ).T
+        a, b, c = Jm[i, j], Jm[i, k], Jm[j, k]
+        # accumulate adds left to right, as a loop would; np.sum pairs
+        # terms and moves the last bits of alpha_1
+        terms = a * a * b * b + a * a * c * c + b * b * c * c
+        s3 = np.add.accumulate(terms)[-1]
     return sh2, sh4, sJ2, sJ4, shJ, s3
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from dacqo.problem import (
     CapabilityError,
     IsingProblem,
     all_energies,
+    mis_to_ising,
+    random_graph,
     random_spin_glass,
 )
 from dacqo.synthesis import synthesize
@@ -95,9 +99,10 @@ class TestAdiabaticHamiltonian:
 
     def test_lambda_one_diagonal_energies(self):
         p = random_spin_glass(3, 0, "mixed")
-        H = adiabatic_hamiltonian(p, 1.0)
-        assert np.abs(H - np.diag(np.diag(H))).max() < 1e-14
-        np.testing.assert_allclose(np.diag(H).real, all_energies(p))
+        Hf = problem_hamiltonian(p)
+        assert np.array_equal(np.diag(Hf), all_energies(p))
+        assert not (Hf - np.diag(np.diag(Hf))).any()
+        assert np.array_equal(adiabatic_hamiltonian(p, 1.0), Hf)
 
     def test_single_qubit_eigenvalues(self):
         # 0.5 Z + 0.5 X has eigenvalues +-1/sqrt(2)
@@ -109,6 +114,45 @@ class TestAdiabaticHamiltonian:
         p = random_spin_glass(4, 1, "fully_nonuniform")
         H = adiabatic_hamiltonian(p, 0.37)
         assert np.abs(H - H.conj().T).max() < 1e-12
+
+
+class TestOperators:
+    """The index-arithmetic build of (H_f, sum X) against Pauli strings."""
+
+    @staticmethod
+    def _term_by_term(p, zf, xd):
+        n = p.n_qubits
+        Hf = np.zeros((2**n, 2**n), dtype=complex)
+        D = np.zeros_like(Hf)
+        for (i, j), v in p.couplings.items():
+            Hf += v * pauli_on(n, {i: zf, j: zf})
+        for i, hi in enumerate(p.fields):
+            Hf += hi * pauli_on(n, {i: zf})
+            D += pauli_on(n, {i: xd})
+        return Hf, D
+
+    @staticmethod
+    def _problems():
+        for n in range(1, 9):
+            for mode in ("homogeneous", "mixed", "fully_nonuniform"):
+                yield random_spin_glass(n, n, mode)
+        yield IsingProblem(4, {}, [0.5, -1.25, 2.0, 0.0])
+        yield IsingProblem(4, {(0, 1): 1.5, (1, 3): -0.75, (0, 2): 2.0})
+
+    def test_rotated_frame_bit_identical(self):
+        for p in self._problems():
+            built = counterdiabatic._operators(p, rotated=True)
+            for a, b in zip(built, self._term_by_term(p, "X", "Z")):
+                assert a.dtype == complex
+                assert np.array_equal(a, b)
+
+    def test_original_frame(self):
+        for p in self._problems():
+            Hf, D = counterdiabatic._operators(p)
+            Hf_ref, D_ref = self._term_by_term(p, "Z", "X")
+            assert Hf.dtype == D.dtype == complex
+            assert np.array_equal(D, D_ref)
+            assert np.abs(Hf - Hf_ref).max() <= 1e-13
 
 
 class TestAlpha1:
@@ -312,6 +356,28 @@ class TestCoefficients:
         np.testing.assert_allclose(
             W @ full_hamiltonian(p, sch, 0.3) @ W.conj().T, H, atol=1e-12
         )
+
+    @staticmethod
+    def _triple_sum_loop(problem):
+        # the sequential loop the vectorized triple sum must reproduce
+        Jm = problem.coupling_matrix()
+        s3 = 0.0
+        for i, j, k in itertools.combinations(range(problem.n_qubits), 3):
+            a, b, c = Jm[i, j], Jm[i, k], Jm[j, k]
+            s3 += a * a * b * b + a * a * c * c + b * b * c * c
+        return s3
+
+    @pytest.mark.parametrize("n", [3, 6, 14, 32])
+    def test_triple_sum_equals_loop(self, n):
+        modes = ("homogeneous", "mixed", "fully_nonuniform")
+        problems = [random_spin_glass(n, 5, m) for m in modes]
+        for seed, weights in enumerate(("unweighted", "mixed",
+                                        "fully_nonuniform")):
+            problems.append(mis_to_ising(random_graph(n, seed,
+                                                      weight_mode=weights)))
+        for p in problems:
+            assert counterdiabatic._coupling_sums(p)[5] == \
+                self._triple_sum_loop(p)
 
     def test_coupling_sums_formed_once_per_sweep(self, monkeypatch):
         calls = []
