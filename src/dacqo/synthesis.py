@@ -12,9 +12,10 @@ k-qubit GMS blocks:
   * every pair covered zero times gets a 2-qubit GMS at full strength and
     every pair covered c >= 2 times gets a correction at -(c-1) times the
     strength; these 2-qubit gates are packed into parallel rounds by
-    the circle method or maximum-matching peeling, stopping once the
-    rounds reach the pair graph's largest degree (a lower bound), with
-    each pair set scheduled once per process,
+    the circle method or by peeling maximum matchings (Edmonds' blossom
+    algorithm, ported from NetworkX in ``dacqo._matching``), stopping
+    once the rounds reach the pair graph's largest degree (a lower
+    bound), with each pair set scheduled once per process,
   * each GMS is followed by its conjugate parasitic-term canceller.
 
 Inhomogeneous instances replace each k-qubit block with k(k-1)/2
@@ -40,9 +41,9 @@ import json
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
+from ._matching import max_weight_matching
 from .counterdiabatic import Schedule
 from .gates import _EPS, Gate, solve_gms_angles, trotter_angles
 from .problem import IsingProblem
@@ -212,14 +213,24 @@ def _circle_rounds(pairs, n):
 
 
 def _peel_rounds(pairs, seed):
+    """Rounds made by peeling maximum matchings off the pair graph.
+
+    Each round is a maximum-cardinality matching of the pairs still left,
+    of greatest weight under weights ``1 + 0.01 r`` with ``r`` drawn
+    uniformly from the seeded generator, one per remaining pair in set
+    order.  The weights (almost surely) make that optimum unique, so the
+    seed alone picks the round, whatever the matcher's tie-breaking.
+    """
     rng = np.random.default_rng(seed)
     remaining = set(pairs)
     rounds = []
     while remaining:
-        g = nx.Graph()
-        for p in remaining:
-            g.add_edge(*p, weight=1.0 + 0.01 * rng.random())
-        match = nx.max_weight_matching(g, maxcardinality=True)
+        adj = {}
+        weights = (1.0 + 0.01 * rng.random(len(remaining))).tolist()
+        for (i, j), wt in zip(remaining, weights):
+            adj.setdefault(i, {})[j] = wt
+            adj.setdefault(j, {})[i] = wt
+        match = max_weight_matching(adj)
         rnd = sorted((min(a, b), max(a, b)) for a, b in match)
         rounds.append(rnd)
         remaining -= set(rnd)
@@ -236,9 +247,15 @@ def schedule_pairs(pairs, n: int, seed: int = 0, trials: int = 12):
     pair graph; the passes stop once the best schedule reaches that bound,
     which returns the schedule running every pass would.  Schedules are
     cached per process by pair set, ``n``, ``seed`` and ``trials``; each
-    call returns fresh round lists.
+    call returns fresh round lists.  Every pair must be ``(i, j)`` with
+    ``0 <= i < j < n``; any other raises ``ValueError``.
     """
-    rounds = _schedule(tuple(sorted(set(pairs))), n, seed, trials)
+    pairs = tuple(sorted(set(pairs)))
+    for pair in pairs:
+        i, j = pair
+        if not 0 <= i < j < n:
+            raise ValueError(f"pair {pair} is not (i, j) with 0 <= i < j < n = {n}")
+    rounds = _schedule(pairs, n, seed, trials)
     return [list(rnd) for rnd in rounds]
 
 

@@ -1,7 +1,9 @@
-"""Importing the package and its CLI must not load scipy.
+"""Importing the package and its CLI must not load scipy or networkx.
 
 Every ``dacqo`` command is a fresh process that pays its imports; scipy
-is needed only by ``fit``, which imports it when a fit runs.
+is needed only by ``fit``, which imports it when a fit runs, and
+networkx only by the tests, as the oracle of the pair scheduler's
+matcher.
 """
 
 import os
@@ -17,10 +19,13 @@ import dacqo
 import dacqo.cli
 from dacqo.counterdiabatic import Schedule, exact_evolution
 from dacqo.problem import random_spin_glass
+from dacqo.synthesis import correction_weights, coverage_plan, schedule_pairs
 
 U = exact_evolution(random_spin_glass(3, 0, "mixed"), Schedule(1.0, 2), 20)
 assert U.shape == (8, 8)
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+rounds = schedule_pairs(correction_weights(coverage_plan(32, 4)[2]), 32)
+assert sum(map(len, rounds)) == 400
+print(sorted(m for m in sys.modules if m.partition(".")[0] in ("scipy", "networkx")))
 """
 
 

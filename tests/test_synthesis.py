@@ -3,12 +3,14 @@ import hashlib
 import itertools
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from dacqo._matching import max_weight_matching
 from dacqo.counterdiabatic import Schedule, exact_evolution
 from dacqo.gates import Gate
 from dacqo.paulis import pauli_on, phase_distance
@@ -29,6 +31,7 @@ from dacqo.synthesis import (
     _sign_system,
     _stage_layers,
     analytic_depth,
+    correction_weights,
     coverage_plan,
     schedule_pairs,
     solve_block_inhomogeneity,
@@ -109,8 +112,96 @@ def _pair_sets(draw):
     return n, [p for p, k in zip(every, keep) if k]
 
 
+@st.composite
+def _weighted_graphs(draw):
+    """(order, edges) on 2 <= n <= 24 vertices with distinct float weights.
+
+    ``order`` is the vertex insertion order, ``edges`` the (i, j, weight)
+    list in edge insertion order.  Graphs are empty, complete or random
+    (some vertices isolated); weights are the peel's ``1 + 0.01 r`` or
+    spread over six decades.
+    """
+    n = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["random", "complete", "random", "empty"]))
+    every = list(itertools.combinations(range(n), 2))
+    if shape == "empty":
+        edges = []
+    elif shape == "complete":
+        edges = every
+    else:
+        density = draw(st.integers(1, 9)) / 10
+        edges = [p for p, k in zip(every, rng.random(len(every)) < density) if k]
+    edges = [edges[e] for e in rng.permutation(len(edges))]
+    if draw(st.booleans()):
+        weights = 1.0 + 0.01 * rng.random(len(edges))
+    else:
+        weights = 10.0 ** rng.uniform(-3, 3, len(edges))
+    assert len(set(weights.tolist())) == len(edges)
+    order = rng.permutation(n).tolist()
+    return order, [(i, j, w) for (i, j), w in zip(edges, weights.tolist())]
+
+
+def _nx_peel_rounds(pairs, seed):
+    """The peel as networkx ran it: a Graph per round, one draw per edge."""
+    rng = np.random.default_rng(seed)
+    remaining = set(pairs)
+    rounds = []
+    while remaining:
+        g = nx.Graph()
+        for p in remaining:
+            g.add_edge(*p, weight=1.0 + 0.01 * rng.random())
+        match = nx.max_weight_matching(g, maxcardinality=True)
+        rnd = sorted((min(a, b), max(a, b)) for a, b in match)
+        rounds.append(rnd)
+        remaining -= set(rnd)
+    return rounds
+
+
+class TestMatching:
+    """The in-repo blossom matcher against networkx, the code it ports."""
+
+    @given(_weighted_graphs())
+    @example(([], []))
+    @example(([0], []))
+    @example(([3, 0, 2, 1, 4], []))
+    @example((list(range(7)), [(i, j, 1.0 + (i * 7 + j) / 100)
+                               for i, j in itertools.combinations(range(7), 2)]))
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    def test_same_edges_as_networkx(self, drawn):
+        order, edges = drawn
+        adj = {v: {} for v in order}
+        g = nx.Graph()
+        g.add_nodes_from(order)
+        for i, j, w in edges:
+            adj[i][j] = adj[j][i] = w
+            g.add_edge(i, j, weight=w)
+        got = max_weight_matching(adj)
+        want = nx.max_weight_matching(g, maxcardinality=True)
+        assert {frozenset(e) for e in got} == {frozenset(e) for e in want}
+        assert len(got) == len(want)
+        matched = [v for e in got for v in e]
+        assert len(matched) == len(set(matched))
+
+    def test_peel_of_the_n32_k4_corrections(self):
+        pairs = sorted(correction_weights(coverage_plan(32, 4)[2]))
+        assert len(pairs) == 400
+        for seed in (0, 1):
+            assert _peel_rounds(pairs, seed) == _nx_peel_rounds(pairs, seed)
+
+    @given(_pair_sets(), st.integers(0, 4))
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_peel_matches_networkx(self, drawn, seed):
+        _, pairs = drawn
+        assert _peel_rounds(pairs, seed) == _nx_peel_rounds(pairs, seed)
+
+
 def _schedule_every_trial(pairs, n, seed, trials=12):
-    """The circle method then every peel trial, keeping the strictly shortest."""
+    """The circle method then every peel trial, keeping the strictly shortest.
+
+    It peels with ``_peel_rounds`` itself; ``TestMatching`` checks that
+    peel against networkx.
+    """
     pairs = sorted(set(pairs))
     if not pairs:
         return []
@@ -145,6 +236,22 @@ class TestSchedulePairs:
     def test_deterministic(self):
         pairs = list(itertools.combinations(range(9), 2))
         assert schedule_pairs(pairs, 9) == schedule_pairs(pairs, 9)
+
+    def test_rejects_self_pair(self):
+        with pytest.raises(ValueError, match=r"pair \(0, 0\)"):
+            schedule_pairs([(0, 0)], 2)
+
+    def test_rejects_descending_pair(self):
+        with pytest.raises(ValueError, match=r"pair \(3, 1\)"):
+            schedule_pairs([(3, 1)], 4)
+
+    def test_rejects_both_orientations(self):
+        with pytest.raises(ValueError, match=r"pair \(1, 0\)"):
+            schedule_pairs([(0, 1), (1, 0)], 2)
+
+    def test_rejects_qubit_out_of_range(self):
+        with pytest.raises(ValueError, match=r"pair \(0, 5\)"):
+            schedule_pairs([(0, 5)], 4)
 
     @given(_pair_sets(), st.integers(0, 3))
     @example((1, []), 0)
