@@ -19,11 +19,15 @@ of one (2^n, B) state matrix.  Each gate gets one operator for the whole
 chunk.  A perturbed GMS block is a stacked (B, d, d) unitary, one
 perturbation per column, drawn and projected in one batch (``_polar``:
 scaled Newton-Schulz matmuls, or LAPACK's SVD where that is faster, with
-the same draws either way).  A Pauli error is folded into the operator
-of the gate it follows: for each hit column b, v_b becomes P v_b, with P
-on the hit qubit's position in the gate, which makes a shared unitary a
-stacked one.  The draws follow the gates in circuit order, so every
-error site of the per-gate model is kept.
+the same draws either way).  The draws, U + c G and the iterates live in
+work buffers kept per stack shape and reused on every later call; the
+results are bit-identical to forming them with temporaries, as the
+previous release did, and each call returns a fresh array.  The buffers
+are process state: dacqo is single-threaded.  A Pauli error is folded
+into the operator of the gate it follows: for each hit column b, v_b
+becomes P v_b, with P on the hit qubit's position in the gate, which
+makes a shared unitary a stacked one.  The draws follow the gates in
+circuit order, so every error site of the per-gate model is kept.
 
 The operators are then applied in fused groups (``_Fuser``; gate fusion
 as in qsim, Isakov et al. 2021).  A gate joins the open groups it
@@ -94,6 +98,9 @@ _CHUNK_ENTRIES = 2**18
 # _POLAR_TOL, within _POLAR_MAX_ITER updates (then the SVD)
 _POLAR_TOL = 1e-13
 _POLAR_MAX_ITER = 20
+# stack shapes whose work buffers perturb_analog_block and _polar keep
+_SHAPES_KEPT = 4
+_SQRT_HALF = 1.0 / math.sqrt(2)
 
 
 def check_simulation_width(n: int) -> None:
@@ -147,14 +154,44 @@ def perturb_analog_block(
     projection is the unitary polar factor of U + c G (``_polar``: scaled
     Newton-Schulz matmuls, or the SVD W S V^dag -> W V^dag where that is
     faster); the draws do not depend on which one runs.
+
+    The draws, U + c G and the Newton-Schulz iterates live in work
+    buffers kept per stack shape (``_draw_buffers``, ``_polar_buffers``),
+    so repeated calls on one shape allocate only the array they return.
+    That array is always a fresh one, never a view of a buffer: callers
+    hold operators across calls.  The results are bit-identical to the
+    previous release, which formed G = (re + 1j im) / sqrt(2), U + c G
+    and the iterates as temporaries.
     """
     if c == 0:
         return u
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    shape = u.shape if draws is None else (draws,) + u.shape
-    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
-    v = _polar((u + c * g).reshape((-1,) + u.shape))
-    return v.reshape(shape)
+    shape = (1 if draws is None else draws,) + u.shape
+    re, im, x = _draw_buffers(shape)
+    # real parts of the whole stack, then imaginary parts
+    rng.standard_normal(out=re)
+    rng.standard_normal(out=im)
+    # numpy divides a complex array by a real scalar as a product with
+    # its reciprocal, so this is (u + c (re + 1j im) / sqrt(2)) bit for bit
+    for part, ux, xx in ((re, u.real, x.real), (im, u.imag, x.imag)):
+        part *= _SQRT_HALF
+        part *= c
+        np.add(ux, part, out=xx)
+    v = _polar(x)
+    return v if draws is not None else v[0]
+
+
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
+def _draw_buffers(shape: tuple) -> tuple:
+    """Real draws, imaginary draws and U + c G for a (B, d, d) stack."""
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.complex128)
+
+
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
+def _polar_buffers(shape: tuple) -> tuple:
+    """Two iterates, X^H X - I, a conjugate and |.| for a (B, d, d) stack."""
+    z = [np.empty(shape, dtype=np.complex128) for _ in range(4)]
+    return (*z, np.empty(shape))
 
 
 def _svd_polar(x: np.ndarray) -> np.ndarray:
@@ -166,6 +203,12 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
     """Writable view of the diagonals of a C-contiguous (B, d, d) stack."""
     b, d, _ = a.shape
     return a.reshape(b, d * d)[:, :: d + 1]
+
+
+def _gram(y: np.ndarray, yh: np.ndarray, r: np.ndarray) -> None:
+    """r <- Y^H Y for each matrix of the stack ``y``; ``yh`` is scratch."""
+    np.conjugate(y, out=yh)
+    np.matmul(yh.swapaxes(1, 2), y, out=r)
 
 
 def _polar(x: np.ndarray) -> np.ndarray:
@@ -182,27 +225,32 @@ def _polar(x: np.ndarray) -> np.ndarray:
     _POLAR_MAX_ITER updates gets the SVD.
 
     Blocks of d < 8 go to the SVD directly: there LAPACK is faster than
-    the batched matmuls.
+    the batched matmuls.  Otherwise the iterates alternate between two
+    buffers of ``_polar_buffers`` (a matmul's output must not overlap its
+    inputs), and the result is a fresh copy of the last one.
     """
     d = x.shape[-1]
     if d < 8:
         return _svd_polar(x)
-    r = np.matmul(x.conj().swapaxes(1, 2), x)
-    scale2 = np.minimum(1.0, 2.25 / np.abs(r).sum(axis=2).max(axis=1))
+    y, y_next, r, yh, mag = _polar_buffers(x.shape)
+    _gram(x, yh, r)
+    scale2 = np.minimum(1.0, 2.25 / np.abs(r, out=mag).sum(axis=2).max(axis=1))
     _diagonal(r)[:] -= 1
     # scaling X by a maps X^H X - I to a^2 (X^H X - I) + (a^2 - 1) I
-    y = x * np.sqrt(scale2)[:, None, None]
+    np.multiply(x, np.sqrt(scale2)[:, None, None], out=y)
     r *= scale2[:, None, None]
     _diagonal(r)[:] += (scale2 - 1)[:, None]
     for _ in range(_POLAR_MAX_ITER):
-        if np.abs(r).max() <= _POLAR_TOL:
-            return y
+        if np.abs(r, out=mag).max() <= _POLAR_TOL:
+            return y.copy()
         r *= -0.5
         _diagonal(r)[:] += 1
-        y = y @ r  # X (I - R / 2)
-        r = np.matmul(y.conj().swapaxes(1, 2), y)
+        np.matmul(y, r, out=y_next)  # X (I - R / 2)
+        y, y_next = y_next, y
+        _gram(y, yh, r)
         _diagonal(r)[:] -= 1
-    bad = np.abs(r).max(axis=(1, 2)) > _POLAR_TOL
+    bad = np.abs(r, out=mag).max(axis=(1, 2)) > _POLAR_TOL
+    y = y.copy()
     if bad.any():
         y[bad] = _svd_polar(x[bad])
     return y

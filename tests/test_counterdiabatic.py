@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dacqo import counterdiabatic
 from dacqo.counterdiabatic import (
@@ -22,6 +24,7 @@ from dacqo.counterdiabatic import (
 from dacqo.paulis import pauli_on
 from dacqo.problem import (
     CapabilityError,
+    Graph,
     IsingProblem,
     all_energies,
     mis_to_ising,
@@ -155,7 +158,29 @@ class TestOperators:
             assert np.abs(Hf - Hf_ref).max() <= 1e-13
 
 
+@st.composite
+def _mis_problems(draw):
+    """mis_to_ising of a graph on N <= 6 nodes in one of three weight classes."""
+    n = draw(st.integers(1, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    weight = draw(st.sampled_from([
+        st.just(1.0),
+        st.sampled_from([0.5, 1.0]),
+        st.floats(0.1, 1.0),
+    ]))
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    return mis_to_ising(Graph(n, frozenset(edges), np.array(weights)))
+
+
 class TestAlpha1:
+    @given(_mis_problems(), st.sampled_from([0.0, 0.3, 1.0]))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_oracle_agreement_on_mis_problems(self, p, lam):
+        assert alpha1_analytic(p, lam) == pytest.approx(
+            alpha1_oracle(p, lam), rel=0, abs=1e-9
+        )
+
     def test_single_qubit_midpoint(self):
         p = IsingProblem(1, {}, [1.0])
         assert alpha1_analytic(p, 0.5) == pytest.approx(-0.5)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,45 @@ class TestPerturbAnalogBlock:
 def _svd_polar(x):
     w, _, vh = np.linalg.svd(x)
     return w @ vh
+
+
+def _reference_perturb(u, c, seed, draws):
+    """perturb_analog_block as formed with temporaries in earlier releases."""
+    rng = np.random.default_rng(seed)
+    shape = u.shape if draws is None else (draws,) + u.shape
+    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+    return _reference_polar((u + c * g).reshape((-1,) + u.shape)).reshape(shape)
+
+
+def _reference_polar(x):
+    if x.shape[-1] < 8:
+        return _svd_polar(x)
+    r = np.matmul(x.conj().swapaxes(1, 2), x)
+    scale2 = np.minimum(1.0, 2.25 / np.abs(r).sum(axis=2).max(axis=1))
+    simulator._diagonal(r)[:] -= 1
+    y = x * np.sqrt(scale2)[:, None, None]
+    r *= scale2[:, None, None]
+    simulator._diagonal(r)[:] += (scale2 - 1)[:, None]
+    for _ in range(simulator._POLAR_MAX_ITER):
+        if np.abs(r).max() <= simulator._POLAR_TOL:
+            return y
+        r *= -0.5
+        simulator._diagonal(r)[:] += 1
+        y = y @ r
+        r = np.matmul(y.conj().swapaxes(1, 2), y)
+        simulator._diagonal(r)[:] -= 1
+    bad = np.abs(r).max(axis=(1, 2)) > simulator._POLAR_TOL
+    if bad.any():
+        y[bad] = _svd_polar(x[bad])
+    return y
+
+
+def _block(d):
+    """An ideal d x d analog block: GMS on log2(d) >= 2 qubits, else Rx."""
+    q = d.bit_length() - 1
+    if q == 1:
+        return rotation_unitary("x", 0.7)
+    return gate_unitary(Gate("gms", tuple(range(q)), 0.7))
 
 
 def _perturbed_stack(d, b, c, seed):
@@ -153,6 +193,52 @@ class TestPolar:
         v = perturb_analog_block(u, c, seed, draws)
         assert v.shape == shape
         np.testing.assert_allclose(v, _svd_polar(u + c * g), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("c", [0.02, 0.12, 0.4])
+    @pytest.mark.parametrize("draws", [None, 1, 4, 32])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_same_bits_as_temporaries(self, d, draws, c):
+        # guards the buffered real arithmetic against numpy changing how
+        # it divides a complex array by a real scalar
+        u = _block(d)
+        want = _reference_perturb(u, c, d + 3, draws)
+        got = perturb_analog_block(u, c, d + 3, draws)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cap", [1, 6])
+    def test_same_bits_as_temporaries_at_the_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(simulator, "_POLAR_MAX_ITER", cap)
+        sizes = self._count_svd(monkeypatch)
+        u = _block(16)
+        for c in (0.02, 0.12):
+            assert np.array_equal(perturb_analog_block(u, c, 4, 8),
+                                  _reference_perturb(u, c, 4, 8))
+        assert sizes  # the fallback ran
+
+    @pytest.mark.parametrize("d", [4, 16])
+    def test_results_do_not_share_the_buffers(self, d):
+        u = _block(d)
+        rng = np.random.default_rng(5)
+        first = perturb_analog_block(u, 0.12, rng, 8)
+        kept = first.copy()
+        second = perturb_analog_block(u, 0.12, rng, 8)
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(first, second)
+
+    def test_allocates_little_more_than_its_result(self):
+        # after a warm-up on the shape, the draws and iterates reuse their
+        # buffers, and only the result is new
+        u = _block(16)
+        rng = np.random.default_rng(6)
+        perturb_analog_block(u, 0.12, rng, 32)
+        tracemalloc.start()
+        try:
+            v = perturb_analog_block(u, 0.12, rng, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * v.nbytes
 
 
 class TestGateFidelity:
