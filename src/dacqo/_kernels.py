@@ -6,54 +6,96 @@ stacked (m, 2^k, 2^k) unitary applies a different matrix to each column,
 which is how one noisy trajectory per column gets its own perturbed gate;
 on a (2^n, m, r) array, matrix b acts on all r columns of ``state[:, b]``,
 which is how the simulator composes per-trajectory gates into one stack.
-A shared unitary on one ascending run of qubits is one broadcast matmul
-on a reshaped view; every other case permutes the gate's qubit axes to
-the front, runs one matmul and permutes them back.  Qubit order follows
-``dacqo.paulis``: qubit 0 is the most significant bit.
+Qubit order follows ``dacqo.paulis``: qubit 0 is the most significant bit.
+
+The state may also be given in tensor form, one axis of length 2 per
+qubit followed by the column axes: (2,)*n, (2,)*n + (m,) or
+(2,)*n + (m, r).  Then the axis order travels with the array.  A call
+multiplies the state with the gate's axes in front (behind the column
+axis, for a stacked unitary) and returns the product as a transposed
+view in that memory order, with no copy back; the next call reads the
+order from the strides.  Where the gate's axes are already adjacent and
+in order in memory (and, for a stacked unitary, follow the column axis
+alone), the matmul runs on a reshaped view and copies nothing; otherwise
+one copy brings them to the front.  A result of fewer than
+``_CARRY_ENTRIES`` entries is copied back to canonical order, where a
+call's fixed costs outweigh a copy.  An input of shape (2^n, ...) cannot
+carry a permuted order, so its result is always canonical.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
+# a result of fewer entries goes back to canonical order: there a copy
+# costs less than a call's fixed costs, and in canonical order a shared
+# gate on an ascending run of qubits needs no copy at all.  A 14-qubit
+# chunk (2^16 entries and more) and an N >= 7 circuit_unitary carry
+# their order; an N = 4 chunk and a fused group's product do not
+_CARRY_ENTRIES = 2**13
+
+
 def apply_unitary(state: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
-    """Apply ``u`` on ``qubits`` of an n-qubit state or (2^n, m) matrix.
+    """Apply ``u`` on ``qubits`` of an n-qubit state, matrix or tensor.
 
     ``u`` is either one 2^k x 2^k matrix, applied to every column, or a
     stacked (m, 2^k, 2^k) array whose ``u[b]`` acts on column ``b`` of a
     (2^n, m) matrix, or on every column of ``state[:, b]`` of a
-    (2^n, m, r) array.  Returns a new array of the input's shape; the
-    input is not modified.
+    (2^n, m, r) array (likewise for the tensor forms).  Returns a new
+    array of the input's shape, which for a tensor-form input may be a
+    transposed view; the input is not modified.
     """
     k = len(qubits)
     q0 = qubits[0]
     rest = state.size >> (q0 + k)
-    # on one ascending run of qubits the state is a (2^q0, 2^k, rest)
-    # array, and one broadcast matmul applies a shared u without
-    # transposes.  numpy runs one small gemm per leading index, which pays
-    # off for at most 64 of them or for trailing extents of at least 64
-    if u.ndim == 2 and tuple(qubits) == tuple(range(q0, q0 + k)) and (
-        2**q0 <= 64 or rest >= 64
-    ):
-        psi = np.matmul(u, state.reshape(2**q0, 2**k, rest))
-        return psi.reshape(state.shape)
-    others = tuple(q for q in range(n) if q not in qubits)
-    if u.ndim == 2:
-        # the gate's qubits first, then the others and the column axis:
-        # the whole state is one (2^k, 2^(n-k) m) block
-        order = (*qubits, *others, *range(n, state.ndim + n - 1))
-        shape = (2**k, -1)
+    # a shared u on an ascending run of a state in canonical order: one
+    # matmul on a (2^q0, 2^k, rest) view.  numpy makes one small gemm per
+    # leading index, which pays off for at most 8 of them or for trailing
+    # extents of at least 256
+    if (u.ndim == 2 and state.flags.c_contiguous
+            and list(qubits) == list(range(q0, q0 + k))
+            and (q0 <= 3 or rest >= 256)):
+        return np.matmul(u, state.reshape(2**q0, 2**k, rest)).reshape(state.shape)
+    psi = state
+    if state.shape[:n] != (2,) * n:
+        psi = state.reshape((2,) * n + state.shape[1:])
+    if u.ndim == 3 and (psi.ndim - n not in (1, 2) or u.shape[0] != psi.shape[n]):
+        raise ValueError("a stacked unitary needs one matrix per state column")
+    # memory order of the axes, outermost first.  An axis of length 1 ties
+    # with its neighbour and may sort on either side of it, which at worst
+    # costs a copy
+    mem = list(range(psi.ndim))
+    if not psi.flags.c_contiguous:
+        mem.sort(key=psi.strides.__getitem__, reverse=True)
+    qubits = list(qubits)
+    i = mem.index(qubits[0])
+    if u.ndim == 3:
+        lead = [n]
+        # the column axis, and only it, before the gate's axes
+        in_place = mem[:i] == lead and mem[i:i + k] == qubits
+        view = (u.shape[0], 2**k, -1)
     else:
-        if state.ndim not in (2, 3) or u.shape[0] != state.shape[1]:
-            raise ValueError("a stacked unitary needs one matrix per state column")
-        # column axis first: each column, with its trailing axis if any,
-        # is a (2^k, -1) block for its own matrix
-        order = (n, *qubits, *others, *range(n + 1, state.ndim + n - 1))
-        shape = (state.shape[1], 2**k, -1)
-    psi = state.reshape((2,) * n + state.shape[1:]).transpose(order)
-    out = np.matmul(u, psi.reshape(shape)).reshape(psi.shape)
-    return out.transpose(np.argsort(order)).reshape(state.shape)
+        lead = []
+        # the run's view in any memory order, by the same rule
+        batch = math.prod(psi.shape[a] for a in mem[:i])
+        in_place = mem[i:i + k] == qubits and (
+            batch <= 8 or psi.size // (batch << k) >= 256)
+        view = (batch, 2**k, -1) if in_place and i else (2**k, -1)
+    order = mem
+    if not in_place:
+        order = lead + qubits + [a for a in mem if a not in qubits and a not in lead]
+    psi = psi.transpose(order)
+    out = np.matmul(u, psi.reshape(view)).reshape(psi.shape)
+    inverse = [0] * len(order)
+    for j, a in enumerate(order):
+        inverse[a] = j
+    out = out.transpose(inverse)
+    if out.size < _CARRY_ENTRIES:
+        out = np.ascontiguousarray(out)
+    return out.reshape(state.shape)
 
 
 def backend_name() -> str:

@@ -14,9 +14,10 @@ command's parameter names (``T`` for ``--t``, ``c_grid`` for
 the same text given as a flag, and a flag beats the file.  Each default is
 declared once, on its option, and so is each range that only the CLI
 imposes (``--k``, ``--n-step``, ``--max-n``); the library checks the rest.  The effective configuration, defaults
-included, is the ``solve`` report's ``config`` and the body of every CSV's
-``<name>.meta.json`` sidecar, and all randomness derives from one master
-seed so reruns are byte-identical.
+included, is the body of every CSV's ``<name>.meta.json`` sidecar, and
+the ``solve`` report's ``config``, which records an input file by its
+name and sha256 and leaves out ``--output``.  All randomness derives
+from one master seed, so reruns are byte-identical.
 
 Exit codes: 0 success, 2 configuration error (a bad flag or config entry,
 an unreadable input or unwritable output, and any ValueError raised by the
@@ -254,8 +255,28 @@ def cmd_solve(**cfg):
         "depth": circuit.depth_report().total,
         "synthesis_path": path,
         "block_size": k,
-        "config": dict(sorted(cfg.items())),
+        "config": _report_config(cfg),
     }, cfg["output"])
+
+
+def _report_config(cfg) -> dict:
+    """The ``solve`` report's record of its configuration, keys sorted.
+
+    An input file is recorded as its name and the sha256 of its bytes,
+    and ``output``, where the report itself goes, is left out: so the
+    same run writes the same bytes from any directory.  hashlib is
+    imported here: it loads OpenSSL, about 3 MB, which the other commands
+    need not pay.
+    """
+    import hashlib
+
+    record = {key: value for key, value in cfg.items() if key != "output"}
+    for key in ("problem_file", "graph_file"):
+        if record[key]:
+            path = Path(record[key])
+            record[key] = {"name": path.name,
+                           "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    return dict(sorted(record.items()))
 
 
 @main.command("fidelity-sweep")

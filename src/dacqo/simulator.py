@@ -15,27 +15,38 @@ in the X basis (a Hadamard on every qubit before measuring), where the
 problem Hamiltonian is diagonal.
 
 Trajectories run in chunks: a chunk holds its trajectories as the columns
-of one (2^n, B) state matrix.  Each gate gets one operator for the whole
-chunk.  A perturbed GMS block is a stacked (B, d, d) unitary, one
-perturbation per column, drawn and projected in one batch (``_polar``:
-scaled Newton-Schulz matmuls, or LAPACK's SVD where that is faster, with
-the same draws either way).  The draws, U + c G and the iterates live in
-work buffers kept per stack shape and reused on every later call; the
-results are bit-identical to forming them with temporaries, as the
-previous release did, and each call returns a fresh array.  The buffers
-are process state: dacqo is single-threaded.  A Pauli error is folded
-into the operator of the gate it follows: for each hit column b, v_b
-becomes P v_b, with P on the hit qubit's position in the gate, which
-makes a shared unitary a stacked one.  The draws follow the gates in
-circuit order, so every error site of the per-gate model is kept.
+of one state, a (2,)*n + (B,) tensor whose axis order travels with it
+(``dacqo._kernels``): each kernel call leaves the state in the memory
+order its matmul wrote, and the measurement reads the optimal amplitudes
+in whatever order the state was left.  Each gate gets one operator for
+the whole chunk.  A perturbed GMS block is a stacked (B, d, d) unitary,
+one perturbation per column, the polar projection of U + c G
+(``_polar``: scaled Newton-Schulz matmuls, or LAPACK's SVD where that is
+faster, with the same draws either way).  The gates go in windows of
+consecutive gates (``_chunk_operators``) of at most ``_WINDOW_ENTRIES``
+drawn entries: a window makes every draw of its gates first, in circuit
+order, and then projects all of its blocks of one dimension in one
+``_polar`` call, which stops the iteration for each gate on its own.  So
+every operator has the bits of ``perturb_analog_block`` on that gate (a
+window with one block calls it), and the random stream is that of
+drawing gate by gate.  The draws,
+U + c G and the iterates live in flat work buffers kept between calls;
+the results are bit-identical to forming them with temporaries, and
+every operator is a fresh array.  The buffers are process state: dacqo
+is single-threaded.  A Pauli error is folded into the operator of the
+gate it follows: for each hit column b, v_b becomes P v_b, with P on the
+hit qubit's position in the gate, which makes a shared unitary a stacked
+one.  The draws follow the gates in circuit order, so every error site
+of the per-gate model is kept.
 
 The operators are then applied in fused groups (``_Fuser``; gate fusion
 as in qsim, Isakov et al. 2021).  A gate joins the open groups it
 touches while their qubits and its own number at most w, the circuit's
 widest gate; otherwise those groups are applied to the state and the
 gate opens a new one.  Open groups are disjoint, so they commute.  A
-group's product is composed with the state kernel on its (2^s, 2^s)
-matrix, or on its stacked columns, and applied to the state in one
+group's product is composed with the state kernel on its tensor-form
+(2^s, 2^s) matrix, or on its stacked columns, which carries its axis
+order from one operator to the next, and applied to the state in one
 kernel call; the measurement's Hadamards join the same stream.  Fusion
 is on only when a group's 4^w entries are fewer than the state's 2^n
 amplitudes; otherwise (N=4 with 4-qubit blocks, say) every group is one
@@ -94,12 +105,16 @@ _WIDTH_CAP = 14
 # cap on the amplitudes of a chunk's state matrix and on the entries of a
 # stacked block unitary: 2^18 complex128 values, 4 MiB
 _CHUNK_ENTRIES = 2**18
+# cap on the entries of one window of gates whose perturbed blocks are
+# drawn, then projected together: 2^12 complex128 values, 64 KiB
+_WINDOW_ENTRIES = 2**12
 # the polar projection's Newton-Schulz stop: max|X^H X - I| at most
 # _POLAR_TOL, within _POLAR_MAX_ITER updates (then the SVD)
 _POLAR_TOL = 1e-13
 _POLAR_MAX_ITER = 20
-# stack shapes whose work buffers perturb_analog_block and _polar keep
-_SHAPES_KEPT = 4
+# sizes of the flat work buffers kept for the draws and the projection;
+# every request of at most _WINDOW_ENTRIES entries shares one
+_SIZES_KEPT = 4
 _SQRT_HALF = 1.0 / math.sqrt(2)
 
 
@@ -155,43 +170,62 @@ def perturb_analog_block(
     Newton-Schulz matmuls, or the SVD W S V^dag -> W V^dag where that is
     faster); the draws do not depend on which one runs.
 
-    The draws, U + c G and the Newton-Schulz iterates live in work
-    buffers kept per stack shape (``_draw_buffers``, ``_polar_buffers``),
-    so repeated calls on one shape allocate only the array they return.
-    That array is always a fresh one, never a view of a buffer: callers
-    hold operators across calls.  The results are bit-identical to the
-    previous release, which formed G = (re + 1j im) / sqrt(2), U + c G
-    and the iterates as temporaries.
+    This is the one-gate case of what ``run`` does for a window of gates
+    (``_chunk_operators``), with the same draws, the same arithmetic in
+    the same work buffers (``_draw_buffers``) and the same projection.
+    The buffers are kept between calls, so repeated calls allocate only
+    the array they return.  That array is always a fresh one, never a
+    view of a buffer: callers hold operators across calls.  The results
+    are bit-identical to forming G = (re + 1j im) / sqrt(2), U + c G and
+    the iterates as temporaries.
     """
     if c == 0:
         return u
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     shape = (1 if draws is None else draws,) + u.shape
-    re, im, x = _draw_buffers(shape)
+    size = math.prod(shape)
+    re, im, x = (a[:size].reshape(shape) for a in _work(_draw_buffers, size))
     # real parts of the whole stack, then imaginary parts
     rng.standard_normal(out=re)
     rng.standard_normal(out=im)
-    # numpy divides a complex array by a real scalar as a product with
-    # its reciprocal, so this is (u + c (re + 1j im) / sqrt(2)) bit for bit
-    for part, ux, xx in ((re, u.real, x.real), (im, u.imag, x.imag)):
-        part *= _SQRT_HALF
-        part *= c
-        np.add(ux, part, out=xx)
+    _shift(u, c, re, im, x)
     v = _polar(x)
     return v if draws is not None else v[0]
 
 
-@functools.lru_cache(maxsize=_SHAPES_KEPT)
-def _draw_buffers(shape: tuple) -> tuple:
-    """Real draws, imaginary draws and U + c G for a (B, d, d) stack."""
-    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.complex128)
+def _shift(u, c, re, im, x) -> None:
+    """x <- u + c (re + 1j im) / sqrt(2), with ``re`` and ``im`` scaled in place.
+
+    ``u`` broadcasts against the draws.  numpy divides a complex array
+    by a real scalar as a product with its reciprocal, so the real
+    arithmetic here gives those bits exactly.
+    """
+    for part, ux, xx in ((re, u.real, x.real), (im, u.imag, x.imag)):
+        part *= _SQRT_HALF
+        part *= c
+        np.add(ux, part, out=xx)
 
 
-@functools.lru_cache(maxsize=_SHAPES_KEPT)
-def _polar_buffers(shape: tuple) -> tuple:
-    """Two iterates, X^H X - I, a conjugate and |.| for a (B, d, d) stack."""
-    z = [np.empty(shape, dtype=np.complex128) for _ in range(4)]
-    return (*z, np.empty(shape))
+def _work(buffers, entries: int) -> tuple:
+    """Flat work buffers from ``buffers`` of at least ``entries`` values.
+
+    Every request of at most _WINDOW_ENTRIES shares one set; a larger one
+    gets a set of its own size.
+    """
+    return buffers(max(entries, _WINDOW_ENTRIES))
+
+
+@functools.lru_cache(maxsize=_SIZES_KEPT)
+def _draw_buffers(entries: int) -> tuple:
+    """Real draws, imaginary draws and U + c G."""
+    return np.empty(entries), np.empty(entries), np.empty(entries, dtype=np.complex128)
+
+
+@functools.lru_cache(maxsize=_SIZES_KEPT)
+def _polar_buffers(entries: int) -> tuple:
+    """Two iterates, X^H X - I and |.|."""
+    z = [np.empty(entries, dtype=np.complex128) for _ in range(3)]
+    return (*z, np.empty(entries))
 
 
 def _svd_polar(x: np.ndarray) -> np.ndarray:
@@ -205,13 +239,13 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
     return a.reshape(b, d * d)[:, :: d + 1]
 
 
-def _gram(y: np.ndarray, yh: np.ndarray, r: np.ndarray) -> None:
-    """r <- Y^H Y for each matrix of the stack ``y``; ``yh`` is scratch."""
-    np.conjugate(y, out=yh)
-    np.matmul(yh.swapaxes(1, 2), y, out=r)
+def _gram(y: np.ndarray, scratch: np.ndarray, r: np.ndarray) -> None:
+    """r <- Y^H Y for each matrix of the stack ``y``; ``scratch`` is overwritten."""
+    np.conjugate(y, out=scratch)
+    np.matmul(scratch.swapaxes(1, 2), y, out=r)
 
 
-def _polar(x: np.ndarray) -> np.ndarray:
+def _polar(x: np.ndarray, stack: Optional[int] = None) -> np.ndarray:
     """Unitary polar factor of every matrix of a (B, d, d) stack.
 
     Runs the Newton-Schulz iteration X <- X - X (X^H X - I) / 2 (Bjorck &
@@ -220,34 +254,46 @@ def _polar(x: np.ndarray) -> np.ndarray:
     row sum of |X^H X|, and polar(a X) = polar(X) for a > 0.  Unscaled, a
     singular value above sqrt(3) turns negative in one step, and the
     iteration converges to a unitary that is not the polar factor, with a
-    residual that does not show it.  The iteration stops once
-    max|X^H X - I| <= _POLAR_TOL; a matrix still above it after
-    _POLAR_MAX_ITER updates gets the SVD.
+    residual that does not show it.
+
+    ``x`` is made of stacks of ``stack`` consecutive matrices (default:
+    one stack of all B), one per gate of a window.  Each stack stops on
+    its own, at the first update count at which max|X^H X - I| over the
+    stack is at most _POLAR_TOL, so it gets the same bits as it would
+    alone.  After _POLAR_MAX_ITER updates, each matrix still above the
+    tolerance gets the SVD.
 
     Blocks of d < 8 go to the SVD directly: there LAPACK is faster than
     the batched matmuls.  Otherwise the iterates alternate between two
-    buffers of ``_polar_buffers`` (a matmul's output must not overlap its
-    inputs), and the result is a fresh copy of the last one.
+    work buffers (a matmul's output must not overlap its inputs), the one
+    not holding the iterate serving as scratch for X^H, and the result is
+    a fresh array.
     """
     d = x.shape[-1]
     if d < 8:
         return _svd_polar(x)
-    y, y_next, r, yh, mag = _polar_buffers(x.shape)
-    _gram(x, yh, r)
+    size = x.size
+    y, y_next, r, mag = (a[:size].reshape(x.shape) for a in _work(_polar_buffers, size))
+    _gram(x, y_next, r)
     scale2 = np.minimum(1.0, 2.25 / np.abs(r, out=mag).sum(axis=2).max(axis=1))
     _diagonal(r)[:] -= 1
     # scaling X by a maps X^H X - I to a^2 (X^H X - I) + (a^2 - 1) I
     np.multiply(x, np.sqrt(scale2)[:, None, None], out=y)
     r *= scale2[:, None, None]
     _diagonal(r)[:] += (scale2 - 1)[:, None]
+    groups = len(x) // (stack or len(x))
     for _ in range(_POLAR_MAX_ITER):
         if np.abs(r, out=mag).max() <= _POLAR_TOL:
             return y.copy()
+        if groups > 1:
+            # a stack that has stopped keeps its iterate: X (I - 0) is X
+            # exactly, and so is its residual
+            r.reshape(groups, -1)[mag.reshape(groups, -1).max(axis=1) <= _POLAR_TOL] = 0
         r *= -0.5
         _diagonal(r)[:] += 1
         np.matmul(y, r, out=y_next)  # X (I - R / 2)
         y, y_next = y_next, y
-        _gram(y, yh, r)
+        _gram(y, y_next, r)
         _diagonal(r)[:] -= 1
     bad = np.abs(r, out=mag).max(axis=(1, 2)) > _POLAR_TOL
     y = y.copy()
@@ -274,7 +320,7 @@ def optimal_state_indices(problem: IsingProblem, truth: GroundTruth = None):
 
 
 def _measure_success(fuser: _Fuser, indices: np.ndarray) -> np.ndarray:
-    """Success probability of each column of the fuser's state matrix.
+    """Success probability of each column of the fuser's state.
 
     The Hadamards that turn the X basis into the computational one join
     the fuser's stream, then every open group is applied.
@@ -282,7 +328,9 @@ def _measure_success(fuser: _Fuser, indices: np.ndarray) -> np.ndarray:
     for q in range(fuser.n):
         fuser.add(HADAMARD, (q,))
     state = fuser.finish()
-    return np.sum(np.abs(state[indices]) ** 2, axis=0)
+    # indexed by bits, so the state is read in whatever order it was left
+    amplitudes = state[np.unravel_index(indices, state.shape[:fuser.n])]
+    return np.sum(np.abs(amplitudes) ** 2, axis=0)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -339,12 +387,16 @@ def _product(ops, qubits) -> np.ndarray:
     position = {q: i for i, q in enumerate(qubits)}
     s = len(position)
     d = 2**s
-    m = np.eye(d, dtype=np.complex128)
+    # in tensor form, so the kernel carries the axis order from one
+    # operator to the next; the last reshape copies it back to canonical
+    m = np.eye(d, dtype=np.complex128).reshape((2,) * s + (d,))
     for op, on in ops:
-        if op.ndim == 3 and m.ndim == 2:
-            m = np.broadcast_to(m[:, None, :], (d, len(op), d))
+        if op.ndim == 3 and m.ndim == s + 1:
+            m = np.broadcast_to(m[..., None, :], (2,) * s + (len(op), d))
         m = _kernels.apply_unitary(m, op, [position[q] for q in on], s)
-    return m if m.ndim == 2 else m.transpose(1, 0, 2)
+    if m.ndim == s + 1:
+        return m.reshape(d, d)
+    return np.moveaxis(m, s, 0).reshape(-1, d, d)
 
 
 _PAULI_OPS = np.stack([PAULI["X"], PAULI["Y"], PAULI["Z"]])
@@ -386,8 +438,76 @@ def _fold_pauli_errors(v: np.ndarray, draws: np.ndarray, p: float) -> np.ndarray
     return v
 
 
+def _chunk_operators(gates, ideal, analog, c, p, rng, b):
+    """Yield (gate, operator, fidelity sum) for a chunk of b trajectories.
+
+    The gates go in windows of consecutive gates whose perturbed blocks
+    (b d^2 entries each) and Pauli draws (b per gate qubit) number at
+    most _WINDOW_ENTRIES; a window holds at least one gate.  A window
+    first makes every draw, in circuit order: each perturbed block's
+    real, then imaginary parts, into its slot of the flat work buffers
+    (``_draw_buffers``, one segment per block dimension d), then the
+    gate's ``rng.random((k, b))``.  Then, per d, U + c G and one
+    ``_polar`` over all of the segment's blocks, stopping per gate.  So
+    each operator has the bits of ``perturb_analog_block(u, c, rng, b)``,
+    which a window with a single block calls in its place, as it draws.
+    The fidelity sum is ``gate_fidelity``'s over the b trajectories, or
+    None for a gate with no perturbation.  An operator is the read-only
+    ideal unitary or its own part of a fresh array, never a view of a
+    work buffer: the fuser's open groups hold operators across windows,
+    and ``_fold_pauli_errors`` writes into a stacked one.
+    """
+    # the entries each gate draws
+    weight = [b * (perturbed * u.size + (p > 0) * len(g.qubits))
+              for g, u, perturbed in zip(gates, ideal, analog)]
+    start = 0
+    while start < len(gates):
+        stop, entries = start + 1, weight[start]
+        while stop < len(gates) and entries + weight[stop] <= _WINDOW_ENTRIES:
+            entries += weight[stop]
+            stop += 1
+        perturbed = [i for i in range(start, stop) if analog[i]]
+        blocks = {}  # d -> the window's perturbed gates of that dimension
+        if len(perturbed) > 1:
+            for i in perturbed:
+                blocks.setdefault(len(ideal[i]), []).append(i)
+        buffers = _work(_draw_buffers, entries)
+        segments, slots, offset = [], {}, 0
+        for d, members in blocks.items():
+            size = len(members) * b * d * d
+            re, im, x = (a[offset:offset + size].reshape(-1, b, d, d) for a in buffers)
+            segments.append((members, re, im, x))
+            slots.update((i, (re[j], im[j])) for j, i in enumerate(members))
+            offset += size
+        ops, paulis = {}, {}
+        for i in range(start, stop):
+            if i in slots:
+                re, im = slots[i]
+                rng.standard_normal(out=re)
+                rng.standard_normal(out=im)
+            elif analog[i]:
+                # a window's only block takes the one-gate path
+                ops[i] = perturb_analog_block(ideal[i], c, rng, b)
+            if p > 0:
+                paulis[i] = rng.random((len(gates[i].qubits), b))
+        for members, re, im, x in segments:
+            d = x.shape[-1]
+            _shift(np.stack([ideal[i] for i in members])[:, None], c, re, im, x)
+            v = _polar(x.reshape(-1, d, d), b).reshape(x.shape)
+            ops.update(zip(members, v))
+        # per gate: einsum's summation order follows u's memory order, and
+        # half of the ideal unitaries are F-ordered
+        fids = {i: float(gate_fidelity(ideal[i], ops[i]).sum()) for i in perturbed}
+        for i in range(start, stop):
+            v = ops.get(i, ideal[i])
+            if p > 0:
+                v = _fold_pauli_errors(v, paulis[i], p)
+            yield gates[i], v, fids.get(i)
+        start = stop
+
+
 class _Fuser:
-    """Applies a stream of gates to a (2^n, B) state matrix in fused groups.
+    """Applies a stream of gates to a (2,)*n + (B,) state in fused groups.
 
     An open group holds the operators, shared (d, d) or stacked (B, d, d),
     of gates whose qubits together number at most ``limit``.  A gate joins
@@ -397,12 +517,13 @@ class _Fuser:
     than the limit.  Open groups are disjoint, so they commute and can be
     applied in any order.  A group's product is formed with the state
     kernel on its (2^s, 2^s) matrix, or on its stacked (2^s, B, 2^s)
-    columns, and applied to the state in one more call.
+    columns, and applied to the state in one more call.  The state keeps
+    the axis order each call leaves it in.
     """
 
     def __init__(self, state: np.ndarray, limit: int):
         self.state = state
-        self.n = state.shape[0].bit_length() - 1
+        self.n = state.ndim - 1
         self.limit = limit
         self.groups = []  # (qubits, [(operator, gate qubits), ...])
         self.applications = 0
@@ -481,17 +602,13 @@ def run(
     for start, chunk_seed in zip(starts, chunk_seeds):
         rng = np.random.default_rng(chunk_seed)
         b = min(width, trajectories - start)
-        state = np.zeros((2**n, b), dtype=np.complex128)
-        state[-1] = 1.0  # |1...1>
+        state = np.zeros((2,) * n + (b,), dtype=np.complex128)
+        state[(1,) * n] = 1.0  # |1...1>
         fuser = _Fuser(state, limit)
-        for g, u, perturbed in zip(gates, ideal, analog):
-            v = u
-            if perturbed:
-                v = perturb_analog_block(u, c, rng, b)
-                fid_sum += float(gate_fidelity(u, v).sum())
+        for g, v, fid in _chunk_operators(gates, ideal, analog, c, p, rng, b):
+            if fid is not None:
+                fid_sum += fid
                 fid_count += b
-            if p > 0:
-                v = _fold_pauli_errors(v, rng.random((len(g.qubits), b)), p)
             fuser.add(v, g.qubits)
         successes[start:start + b] = _measure_success(fuser, indices)
         applications += fuser.applications

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 from pathlib import Path
 
@@ -53,6 +54,34 @@ class TestSolve:
         assert keys.index("kernel_applications") == keys.index("trajectories") + 1
         # at N=4 every gate is its own group: one state-kernel call per gate
         assert report["kernel_applications"] == calls.count(4) > 0
+
+    def test_same_bytes_from_any_directory(self, runner, tmp_path):
+        # the graph and the report under two directories, given as
+        # absolute paths: the config records the graph by name and hash
+        from dacqo.problem import random_graph
+
+        text = random_graph(6, 3).to_json()
+        reports = []
+        for where in ("a", "b/c"):
+            d = tmp_path / where
+            d.mkdir(parents=True)
+            graph = d / "graph.json"
+            graph.write_text(text)
+            out = d / "report.json"
+            result = runner.invoke(main, [
+                "solve", "--graph-file", str(graph.resolve()), "--steps", "2",
+                "--c", "0.05", "--p", "0.01", "--trajectories", "3",
+                "--output", str(out.resolve()),
+            ])
+            assert result.exit_code == 0, result.output
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        config = json.loads(reports[0])["config"]
+        assert "output" not in config and config["problem_file"] is None
+        assert config["graph_file"] == {
+            "name": "graph.json",
+            "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        }
 
     def test_problem_file(self, runner, tmp_path):
         from dacqo.problem import random_spin_glass
@@ -494,7 +523,8 @@ class TestConfigFile:
         ])
         assert result.exit_code == 0, result.output
         config = json.loads(result.output)["config"]
-        assert set(config) == names("solve")
+        # every parameter but the report's own destination
+        assert set(config) == names("solve") - {"output"}
         assert config["k"] == 4 and config["seed"] == 0
         runs = {
             "fidelity-sweep": ["--c-grid", "0", "--steps", "1",

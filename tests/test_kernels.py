@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dacqo import _kernels
 
@@ -144,6 +148,56 @@ class TestNumpyKernel:
             _kernels.apply_unitary(np.ones((8, 2), dtype=complex), us, (0,), 3)
         with pytest.raises(ValueError):
             _kernels.apply_unitary(np.ones(8, dtype=complex), us, (0,), 3)
+
+
+class TestOrderCarrying:
+    """On a tensor-form state the axis order travels with the array."""
+
+    @pytest.mark.parametrize("carry", [0, _kernels._CARRY_ENTRIES])
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_chain_matches_einsum_reference(self, carry, data):
+        # carry = 0 keeps every result in its matmul's order; the default
+        # sends these small ones back to canonical order
+        n = data.draw(st.integers(1, 8), label="n")
+        m = data.draw(st.integers(1, 5), label="columns")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        mat = rng.standard_normal((2**n, m)) + 1j * rng.standard_normal((2**n, m))
+        ref, psi = mat, mat.reshape((2,) * n + (m,))
+        with mock.patch.object(_kernels, "_CARRY_ENTRIES", carry):
+            for _ in range(data.draw(st.integers(1, 6), label="gates")):
+                k = data.draw(st.integers(1, min(n, 4)), label="k")
+                qubits = tuple(data.draw(st.permutations(range(n)))[:k])
+                if data.draw(st.booleans(), label="stacked"):
+                    u = np.stack([_random_unitary(k, int(s))
+                                  for s in rng.integers(0, 2**16, m)])
+                    ref = np.stack([
+                        _einsum_reference(ref[:, [b]], u[b], qubits, n)[:, 0]
+                        for b in range(m)], axis=1)
+                else:
+                    u = _random_unitary(k, int(rng.integers(0, 2**16)))
+                    ref = _einsum_reference(ref, u, qubits, n)
+                psi = _kernels.apply_unitary(psi, u, qubits, n)
+                assert psi.shape == (2,) * n + (m,)
+        np.testing.assert_allclose(psi.reshape(2**n, m), ref, rtol=0, atol=1e-12)
+
+    def test_result_stays_in_matmul_order(self):
+        # a stacked 4-qubit gate on a (2^14, 4) chunk: the result is a
+        # view with the column axis, then the gate's axes, outermost, and
+        # a second gate on the same qubits keeps that order
+        n, m, qubits = 14, 4, (3, 5, 9, 12)
+        rng = np.random.default_rng(1)
+        mat = rng.standard_normal((2**n, m)) + 1j * rng.standard_normal((2**n, m))
+        us = np.stack([_random_unitary(4, b) for b in range(m)])
+        psi = mat.reshape((2,) * n + (m,))
+        for _ in range(2):
+            psi = _kernels.apply_unitary(psi, us, qubits, n)
+            mem = sorted(range(n + 1), key=psi.strides.__getitem__, reverse=True)
+            assert mem[:5] == [n, *qubits]
+        ref = mat
+        for _ in range(2):
+            ref = _kernels.apply_unitary(ref, us, qubits, n)
+        np.testing.assert_allclose(psi.reshape(2**n, m), ref, rtol=0, atol=1e-13)
 
 
 class TestBackendSelection:

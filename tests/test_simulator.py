@@ -180,6 +180,21 @@ class TestPolar:
         assert sizes == [1]
         np.testing.assert_allclose(v, _svd_polar(x), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("cap", [20, 6])
+    def test_stacks_stop_on_their_own(self, monkeypatch, cap):
+        # stacks of 4 at c = 0.02 stop after 5 updates, at c = 0.12 after
+        # about 8: batched, the early ones keep their iterate while the
+        # others go on, and with a cap of 6 only the late ones fall back
+        stacks = [_perturbed_stack(16, 4, c, seed=s)
+                  for s, c in enumerate((0.02, 0.12, 0.02, 0.12))]
+        monkeypatch.setattr(simulator, "_POLAR_MAX_ITER", cap)
+        sizes = self._count_svd(monkeypatch)
+        alone = [simulator._polar(x) for x in stacks]
+        assert sizes == ([] if cap == 20 else [4, 4])
+        batched = simulator._polar(np.concatenate(stacks), 4)
+        assert np.array_equal(batched, np.concatenate(alone))
+        assert sizes == ([] if cap == 20 else [4, 4, 8])
+
     @pytest.mark.parametrize("d,draws", [(16, 32), (4, 8), (8, None)])
     def test_draws_follow_the_seeded_stream(self, d, draws):
         # the projection of u + c g with g re-drawn from the same seed, in
@@ -239,6 +254,122 @@ class TestPolar:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * v.nbytes
+
+
+def _window_circuit():
+    """Gates of every block dimension d = 2..16, perturbed or not, with
+    ideal unitaries in both memory orders (a gms_dag's is F-ordered)."""
+    gates, ideal, analog = [], [], []
+    for rep in range(3):
+        for q, kind in ((4, "gms"), (2, "gms_dag"), (1, "1q"), (3, "gms"),
+                        (2, "gms"), (1, "1q"), (4, "gms_dag")):
+            qubits = tuple((rep + j) % 5 for j in range(q))
+            if kind == "1q":
+                g = Gate("1q", qubits, theta=0.3 + rep, axis="xyz"[rep])
+            else:
+                g = Gate(kind, qubits, 0.4 + 0.3 * rep + 0.1 * q)
+            # a 1q rotation stands in for a d = 2 block on every other pass
+            perturbed = kind != "1q" or rep != 1
+            gates.append(g)
+            ideal.append(gate_unitary(g))
+            analog.append(perturbed)
+    return gates, ideal, analog
+
+
+class TestWindows:
+    """``run`` draws and projects each window of gates together; every
+    operator and fidelity has the bits of the one-gate path."""
+
+    @staticmethod
+    def _per_gate(gates, ideal, analog, c, p, seed, b):
+        rng = np.random.default_rng(seed)
+        out = []
+        for g, u, perturbed in zip(gates, ideal, analog):
+            v, fid = u, None
+            if perturbed:
+                v = perturb_analog_block(u, c, rng, b)
+                fid = float(gate_fidelity(u, v).sum())
+            if p > 0:
+                v = simulator._fold_pauli_errors(v, rng.random((len(g.qubits), b)), p)
+            out.append((g, v, fid))
+        return out
+
+    @pytest.mark.parametrize("cap", [None, 5])
+    @pytest.mark.parametrize("b", [1, 4, 32])
+    def test_bits_of_the_one_gate_path(self, monkeypatch, b, cap):
+        gates, ideal, analog = _window_circuit()
+        assert {len(u) for u, a in zip(ideal, analog) if a} == {2, 4, 8, 16}
+        assert any(u.flags.f_contiguous and not u.flags.c_contiguous for u in ideal)
+        if cap is not None:
+            # 16 x 16 blocks at c = 0.08 need 6 or 7 updates, so every
+            # one of them reaches the cap and falls back to the SVD
+            monkeypatch.setattr(simulator, "_POLAR_MAX_ITER", cap)
+        # windows of two 4-qubit blocks and a few smaller ones end
+        # mid-circuit
+        monkeypatch.setattr(simulator, "_WINDOW_ENTRIES", 3 * 256 * b)
+        polar, svd = simulator._polar, simulator._svd_polar
+        stacks, fallbacks = [], []
+
+        def counted_polar(x, stack=None):
+            stacks.append((x.shape[-1], len(x) // (stack or len(x))))
+            return polar(x, stack)
+
+        def counted_svd(x):
+            fallbacks.append((x.shape[-1], len(x)))
+            return svd(x)
+
+        monkeypatch.setattr(simulator, "_svd_polar", counted_svd)
+        want = self._per_gate(gates, ideal, analog, 0.08, 0.05, 9, b)
+        monkeypatch.setattr(simulator, "_polar", counted_polar)
+        got = list(simulator._chunk_operators(
+            tuple(gates), tuple(ideal), analog, 0.08, 0.05,
+            np.random.default_rng(9), b))
+        assert len(got) == len(want)
+        for (g, v, fid), (h, w, fid_want) in zip(got, want):
+            assert g is h
+            assert fid == fid_want
+            assert v.shape == w.shape and np.array_equal(v, w)
+        # several windows, some projecting more than one gate per d
+        windows = sum(1 for d, _ in stacks if d == 16)
+        assert windows > 1 and max(n for _, n in stacks) > 1
+        if cap is not None:
+            assert any(d == 16 for d, _ in fallbacks)
+
+    def test_gms_fidelity_is_the_per_gate_sum(self, monkeypatch):
+        # the window's fidelities reach run's mean in gate order
+        monkeypatch.setattr(simulator, "_WINDOW_ENTRIES", 2048)
+        problem = random_spin_glass(6, 4, "mixed")
+        circuit = synthesize(problem, Schedule(1.0, 3), 3)
+        res = run(circuit, problem, NoiseModel(0.1, 0.02, seed=3), trajectories=5)
+        _, _, fidelity = _per_gate_run(circuit, problem, NoiseModel(0.1, 0.02, seed=3), 5)
+        assert res.gms_fidelity == fidelity
+
+    def test_memory_is_the_state_and_the_window(self):
+        # a solve-like run at N = 12: 4 trajectories, c and p > 0.  Past
+        # the cached ideal unitaries, the peak is a few copies of the state
+        # and of the window (two draws, U + c G, two iterates, the residual,
+        # its modulus, the result), never the circuit's perturbed blocks
+        # all at once
+        problem = mis_to_ising(random_graph(12, 0))
+        circuit = synthesize(problem, Schedule(1.0, 10), 4)
+        truth = simulator.brute_force_ground_state(problem)
+        state = 2**12 * 4 * 16
+        window = simulator._WINDOW_ENTRIES * 16
+        bound = 8 * state + 8 * window
+        blocks = sum(4 * 16 * len(gate_unitary(g)) ** 2
+                     for g in circuit.gates() if g.kind != "1q")
+        assert blocks > bound
+        simulator._draw_buffers.cache_clear()
+        simulator._polar_buffers.cache_clear()
+        simulator._ideal_unitaries(circuit)
+        tracemalloc.start()
+        try:
+            run(circuit, problem, NoiseModel(0.05, 0.005, seed=1),
+                trajectories=4, truth=truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestGateFidelity:
