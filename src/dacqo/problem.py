@@ -117,11 +117,12 @@ class IsingProblem:
         doc = _json_object(text, "problem")
         n = doc["n"]
         try:
-            couplings = {
-                (int(i), int(j)): float(v) for i, j, v in doc.get("J", [])
-            }
-            fields = np.asarray(doc.get("h", [0.0] * n), dtype=float)
-            offset = float(doc.get("offset", 0.0))
+            rows = [(_node(i), _node(j), _number(v, "coupling"))
+                    for i, j, v in doc.get("J", [])]
+            _check_unique(rows)
+            couplings = {(i, j): v for i, j, v in rows}
+            fields = [_number(h, "field") for h in doc.get("h", [0.0] * n)]
+            offset = _number(doc.get("offset", 0.0), "offset")
         except (TypeError, ValueError) as e:
             raise ValueError(f"malformed problem file: {e}") from e
         return IsingProblem(n, couplings, fields, offset)
@@ -183,11 +184,12 @@ class Graph:
         doc = _json_object(text, "graph")
         n = doc["n"]
         try:
-            edges = frozenset((int(i), int(j)) for i, j in doc.get("edges", []))
-            weights = np.asarray(doc.get("weights", [1.0] * n), dtype=float)
+            edges = [(_node(i), _node(j)) for i, j in doc.get("edges", [])]
+            _check_unique(edges)
+            weights = [_number(w, "weight") for w in doc.get("weights", [1.0] * n)]
         except (TypeError, ValueError) as e:
             raise ValueError(f"malformed graph file: {e}") from e
-        return Graph(n, edges, weights)
+        return Graph(n, frozenset(edges), weights)
 
 
 def _json_object(text: str, kind: str) -> dict:
@@ -199,6 +201,31 @@ def _json_object(text: str, kind: str) -> dict:
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f'{kind} file needs an integer "n", got {n!r}')
     return doc
+
+
+def _node(v) -> int:
+    """A node index read from a file: a JSON integer, not a boolean."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"node index {v!r} is not an integer")
+    return v
+
+
+def _number(v, what: str) -> float:
+    """A value read from a file: a JSON number, not a boolean or a string."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{what} {v!r} is not a number")
+    return float(v)
+
+
+def _check_unique(rows) -> None:
+    """Raise ValueError if a node pair (a row's first two entries) appears
+    twice, in either order."""
+    seen = set()
+    for i, j, *_ in rows:
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise ValueError(f"pair {key} appears twice")
+        seen.add(key)
 
 
 def classical_energy(problem: IsingProblem, spins) -> float:

@@ -26,18 +26,20 @@ faster, with the same draws either way).  The gates go in windows of
 consecutive gates (``_chunk_operators``) of at most ``_WINDOW_ENTRIES``
 drawn entries: a window makes every draw of its gates first, in circuit
 order, and then projects all of its blocks of one dimension in one
-``_polar`` call, which stops the iteration for each gate on its own.  So
-every operator has the bits of ``perturb_analog_block`` on that gate (a
-window with one block calls it), and the random stream is that of
-drawing gate by gate.  The draws,
-U + c G and the iterates live in flat work buffers kept between calls;
-the results are bit-identical to forming them with temporaries, and
-every operator is a fresh array.  The buffers are process state: dacqo
-is single-threaded.  A Pauli error is folded into the operator of the
-gate it follows: for each hit column b, v_b becomes P v_b, with P on the
-hit qubit's position in the gate, which makes a shared unitary a stacked
-one.  The draws follow the gates in circuit order, so every error site
-of the per-gate model is kept.
+``_polar`` call, which stops the iteration for each gate on its own, so
+every operator has the bits it would get projected alone, and the
+random stream is that of drawing gate by gate.  This is the only place
+where a perturbed block is drawn and projected: ``perturb_analog_block``
+is its call on one gate.  A window whose U + c G overflows raises
+FloatingPointError before any projection.  The draws, U + c G and the
+iterates live in flat work buffers kept between calls; the results are
+bit-identical to forming them with temporaries, and every operator is a
+fresh array.  The buffers are process state: dacqo is single-threaded.
+A Pauli error is folded into the operator of the gate it follows: for
+each hit column b, v_b becomes P v_b, with P on the hit qubit's position
+in the gate, which makes a shared unitary a stacked one.  The draws
+follow the gates in circuit order, so every error site of the per-gate
+model is kept.
 
 The operators are then applied in fused groups (``_Fuser``; gate fusion
 as in qsim, Isakov et al. 2021).  A gate joins the open groups it
@@ -170,40 +172,18 @@ def perturb_analog_block(
     Newton-Schulz matmuls, or the SVD W S V^dag -> W V^dag where that is
     faster); the draws do not depend on which one runs.
 
-    This is the one-gate case of what ``run`` does for a window of gates
-    (``_chunk_operators``), with the same draws, the same arithmetic in
-    the same work buffers (``_draw_buffers``) and the same projection.
-    The buffers are kept between calls, so repeated calls allocate only
-    the array they return.  That array is always a fresh one, never a
-    view of a buffer: callers hold operators across calls.  The results
-    are bit-identical to forming G = (re + 1j im) / sqrt(2), U + c G and
-    the iterates as temporaries.
+    This is ``run``'s window code (``_chunk_operators``) on one gate, so
+    it makes the draws and gets the bits that the block gets in a run.
+    The result is a fresh array, never a view of a work buffer: callers
+    hold operators across calls.
     """
     if c == 0:
         return u
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    shape = (1 if draws is None else draws,) + u.shape
-    size = math.prod(shape)
-    re, im, x = (a[:size].reshape(shape) for a in _work(_draw_buffers, size))
-    # real parts of the whole stack, then imaginary parts
-    rng.standard_normal(out=re)
-    rng.standard_normal(out=im)
-    _shift(u, c, re, im, x)
-    v = _polar(x)
+    b = 1 if draws is None else draws
+    # at p = 0 the gate's qubit count, the rows of its Pauli draws, is unread
+    [(v, _)] = _chunk_operators((u,), (True,), (0,), c, 0, rng, b)
     return v if draws is not None else v[0]
-
-
-def _shift(u, c, re, im, x) -> None:
-    """x <- u + c (re + 1j im) / sqrt(2), with ``re`` and ``im`` scaled in place.
-
-    ``u`` broadcasts against the draws.  numpy divides a complex array
-    by a real scalar as a product with its reciprocal, so the real
-    arithmetic here gives those bits exactly.
-    """
-    for part, ux, xx in ((re, u.real, x.real), (im, u.imag, x.imag)):
-        part *= _SQRT_HALF
-        part *= c
-        np.add(ux, part, out=xx)
 
 
 def _work(buffers, entries: int) -> tuple:
@@ -260,8 +240,9 @@ def _polar(x: np.ndarray, stack: Optional[int] = None) -> np.ndarray:
     one stack of all B), one per gate of a window.  Each stack stops on
     its own, at the first update count at which max|X^H X - I| over the
     stack is at most _POLAR_TOL, so it gets the same bits as it would
-    alone.  After _POLAR_MAX_ITER updates, each matrix still above the
-    tolerance gets the SVD.
+    alone.  After _POLAR_MAX_ITER updates, each matrix whose residual is
+    not within the tolerance (NaN, where X^H X overflowed, included) gets
+    the SVD.
 
     Blocks of d < 8 go to the SVD directly: there LAPACK is faster than
     the batched matmuls.  Otherwise the iterates alternate between two
@@ -295,7 +276,8 @@ def _polar(x: np.ndarray, stack: Optional[int] = None) -> np.ndarray:
         y, y_next = y_next, y
         _gram(y, y_next, r)
         _diagonal(r)[:] -= 1
-    bad = np.abs(r, out=mag).max(axis=(1, 2)) > _POLAR_TOL
+    # not <=: a residual that overflowed to NaN falls back too
+    bad = ~(np.abs(r, out=mag).max(axis=(1, 2)) <= _POLAR_TOL)
     y = y.copy()
     if bad.any():
         y[bad] = _svd_polar(x[bad])
@@ -438,39 +420,41 @@ def _fold_pauli_errors(v: np.ndarray, draws: np.ndarray, p: float) -> np.ndarray
     return v
 
 
-def _chunk_operators(gates, ideal, analog, c, p, rng, b):
-    """Yield (gate, operator, fidelity sum) for a chunk of b trajectories.
+def _chunk_operators(ideal, analog, arity, c, p, rng, b):
+    """Yield (operator, fidelity sum) per gate for a chunk of b trajectories.
 
-    The gates go in windows of consecutive gates whose perturbed blocks
-    (b d^2 entries each) and Pauli draws (b per gate qubit) number at
-    most _WINDOW_ENTRIES; a window holds at least one gate.  A window
-    first makes every draw, in circuit order: each perturbed block's
-    real, then imaginary parts, into its slot of the flat work buffers
-    (``_draw_buffers``, one segment per block dimension d), then the
-    gate's ``rng.random((k, b))``.  Then, per d, U + c G and one
-    ``_polar`` over all of the segment's blocks, stopping per gate.  So
-    each operator has the bits of ``perturb_analog_block(u, c, rng, b)``,
-    which a window with a single block calls in its place, as it draws.
-    The fidelity sum is ``gate_fidelity``'s over the b trajectories, or
-    None for a gate with no perturbation.  An operator is the read-only
-    ideal unitary or its own part of a fresh array, never a view of a
-    work buffer: the fuser's open groups hold operators across windows,
-    and ``_fold_pauli_errors`` writes into a stacked one.
+    ``ideal`` holds the gates' ideal unitaries, ``analog`` whether each
+    one is a perturbed block, and ``arity`` each gate's qubit count, the
+    rows of its Pauli draws.  The gates go in windows of consecutive
+    gates whose perturbed blocks (b d^2 entries each) and Pauli draws (b
+    per gate qubit) number at most _WINDOW_ENTRIES; a window holds at
+    least one gate.  A window first makes every draw, in circuit order:
+    each perturbed block's real, then imaginary parts, into its slot of
+    the flat work buffers (``_draw_buffers``, one segment per block
+    dimension d), then the gate's ``rng.random((k, b))``.  Then it forms
+    U + c G per d, raising FloatingPointError if c G overflows (on an
+    inf, LAPACK's SVD need not return), and projects each d's blocks in
+    one ``_polar`` call that stops per gate, so a block gets the same
+    bits in a window of one as in a window of ten.  The fidelity sum is
+    ``gate_fidelity``'s over the b trajectories, or None for a gate with
+    no perturbation.  An operator is the read-only ideal unitary or its
+    own part of a fresh array, never a view of a work buffer: the fuser's
+    open groups hold operators across windows, and ``_fold_pauli_errors``
+    writes into a stacked one.
     """
     # the entries each gate draws
-    weight = [b * (perturbed * u.size + (p > 0) * len(g.qubits))
-              for g, u, perturbed in zip(gates, ideal, analog)]
+    weight = [b * (perturbed * u.size + (p > 0) * k)
+              for u, perturbed, k in zip(ideal, analog, arity)]
     start = 0
-    while start < len(gates):
+    while start < len(ideal):
         stop, entries = start + 1, weight[start]
-        while stop < len(gates) and entries + weight[stop] <= _WINDOW_ENTRIES:
+        while stop < len(ideal) and entries + weight[stop] <= _WINDOW_ENTRIES:
             entries += weight[stop]
             stop += 1
         perturbed = [i for i in range(start, stop) if analog[i]]
         blocks = {}  # d -> the window's perturbed gates of that dimension
-        if len(perturbed) > 1:
-            for i in perturbed:
-                blocks.setdefault(len(ideal[i]), []).append(i)
+        for i in perturbed:
+            blocks.setdefault(len(ideal[i]), []).append(i)
         buffers = _work(_draw_buffers, entries)
         segments, slots, offset = [], {}, 0
         for d, members in blocks.items():
@@ -479,20 +463,30 @@ def _chunk_operators(gates, ideal, analog, c, p, rng, b):
             segments.append((members, re, im, x))
             slots.update((i, (re[j], im[j])) for j, i in enumerate(members))
             offset += size
-        ops, paulis = {}, {}
+        paulis = {}
         for i in range(start, stop):
-            if i in slots:
+            if analog[i]:
                 re, im = slots[i]
                 rng.standard_normal(out=re)
                 rng.standard_normal(out=im)
-            elif analog[i]:
-                # a window's only block takes the one-gate path
-                ops[i] = perturb_analog_block(ideal[i], c, rng, b)
             if p > 0:
-                paulis[i] = rng.random((len(gates[i].qubits), b))
-        for members, re, im, x in segments:
+                paulis[i] = rng.random((arity[i], b))
+        # NoiseModel keeps c finite, so U + c G is not finite only where
+        # c G overflows; that raises here, before any projection
+        with np.errstate(over="raise"):
+            for members, re, im, x in segments:
+                # x <- U + c (re + 1j im) / sqrt(2), with re and im scaled
+                # in place: numpy divides a complex array by a real scalar
+                # as a product with its reciprocal, so this real
+                # arithmetic gives those bits exactly
+                u = np.array([ideal[i] for i in members])[:, None]
+                for part, ux, xx in ((re, u.real, x.real), (im, u.imag, x.imag)):
+                    part *= _SQRT_HALF
+                    part *= c
+                    np.add(ux, part, out=xx)
+        ops = {}
+        for members, _, _, x in segments:
             d = x.shape[-1]
-            _shift(np.stack([ideal[i] for i in members])[:, None], c, re, im, x)
             v = _polar(x.reshape(-1, d, d), b).reshape(x.shape)
             ops.update(zip(members, v))
         # per gate: einsum's summation order follows u's memory order, and
@@ -502,7 +496,7 @@ def _chunk_operators(gates, ideal, analog, c, p, rng, b):
             v = ops.get(i, ideal[i])
             if p > 0:
                 v = _fold_pauli_errors(v, paulis[i], p)
-            yield gates[i], v, fids.get(i)
+            yield v, fids.get(i)
         start = stop
 
 
@@ -587,7 +581,8 @@ def run(
     c = noise.analog_noise_amplitude
     p = noise.depolarizing_rate
     analog = [c > 0 and g.kind in ("gms", "gms_dag") for g in gates]
-    widest = max((len(g.qubits) for g in gates), default=1)
+    arity = [len(g.qubits) for g in gates]
+    widest = max(arity, default=1)
     # the widest gate bounds the entries of a stacked operator
     width = max(1, _CHUNK_ENTRIES // max(2**n, 4**widest))
     # a fused group is worth its composition only while its matrix is
@@ -605,7 +600,8 @@ def run(
         state = np.zeros((2,) * n + (b,), dtype=np.complex128)
         state[(1,) * n] = 1.0  # |1...1>
         fuser = _Fuser(state, limit)
-        for g, v, fid in _chunk_operators(gates, ideal, analog, c, p, rng, b):
+        ops = _chunk_operators(ideal, analog, arity, c, p, rng, b)
+        for g, (v, fid) in zip(gates, ops):
             if fid is not None:
                 fid_sum += fid
                 fid_count += b

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,20 @@ class TestSolve:
         report = json.loads(result.output)
         assert report["synthesis_path"] == "homogeneous"
         assert report["block_size"] == 4
+
+    def test_overflowing_perturbation(self, runner):
+        # 8 x 8 blocks: at c = 1e160 X^H X overflows and the SVD projects
+        # them; at c = 1e308 U + c G itself does, which exits 4
+        args = ["solve", "--n", "4", "--k", "3", "--steps", "2",
+                "--trajectories", "2", "--c"]
+        result = runner.invoke(main, args + ["1e160"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.stdout)
+        assert math.isfinite(report["success_probability"])
+        assert 0 < report["gms_fidelity"] < 1
+        result = runner.invoke(main, args + ["1e308"])
+        assert result.exit_code == EXIT_NUMERICAL, result.output
+        assert "overflow" in result.output
 
     def test_all_zero_problem(self, runner, tmp_path):
         pf = tmp_path / "zero.json"
@@ -380,8 +395,17 @@ class TestInvalidInputExits2:
         '{"n": "2", "J": []}',
         '{"n": 2, "J": 5}',
         '[2]',
+        '{"n": 3, "J": [[0, 1.7, 1.0]]}',
+        '{"n": 3, "J": [[true, 2, 1.0]]}',
+        '{"n": 2, "J": [[0, 1, 1.0], [0, 1, 2.0]]}',
+        '{"n": 2, "J": [[0, 1, 1.0], [1, 0, 2.0]]}',
+        '{"n": 2, "J": [[0, 1, "2.5"]]}',
+        '{"n": 2, "J": [], "h": [true, 0.0]}',
+        '{"n": 2, "J": [], "offset": "1"}',
     ], ids=["self-coupling", "nan-coupling", "missing-n", "string-n",
-            "scalar-J", "not-an-object"])
+            "scalar-J", "not-an-object", "float-node", "boolean-node",
+            "repeated-pair", "reversed-pair", "string-coupling",
+            "boolean-field", "string-offset"])
     def test_problem_files(self, runner, tmp_path, text):
         pf = self._problem_file(tmp_path, text)
         result = runner.invoke(main, ["solve", "--problem-file", pf])
@@ -393,7 +417,11 @@ class TestInvalidInputExits2:
         '{"n": 2.5, "edges": []}',
         '{"n": 3, "edges": [[0, "x"]]}',
         '{"n": 2, "weights": {"0": 1.0}}',
-    ], ids=["missing-n", "float-n", "string-node", "object-weights"])
+        '{"n": 2, "edges": [[0, 1.9]]}',
+        '{"n": 2, "weights": [true, 1.0]}',
+        '{"n": 3, "edges": [[0, 1], [1, 0]]}',
+    ], ids=["missing-n", "float-n", "string-node", "object-weights",
+            "float-node", "boolean-weight", "repeated-edge"])
     def test_graph_files(self, runner, tmp_path, text):
         gf = tmp_path / "graph.json"
         gf.write_text(text)

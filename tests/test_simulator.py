@@ -321,9 +321,9 @@ class TestWindows:
         monkeypatch.setattr(simulator, "_svd_polar", counted_svd)
         want = self._per_gate(gates, ideal, analog, 0.08, 0.05, 9, b)
         monkeypatch.setattr(simulator, "_polar", counted_polar)
-        got = list(simulator._chunk_operators(
-            tuple(gates), tuple(ideal), analog, 0.08, 0.05,
-            np.random.default_rng(9), b))
+        got = [(g, *op) for g, op in zip(gates, simulator._chunk_operators(
+            tuple(ideal), analog, [len(g.qubits) for g in gates], 0.08, 0.05,
+            np.random.default_rng(9), b))]
         assert len(got) == len(want)
         for (g, v, fid), (h, w, fid_want) in zip(got, want):
             assert g is h
@@ -334,6 +334,40 @@ class TestWindows:
         assert windows > 1 and max(n for _, n in stacks) > 1
         if cap is not None:
             assert any(d == 16 for d, _ in fallbacks)
+
+    @pytest.mark.parametrize("c", [0.02, 0.12, 0.4])
+    def test_single_block_windows_match_the_reference(self, monkeypatch, c):
+        # sweep_n4's shape: 32 trajectories of 4-qubit blocks, a window
+        # cap below one block, so every window holds exactly one, and
+        # p = 0; against the temporaries, drawn gate by gate from one
+        # generator
+        gates = [Gate(kind, (0, 1, 2, 3), 0.3 + 0.2 * i)
+                 for i, kind in enumerate(("gms", "gms_dag", "gms", "gms_dag"))]
+        gates.insert(2, Gate("1q", (1,), theta=0.4, axis="x"))
+        ideal = [gate_unitary(g) for g in gates]
+        analog = [g.kind != "1q" for g in gates]
+        b = 32
+        monkeypatch.setattr(simulator, "_WINDOW_ENTRIES", b * 256 - 1)
+        polar, stacks = simulator._polar, []
+
+        def counted_polar(x, stack=None):
+            stacks.append(len(x) // (stack or len(x)))
+            return polar(x, stack)
+
+        monkeypatch.setattr(simulator, "_polar", counted_polar)
+        got = list(simulator._chunk_operators(
+            ideal, analog, [len(g.qubits) for g in gates], c, 0.0,
+            np.random.default_rng(9), b))
+        assert stacks == [1] * 4
+        rng = np.random.default_rng(9)
+        assert len(got) == len(gates)
+        for u, perturbed, (v, fid) in zip(ideal, analog, got):
+            if not perturbed:
+                assert v is u and fid is None
+                continue
+            want = _reference_perturb(u, c, rng, b)
+            assert v.shape == want.shape and np.array_equal(v, want)
+            assert fid == float(gate_fidelity(u, want).sum())
 
     def test_gms_fidelity_is_the_per_gate_sum(self, monkeypatch):
         # the window's fidelities reach run's mean in gate order
@@ -370,6 +404,27 @@ class TestWindows:
         finally:
             tracemalloc.stop()
         assert peak <= bound
+
+
+class TestOverflow:
+    """Amplitudes large enough to overflow, on blocks of d >= 8, where
+    the projection runs Newton-Schulz: at 1e160 X^H X, at 1e308 c G."""
+
+    def test_gram_overflow_falls_back_to_the_svd(self):
+        # X^H X overflows at c = 1e160, and the residual is NaN
+        u = gate_unitary(Gate("gms", (0, 1, 2), 0.7))
+        v = perturb_analog_block(u, 1e160, 3, 4)
+        assert np.isfinite(v).all()
+        np.testing.assert_allclose(v @ v.conj().swapaxes(1, 2),
+                                   np.broadcast_to(np.eye(8), v.shape),
+                                   rtol=0, atol=1e-14)
+
+    def test_non_finite_perturbation_raises(self):
+        problem = random_spin_glass(3, 0)
+        circuit = synthesize(problem, Schedule(1.0, 2), 3)
+        assert {len(g.qubits) for g in circuit.gates() if g.kind != "1q"} == {3}
+        with pytest.raises(FloatingPointError):
+            run(circuit, problem, NoiseModel(1e308), trajectories=2)
 
 
 class TestGateFidelity:
