@@ -19,27 +19,28 @@ of one state, a (2,)*n + (B,) tensor whose axis order travels with it
 (``dacqo._kernels``): each kernel call leaves the state in the memory
 order its matmul wrote, and the measurement reads the optimal amplitudes
 in whatever order the state was left.  Each gate gets one operator for
-the whole chunk.  A perturbed GMS block is a stacked (B, d, d) unitary,
-one perturbation per column, the polar projection of U + c G
-(``_polar``: scaled Newton-Schulz matmuls, or LAPACK's SVD where that is
-faster, with the same draws either way).  The gates go in windows of
-consecutive gates (``_chunk_operators``) of at most ``_WINDOW_ENTRIES``
-drawn entries: a window makes every draw of its gates first, in circuit
-order, and then projects all of its blocks of one dimension in one
-``_polar`` call, which stops the iteration for each gate on its own, so
-every operator has the bits it would get projected alone, and the
-random stream is that of drawing gate by gate.  This is the only place
+the whole chunk, and so does each Pauli error that hits it (below).  A
+perturbed GMS block is a stacked (B, d, d) unitary, one perturbation
+per column, the polar projection of U + c G (``_polar``: scaled
+Newton-Schulz matmuls, or LAPACK's SVD where that is faster, with the
+same draws either way).  The gates go in windows of consecutive gates
+(``_chunk_operators``) of at most ``_WINDOW_ENTRIES`` drawn entries: a
+window makes every draw of its gates first, in circuit order, and then
+projects all of its blocks of one dimension in one ``_polar`` call,
+which stops the iteration for each gate on its own, so every operator
+has the bits it would get projected alone, and the random stream is
+that of drawing gate by gate.  This is the only place
 where a perturbed block is drawn and projected: ``perturb_analog_block``
 is its call on one gate.  A window whose U + c G overflows raises
 FloatingPointError before any projection.  The draws, U + c G and the
 iterates live in flat work buffers kept between calls; the results are
 bit-identical to forming them with temporaries, and every operator is a
 fresh array.  The buffers are process state: dacqo is single-threaded.
-A Pauli error is folded into the operator of the gate it follows: for
-each hit column b, v_b becomes P v_b, with P on the hit qubit's position
-in the gate, which makes a shared unitary a stacked one.  The draws
-follow the gates in circuit order, so every error site of the per-gate
-model is kept.
+A Pauli error is an operator of its own in the stream: right after its
+gate, one (B, 2, 2) stack per gate qubit that a draw hits, holding the
+drawn Pauli in each hit column and the identity in the others.  No gate
+operator is rewritten for a hit.  The draws follow the gates in circuit
+order, so every error site of the per-gate model is kept.
 
 The operators are then applied in fused groups (``_Fuser``; gate fusion
 as in qsim, Isakov et al. 2021).  A gate joins the open groups it
@@ -49,10 +50,13 @@ gate opens a new one.  Open groups are disjoint, so they commute.  A
 group's product is composed with the state kernel on its tensor-form
 (2^s, 2^s) matrix, or on its stacked columns, which carries its axis
 order from one operator to the next, and applied to the state in one
-kernel call; the measurement's Hadamards join the same stream.  Fusion
-is on only when a group's 4^w entries are fewer than the state's 2^n
-amplitudes; otherwise (N=4 with 4-qubit blocks, say) every group is one
-gate.  ``RunResult.kernel_applications`` counts the calls on the state.
+kernel call; the measurement's Hadamards join the same stream.  A Pauli
+stack acts on a qubit of its gate, so it always joins its gate's group.
+Fusion is on only when a group's 4^w entries are fewer than the state's
+2^n amplitudes; otherwise (N=4 with 4-qubit blocks, say) every gate and
+every Pauli stack is one call on the state, and a run has the bits of
+applying them one by one.  ``RunResult.kernel_applications`` counts the
+calls on the state.
 
 A chunk holds at most ``_CHUNK_ENTRIES`` state amplitudes, and at most as
 many entries as a stacked operator of the widest gate (4^w), so memory
@@ -130,6 +134,11 @@ def check_simulation_width(n: int) -> None:
         raise CapabilityError(f"simulation capped at {_WIDTH_CAP} qubits")
 
 
+def _check_amplitude(c: float) -> None:
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"c must be finite and nonnegative, got {c}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Analog-block perturbation amplitude c, depolarizing rate p, seed."""
@@ -139,9 +148,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        c = self.analog_noise_amplitude
-        if not (math.isfinite(c) and c >= 0):
-            raise ValueError(f"c must be finite and nonnegative, got {c}")
+        _check_amplitude(self.analog_noise_amplitude)
         if not 0.0 <= self.depolarizing_rate <= 1.0:
             raise ValueError("p must lie in [0, 1]")
 
@@ -156,7 +163,8 @@ class RunResult:
     gms_fidelity: float
     trajectories: int
     stderr: float = 0.0
-    # state-kernel calls, summed over chunks (fused groups and Hadamards)
+    # state-kernel calls, summed over chunks: fused groups, or single gates,
+    # Pauli stacks and Hadamards where fusion is off
     kernel_applications: int = 0
 
 
@@ -175,14 +183,16 @@ def perturb_analog_block(
     This is ``run``'s window code (``_chunk_operators``) on one gate, so
     it makes the draws and gets the bits that the block gets in a run.
     The result is a fresh array, never a view of a work buffer: callers
-    hold operators across calls.
+    hold operators across calls.  Raises ValueError, before any draw,
+    unless c is finite and nonnegative, as ``NoiseModel`` does.
     """
+    _check_amplitude(c)
     if c == 0:
         return u
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     b = 1 if draws is None else draws
-    # at p = 0 the gate's qubit count, the rows of its Pauli draws, is unread
-    [(v, _)] = _chunk_operators((u,), (True,), (0,), c, 0, rng, b)
+    qubits = tuple(range(len(u).bit_length() - 1))
+    rng = np.random.default_rng(seed)
+    [(v, _, _)] = _chunk_operators((u,), (True,), (qubits,), c, 0, rng, b)
     return v if draws is not None else v[0]
 
 
@@ -255,27 +265,30 @@ def _polar(x: np.ndarray, stack: Optional[int] = None) -> np.ndarray:
         return _svd_polar(x)
     size = x.size
     y, y_next, r, mag = (a[:size].reshape(x.shape) for a in _work(_polar_buffers, size))
-    _gram(x, y_next, r)
-    scale2 = np.minimum(1.0, 2.25 / np.abs(r, out=mag).sum(axis=2).max(axis=1))
-    _diagonal(r)[:] -= 1
-    # scaling X by a maps X^H X - I to a^2 (X^H X - I) + (a^2 - 1) I
-    np.multiply(x, np.sqrt(scale2)[:, None, None], out=y)
-    r *= scale2[:, None, None]
-    _diagonal(r)[:] += (scale2 - 1)[:, None]
-    groups = len(x) // (stack or len(x))
-    for _ in range(_POLAR_MAX_ITER):
-        if np.abs(r, out=mag).max() <= _POLAR_TOL:
-            return y.copy()
-        if groups > 1:
-            # a stack that has stopped keeps its iterate: X (I - 0) is X
-            # exactly, and so is its residual
-            r.reshape(groups, -1)[mag.reshape(groups, -1).max(axis=1) <= _POLAR_TOL] = 0
-        r *= -0.5
-        _diagonal(r)[:] += 1
-        np.matmul(y, r, out=y_next)  # X (I - R / 2)
-        y, y_next = y_next, y
-        _gram(y, y_next, r)
+    # an X^H X that overflows leaves an inf or NaN residual, which the
+    # SVD fallback below catches: its numpy warnings say nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        _gram(x, y_next, r)
+        scale2 = np.minimum(1.0, 2.25 / np.abs(r, out=mag).sum(axis=2).max(axis=1))
         _diagonal(r)[:] -= 1
+        # scaling X by a maps X^H X - I to a^2 (X^H X - I) + (a^2 - 1) I
+        np.multiply(x, np.sqrt(scale2)[:, None, None], out=y)
+        r *= scale2[:, None, None]
+        _diagonal(r)[:] += (scale2 - 1)[:, None]
+        groups = len(x) // (stack or len(x))
+        for _ in range(_POLAR_MAX_ITER):
+            if np.abs(r, out=mag).max() <= _POLAR_TOL:
+                return y.copy()
+            if groups > 1:
+                # a stack that has stopped keeps its iterate: X (I - 0) is X
+                # exactly, and so is its residual
+                r.reshape(groups, -1)[mag.reshape(groups, -1).max(axis=1) <= _POLAR_TOL] = 0
+            r *= -0.5
+            _diagonal(r)[:] += 1
+            np.matmul(y, r, out=y_next)  # X (I - R / 2)
+            y, y_next = y_next, y
+            _gram(y, y_next, r)
+            _diagonal(r)[:] -= 1
     # not <=: a residual that overflowed to NaN falls back too
     bad = ~(np.abs(r, out=mag).max(axis=(1, 2)) <= _POLAR_TOL)
     y = y.copy()
@@ -381,7 +394,8 @@ def _product(ops, qubits) -> np.ndarray:
     return np.moveaxis(m, s, 0).reshape(-1, d, d)
 
 
-_PAULI_OPS = np.stack([PAULI["X"], PAULI["Y"], PAULI["Z"]])
+# a Pauli error's operator by kind: none, X, Y, Z
+_PAULI_OPS = np.stack([PAULI[a] for a in "IXYZ"])
 
 
 @functools.lru_cache(maxsize=1)
@@ -398,53 +412,35 @@ def _ideal_unitaries(circuit: Circuit) -> tuple:
     return gates, ideal
 
 
-def _fold_pauli_errors(v: np.ndarray, draws: np.ndarray, p: float) -> np.ndarray:
-    """Gate operator ``v`` followed by the Pauli errors that ``draws`` hit.
-
-    ``draws`` holds one uniform draw per gate qubit (row j for the gate's
-    qubit j) and trajectory; a draw below p hits with X, Y or Z, by which
-    third of [0, p) it falls in.  For each hit column b, v_b becomes
-    P_j v_b, so a shared (d, d) ``v`` becomes a (B, d, d) stack.
-    """
-    hits = draws < p
-    if not hits.any():
-        return v
-    if v.ndim == 2:
-        v = np.repeat(v[None], draws.shape[1], axis=0)
-    for j in np.flatnonzero(hits.any(axis=1)):
-        hit = np.flatnonzero(hits[j])
-        ops = _PAULI_OPS[(draws[j, hit] / p * 3).astype(int) % 3]
-        # the hit matrices as (d, h, d) columns; P acts on their bit j
-        cols = v[hit].transpose(1, 0, 2)
-        v[hit] = _kernels.apply_unitary(cols, ops, (int(j),), len(draws)).transpose(1, 0, 2)
-    return v
-
-
-def _chunk_operators(ideal, analog, arity, c, p, rng, b):
-    """Yield (operator, fidelity sum) per gate for a chunk of b trajectories.
+def _chunk_operators(ideal, analog, qubits, c, p, rng, b):
+    """Yield (operator, qubits, fidelity sum) for a chunk of b trajectories.
 
     ``ideal`` holds the gates' ideal unitaries, ``analog`` whether each
-    one is a perturbed block, and ``arity`` each gate's qubit count, the
-    rows of its Pauli draws.  The gates go in windows of consecutive
-    gates whose perturbed blocks (b d^2 entries each) and Pauli draws (b
-    per gate qubit) number at most _WINDOW_ENTRIES; a window holds at
-    least one gate.  A window first makes every draw, in circuit order:
-    each perturbed block's real, then imaginary parts, into its slot of
-    the flat work buffers (``_draw_buffers``, one segment per block
-    dimension d), then the gate's ``rng.random((k, b))``.  Then it forms
-    U + c G per d, raising FloatingPointError if c G overflows (on an
-    inf, LAPACK's SVD need not return), and projects each d's blocks in
-    one ``_polar`` call that stops per gate, so a block gets the same
-    bits in a window of one as in a window of ten.  The fidelity sum is
-    ``gate_fidelity``'s over the b trajectories, or None for a gate with
-    no perturbation.  An operator is the read-only ideal unitary or its
-    own part of a fresh array, never a view of a work buffer: the fuser's
-    open groups hold operators across windows, and ``_fold_pauli_errors``
-    writes into a stacked one.
+    one is a perturbed block, and ``qubits`` the qubits each acts on, one
+    row of Pauli draws per qubit.  The gates go in windows of
+    consecutive gates whose perturbed blocks (b d^2 entries each) and
+    Pauli draws (b per gate qubit) number at most _WINDOW_ENTRIES; a
+    window holds at least one gate.  A window first makes every draw, in
+    circuit order: each perturbed block's real, then imaginary parts,
+    into its slot of the flat work buffers (``_draw_buffers``, one
+    segment per block dimension d), then the gate's ``rng.random((k,
+    b))``.  Then it forms U + c G per d, raising FloatingPointError if
+    c G overflows (on an inf, LAPACK's SVD need not return), and projects
+    each d's blocks in one ``_polar`` call that stops per gate, so a
+    block gets the same bits in a window of one as in a window of ten.
+
+    Each gate's operator is followed by one (b, 2, 2) Pauli stack per
+    gate qubit that some column's draw hits: a draw below p hits with X,
+    Y or Z, by which third of [0, p) it falls in, and a column not hit
+    gets the identity.  The fidelity sum is ``gate_fidelity``'s over the
+    b trajectories, or None for a gate with no perturbation and for a
+    Pauli stack.  An operator is the read-only ideal unitary or its own
+    part of a fresh array, never a view of a work buffer: the fuser's
+    open groups hold operators across windows.
     """
     # the entries each gate draws
-    weight = [b * (perturbed * u.size + (p > 0) * k)
-              for u, perturbed, k in zip(ideal, analog, arity)]
+    weight = [b * (perturbed * u.size + (p > 0) * len(on))
+              for u, perturbed, on in zip(ideal, analog, qubits)]
     start = 0
     while start < len(ideal):
         stop, entries = start + 1, weight[start]
@@ -470,9 +466,9 @@ def _chunk_operators(ideal, analog, arity, c, p, rng, b):
                 rng.standard_normal(out=re)
                 rng.standard_normal(out=im)
             if p > 0:
-                paulis[i] = rng.random((arity[i], b))
-        # NoiseModel keeps c finite, so U + c G is not finite only where
-        # c G overflows; that raises here, before any projection
+                paulis[i] = rng.random((len(qubits[i]), b))
+        # _check_amplitude keeps c finite, so U + c G is not finite only
+        # where c G overflows; that raises here, before any projection
         with np.errstate(over="raise"):
             for members, re, im, x in segments:
                 # x <- U + c (re + 1j im) / sqrt(2), with re and im scaled
@@ -493,10 +489,14 @@ def _chunk_operators(ideal, analog, arity, c, p, rng, b):
         # half of the ideal unitaries are F-ordered
         fids = {i: float(gate_fidelity(ideal[i], ops[i]).sum()) for i in perturbed}
         for i in range(start, stop):
-            v = ops.get(i, ideal[i])
+            yield ops.get(i, ideal[i]), qubits[i], fids.get(i)
             if p > 0:
-                v = _fold_pauli_errors(v, paulis[i], p)
-            yield v, fids.get(i)
+                for q, draws in zip(qubits[i], paulis[i]):
+                    hit = draws < p
+                    if hit.any():
+                        kinds = np.zeros(b, dtype=int)
+                        kinds[hit] = (draws[hit] / p * 3).astype(int) % 3 + 1
+                        yield _PAULI_OPS[kinds], (q,), None
         start = stop
 
 
@@ -581,8 +581,8 @@ def run(
     c = noise.analog_noise_amplitude
     p = noise.depolarizing_rate
     analog = [c > 0 and g.kind in ("gms", "gms_dag") for g in gates]
-    arity = [len(g.qubits) for g in gates]
-    widest = max(arity, default=1)
+    qubits = [g.qubits for g in gates]
+    widest = max(map(len, qubits), default=1)
     # the widest gate bounds the entries of a stacked operator
     width = max(1, _CHUNK_ENTRIES // max(2**n, 4**widest))
     # a fused group is worth its composition only while its matrix is
@@ -600,12 +600,11 @@ def run(
         state = np.zeros((2,) * n + (b,), dtype=np.complex128)
         state[(1,) * n] = 1.0  # |1...1>
         fuser = _Fuser(state, limit)
-        ops = _chunk_operators(ideal, analog, arity, c, p, rng, b)
-        for g, (v, fid) in zip(gates, ops):
+        for v, on, fid in _chunk_operators(ideal, analog, qubits, c, p, rng, b):
             if fid is not None:
                 fid_sum += fid
                 fid_count += b
-            fuser.add(v, g.qubits)
+            fuser.add(v, on)
         successes[start:start + b] = _measure_success(fuser, indices)
         applications += fuser.applications
     mean = float(successes.mean())

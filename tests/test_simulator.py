@@ -66,6 +66,17 @@ class TestPerturbAnalogBlock:
             perturb_analog_block(u, 0.05, 11),
         )
 
+    @pytest.mark.parametrize("c", [-0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_rejects_a_bad_amplitude(self, c, q):
+        # NoiseModel's rule, before any draw; the match tells it from the
+        # LinAlgError (a ValueError) of an SVD on a non-finite matrix
+        u = gate_unitary(Gate("gms", tuple(range(q)), 0.7))
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="c must be finite"):
+            perturb_analog_block(u, c, rng, 2)
+        assert rng.random() == np.random.default_rng(5).random()
+
 
 def _svd_polar(x):
     w, _, vh = np.linalg.svd(x)
@@ -282,16 +293,24 @@ class TestWindows:
 
     @staticmethod
     def _per_gate(gates, ideal, analog, c, p, seed, b):
+        """(qubits, operator, fidelity sum) per gate, each followed by a
+        stack per hit qubit: the drawn Pauli in hit columns, else I."""
         rng = np.random.default_rng(seed)
+        errors = np.stack([PAULI[a] for a in "XYZ"])
         out = []
         for g, u, perturbed in zip(gates, ideal, analog):
             v, fid = u, None
             if perturbed:
                 v = perturb_analog_block(u, c, rng, b)
                 fid = float(gate_fidelity(u, v).sum())
+            out.append((g.qubits, v, fid))
             if p > 0:
-                v = simulator._fold_pauli_errors(v, rng.random((len(g.qubits), b)), p)
-            out.append((g, v, fid))
+                for q, r in zip(g.qubits, rng.random((len(g.qubits), b))):
+                    hit = r < p
+                    if hit.any():
+                        e = np.array([PAULI["I"]] * b)
+                        e[hit] = errors[(r[hit] / p * 3).astype(int) % 3]
+                        out.append(((q,), e, None))
         return out
 
     @pytest.mark.parametrize("cap", [None, 5])
@@ -321,12 +340,14 @@ class TestWindows:
         monkeypatch.setattr(simulator, "_svd_polar", counted_svd)
         want = self._per_gate(gates, ideal, analog, 0.08, 0.05, 9, b)
         monkeypatch.setattr(simulator, "_polar", counted_polar)
-        got = [(g, *op) for g, op in zip(gates, simulator._chunk_operators(
-            tuple(ideal), analog, [len(g.qubits) for g in gates], 0.08, 0.05,
-            np.random.default_rng(9), b))]
+        got = list(simulator._chunk_operators(
+            tuple(ideal), analog, [g.qubits for g in gates], 0.08, 0.05,
+            np.random.default_rng(9), b))
         assert len(got) == len(want)
-        for (g, v, fid), (h, w, fid_want) in zip(got, want):
-            assert g is h
+        # Pauli stacks among them (one trajectory draws no hit at seed 9)
+        assert b == 1 or len(got) > len(gates)
+        for (v, on, fid), (on_want, w, fid_want) in zip(got, want):
+            assert on == on_want
             assert fid == fid_want
             assert v.shape == w.shape and np.array_equal(v, w)
         # several windows, some projecting more than one gate per d
@@ -356,12 +377,12 @@ class TestWindows:
 
         monkeypatch.setattr(simulator, "_polar", counted_polar)
         got = list(simulator._chunk_operators(
-            ideal, analog, [len(g.qubits) for g in gates], c, 0.0,
+            ideal, analog, [g.qubits for g in gates], c, 0.0,
             np.random.default_rng(9), b))
         assert stacks == [1] * 4
         rng = np.random.default_rng(9)
         assert len(got) == len(gates)
-        for u, perturbed, (v, fid) in zip(ideal, analog, got):
+        for u, perturbed, (v, _, fid) in zip(ideal, analog, got):
             if not perturbed:
                 assert v is u and fid is None
                 continue
@@ -761,14 +782,51 @@ class TestFusedGroups:
         assert res.stderr == 0.0 and res.gms_fidelity == 1.0
 
     def test_one_group_per_gate_at_four_qubits(self, monkeypatch):
-        # 4^4 entries of a 4-qubit block exceed the 2^4 amplitudes
+        # 4^4 entries of a 4-qubit block exceed the 2^4 amplitudes: one
+        # call per gate, per Hadamard and per (gate, qubit) a Pauli hits
         calls = _counting_kernel(monkeypatch)
-        p = _homogeneous_k4()
-        circuit = synthesize_homogeneous(p, Schedule(1.0, 3), 4)
-        res = run(circuit, p, NoiseModel(0.05, 0.0, seed=1), trajectories=8)
-        assert len(calls) == len(list(circuit.gates())) + 4
-        assert calls == [4] * len(calls)
-        assert res.kernel_applications == len(calls)
+        problem = _homogeneous_k4()
+        circuit = synthesize_homogeneous(problem, Schedule(1.0, 3), 4)
+        gates = list(circuit.gates())
+        for p in (0.0, 0.05):
+            calls.clear()
+            res = run(circuit, problem, NoiseModel(0.05, p, seed=1), trajectories=8)
+            # the same draws, gate by gate, from the one chunk's generator
+            rng = np.random.default_rng(np.random.SeedSequence(1).spawn(1)[0])
+            hits = 0
+            for g in gates:
+                if g.kind != "1q":
+                    rng.standard_normal((2, 8) + (2 ** len(g.qubits),) * 2)
+                if p > 0:
+                    hits += int((rng.random((len(g.qubits), 8)) < p).any(axis=1).sum())
+            assert hits > 0 or p == 0
+            assert len(calls) == len(gates) + 4 + hits
+            assert calls == [4] * len(calls)
+            assert res.kernel_applications == len(calls)
+
+    @pytest.mark.parametrize("n,mode,k,path", [
+        (4, "homogeneous", 4, "auto"),
+        (4, "mixed", 4, "auto"),
+        (4, "mixed", 4, "digital"),
+        (5, "mixed", 4, "auto"),
+    ])
+    @pytest.mark.parametrize("c,p", [(0.0, 0.01), (0.05, 0.05), (0.0, 0.2)])
+    def test_without_fusion_equals_per_gate_loop(self, n, mode, k, path, c, p):
+        # one chunk of 24 trajectories stays below _CARRY_ENTRIES, so the
+        # state is back in canonical order after every call, as the
+        # loop's is; a Pauli stack is exact on every column, so every
+        # bit agrees
+        problem = random_spin_glass(n, 2, mode)
+        circuit = synthesize(problem, Schedule(1.0, 3), k, path)
+        widest = max(len(g.qubits) for g in circuit.gates())
+        assert 4**widest >= 2**n  # fusion is off
+        assert 2**n * 24 < _kernels._CARRY_ENTRIES
+        noise = NoiseModel(c, p, seed=6)
+        res = run(circuit, problem, noise, trajectories=24)
+        mean, stderr, fidelity = _per_gate_run(circuit, problem, noise, 24)
+        assert res.success_probability == mean
+        assert res.stderr == stderr
+        assert res.gms_fidelity == fidelity
 
     def test_fuses_at_the_width_cap(self, monkeypatch):
         calls = _counting_kernel(monkeypatch)
