@@ -16,6 +16,13 @@ operators H_f and sum_i X_i themselves are built by index arithmetic: each
 is a diagonal or a table of coefficients per bit-flip mask, never a sum of
 dense Pauli strings.
 
+What every call would otherwise rebuild is kept in bounded caches: per
+problem (``IsingProblem`` compares and hashes by its exact contents) the
+coupling sums of alpha_1 and the 2^N vector each frame's H_f starts
+from, and per qubit count the flip-mask index, the sum_i X_i mask vector
+and the sum_i Z_i diagonal.  Cached arrays are read-only and no cache
+keeps a 2^N x 2^N matrix; every public function returns a fresh array.
+
 ``alpha1_analytic`` evaluates the closed form obtained from the first two
 nested commutators O_1 = [H_ad, d_lambda H_ad], O_2 = [H_ad, O_1]:
 
@@ -29,13 +36,14 @@ The gate layer works in a frame rotated by a Hadamard on every qubit
 (Z -> X, X -> Z, Y -> -Y), where the entangling terms become XX/XY/YX and
 the driver is diagonal; ``rotated_full_hamiltonian`` builds that frame's
 generator and ``exact_evolution`` integrates it as a trotter-free reference,
-building H_f, sum_i Z_i and C once per call, recombining them per slice and
-exponentiating each slice through ``numpy.linalg.eigh`` of the Hermitian
-H'(t), so the module needs no scipy.
+forming the dense H_f', sum_i Z_i and C once per call, recombining them per
+slice and exponentiating each slice through ``numpy.linalg.eigh`` of the
+Hermitian H'(t), so the module needs no scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -62,6 +70,10 @@ __all__ = [
 ]
 
 _DENSE_CAP = 12
+# problems whose coupling sums and H_f vectors are kept, and qubit counts
+# whose index tables are kept (the flip index alone is 2^2N entries)
+_PROBLEMS_KEPT = 16
+_SIZES_KEPT = 2
 
 
 # ---------------------------------------------------------------------------
@@ -140,33 +152,66 @@ class Schedule:
 # dense Hamiltonians
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=_SIZES_KEPT)
+def _size_tables(n: int) -> tuple:
+    """(flip, one, zsum) on n qubits, read-only.
+
+    ``flip[r, c]`` is the flip mask r ^ c in the narrowest unsigned
+    dtype, ``one`` is 1 at each single-bit mask w_i (so sum_i X_i is
+    ``one[flip]``) and ``zsum`` is the diagonal of sum_i Z_i.
+    """
+    b = np.arange(2**n)
+    flip = (b[:, None] ^ b).astype(np.min_scalar_type(2**n - 1))
+    one = np.zeros(2**n, dtype=complex)
+    one[_bit_weights(n)] = 1.0
+    zsum = _spins(b, n).sum(axis=1).astype(complex)
+    for table in (flip, one, zsum):
+        table.setflags(write=False)
+    return flip, one, zsum
+
+
+@functools.lru_cache(maxsize=_PROBLEMS_KEPT)
+def _problem_vector(problem: IsingProblem, rotated: bool) -> np.ndarray:
+    """The 2^N vector H_f is built from, read-only.
+
+    In the original frame H_f is diagonal and this is its diagonal,
+    ``all_energies``.  In the per-qubit Hadamard frame H_f' is a table
+    per flip mask: J_ij at mask w_i | w_j and h_i at mask w_i.
+    """
+    n = problem.n_qubits
+    if rotated:
+        weights = _bit_weights(n)
+        vector = np.zeros(2**n, dtype=complex)
+        for (i, j), v in problem.couplings.items():
+            vector[weights[i] | weights[j]] = v
+        vector[weights] = problem.fields
+    else:
+        vector = all_energies(problem).astype(complex)
+    vector.setflags(write=False)
+    return vector
+
+
 def _operators(problem: IsingProblem, rotated: bool = False) -> tuple:
     """Dense (H_f, sum_i X_i), each built by one indexing step.
 
     Every term is a diagonal Z string or an X string, whose entry (r, c)
-    depends only on the flip mask r ^ c, so no Pauli string is formed.
-    In the original frame H_f is diag(``all_energies``) and sum_i X_i
-    has 1 at each single-bit mask w_i.  In the per-qubit Hadamard frame
-    (``rotated``) H_f' has J_ij at mask w_i | w_j and h_i at mask w_i,
-    and sum_i Z_i is the diagonal of the spin sums.
+    depends only on the flip mask r ^ c, so no Pauli string is formed:
+    each operator is a cached 2^N vector (``_problem_vector``,
+    ``_size_tables``) put on the diagonal or indexed by the flip masks.
+    In the original frame H_f is diagonal and sum_i X_i is indexed; in
+    the per-qubit Hadamard frame (``rotated``) H_f' is indexed and
+    sum_i Z_i diagonal.  Both matrices are fresh.
     """
     n = problem.n_qubits
     if n > _DENSE_CAP:
         raise CapabilityError(
             f"dense operators capped at {_DENSE_CAP} qubits, got {n}"
         )
-    weights = _bit_weights(n)
-    b = np.arange(2**n)
-    flip = b[:, None] ^ b
+    flip, one, zsum = _size_tables(n)
+    vector = _problem_vector(problem, rotated)
     if rotated:
-        coef = np.zeros(2**n, dtype=complex)
-        for (i, j), v in problem.couplings.items():
-            coef[weights[i] | weights[j]] = v
-        coef[weights] = problem.fields
-        return coef[flip], np.diag(_spins(b, n).sum(axis=1).astype(complex))
-    one = np.zeros(2**n, dtype=complex)
-    one[weights] = 1.0
-    return np.diag(all_energies(problem).astype(complex)), one[flip]
+        return vector[flip], np.diag(zsum)
+    return np.diag(vector), one[flip]
 
 
 def _with_cd(operators: tuple) -> tuple:
@@ -210,7 +255,9 @@ def adiabatic_hamiltonian(problem: IsingProblem, lambda_value: float) -> np.ndar
 # first-order CD coefficient
 # ---------------------------------------------------------------------------
 
-def _coupling_sums(problem: IsingProblem):
+@functools.lru_cache(maxsize=_PROBLEMS_KEPT)
+def _coupling_sums(problem: IsingProblem) -> tuple:
+    """The field and coupling sums alpha_1 is formed from, per problem."""
     h = problem.fields
     sh2 = float(np.sum(h**2))
     sh4 = float(np.sum(h**4))
@@ -267,9 +314,10 @@ def _coefficients(problem: IsingProblem, schedule: Schedule, times):
     """Yield (lambda, lambda_dot, alpha_1) at each of ``times``, lazily.
 
     The one rule for the CD coefficient, shared by the trotter angles and
-    the dense Hamiltonians: the coupling sums are formed once, and alpha_1
-    is 0 wherever lambda_dot is 0 or the problem has no nonzero coupling
-    or field (there alpha_1 = 0/0 and the CD term C vanishes anyway).
+    the dense Hamiltonians: the coupling sums are looked up once, and
+    alpha_1 is 0 wherever lambda_dot is 0 or the problem has no nonzero
+    coupling or field (there alpha_1 = 0/0 and the CD term C vanishes
+    anyway).
     """
     sums = _coupling_sums(problem)
     live = any(problem.couplings.values()) or problem.fields.any()
@@ -345,10 +393,11 @@ def exact_evolution(
 
     Ordered product of exp(-i H'(t_k) dt) over a midpoint grid of
     ``steps`` slices.  Later factors multiply on the left.  H_f',
-    sum_i Z_i, C and the coupling sums of alpha_1 are built once and
-    recombined for each slice.  Each factor comes from the eigenpairs
-    of the Hermitian H'(t_k) = V diag(w) V^dagger and is applied to the
-    running product U as V diag(e^{-i w dt}) (V^dagger U).
+    sum_i Z_i and C are formed once per call and recombined for each
+    slice with alpha_1 from the cached coupling sums.  Each factor comes
+    from the eigenpairs of the Hermitian H'(t_k) = V diag(w) V^dagger
+    and is applied to the running product U as
+    V diag(e^{-i w dt}) (V^dagger U).
     """
     if problem.n_qubits > 10:
         raise CapabilityError("exact_evolution capped at 10 qubits")

@@ -31,9 +31,15 @@ __all__ = [
 _BRUTE_FORCE_CAP = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsingProblem:
     """A 2-local Ising instance.
+
+    Two instances are equal, and hash alike, exactly when N, the
+    couplings, the bytes of the fields and the offset are the same, so an
+    instance can key a cache of data derived from it.  ``fields`` is a
+    private read-only copy of the values given, and the ``couplings``
+    dict must not be changed after construction: the key is formed once.
 
     Parameters
     ----------
@@ -56,12 +62,10 @@ class IsingProblem:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
-        if self.fields is None:
-            object.__setattr__(self, "fields", np.zeros(self.n_qubits))
-        else:
-            object.__setattr__(
-                self, "fields", np.asarray(self.fields, dtype=float)
-            )
+        fields = np.zeros(self.n_qubits) if self.fields is None \
+            else np.array(self.fields, dtype=float)
+        fields.setflags(write=False)
+        object.__setattr__(self, "fields", fields)
         if len(self.fields) != self.n_qubits:
             raise ValueError("fields length must equal n_qubits")
         if not np.all(np.isfinite(self.fields)):
@@ -81,6 +85,24 @@ class IsingProblem:
                 raise ValueError(f"coupling {key} is not finite")
             clean[key] = float(v)
         object.__setattr__(self, "couplings", clean)
+        # bytes: Python keeps their hashes, and they are exact (0.0 and
+        # -0.0 differ, as they do in the fields)
+        pairs = sorted(clean)
+        values = [clean[p] for p in pairs] + [self.offset]
+        object.__setattr__(self, "_key", (
+            self.n_qubits,
+            np.array(pairs, dtype=np.int64).tobytes(),
+            np.array(values, dtype=float).tobytes(),
+            fields.tobytes(),
+        ))
+
+    def __eq__(self, other):
+        if not isinstance(other, IsingProblem):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def is_homogeneous(self) -> bool:
         """True iff every pair i<j has the same coupling and all fields match.

@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -184,9 +185,14 @@ def perturb_analog_block(
     it makes the draws and gets the bits that the block gets in a run.
     The result is a fresh array, never a view of a work buffer: callers
     hold operators across calls.  Raises ValueError, before any draw,
-    unless c is finite and nonnegative, as ``NoiseModel`` does.
+    unless c is finite and nonnegative, as ``NoiseModel`` does, and
+    ``draws`` is None or an integer >= 1.
     """
     _check_amplitude(c)
+    if draws is not None and (isinstance(draws, bool)
+                              or not isinstance(draws, numbers.Integral)
+                              or draws < 1):
+        raise ValueError(f"draws must be None or an integer >= 1, got {draws}")
     if c == 0:
         return u
     b = 1 if draws is None else draws

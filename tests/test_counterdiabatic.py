@@ -1,4 +1,6 @@
+import collections
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,3 +420,105 @@ class TestCoefficients:
         assert len(calls) == 1
         exact_evolution(p, Schedule(1.0, 10), 50)
         assert len(calls) == 2
+
+
+def _clear_caches():
+    for cache in (counterdiabatic._coupling_sums,
+                  counterdiabatic._problem_vector,
+                  counterdiabatic._size_tables):
+        cache.cache_clear()
+
+
+class TestCaches:
+    """Instance data is computed once per problem and per size, and the
+    results keep their bits."""
+
+    LAMBDAS = np.linspace(0.0, 1.0, 11)
+
+    @classmethod
+    def _results(cls, p):
+        sch = Schedule(1.0, 4)
+        return (
+            [alpha1_analytic(p, lam) for lam in cls.LAMBDAS],
+            [alpha1_oracle(p, lam) for lam in cls.LAMBDAS],
+            exact_evolution(p, sch, 20),
+            rotated_full_hamiltonian(p, sch, 0.3),
+        )
+
+    @pytest.mark.parametrize("mode", [
+        "homogeneous", "mixed", "fully_nonuniform",
+    ])
+    def test_cleared_caches_give_equal_results(self, mode):
+        p = random_spin_glass(5, 4, mode)
+        _clear_caches()
+        cold = self._results(p)
+        for q in (p, IsingProblem.from_json(p.to_json())):
+            for a, b in zip(self._results(q), cold):
+                assert np.array_equal(a, b)
+
+    def test_sweep_computes_instance_data_once(self, monkeypatch):
+        # the coupling sums read the coupling matrix once; the
+        # original-frame vector is all_energies
+        counts = collections.Counter()
+
+        def counted(name, f):
+            def wrapper(*args):
+                counts[name] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(counterdiabatic, "all_energies",
+                            counted("energies", all_energies))
+        monkeypatch.setattr(IsingProblem, "coupling_matrix",
+                            counted("sums", IsingProblem.coupling_matrix))
+        _clear_caches()
+        p = random_spin_glass(6, 2, "fully_nonuniform")
+        # an equal copy finds what p left in the caches
+        same = (p, IsingProblem.from_json(p.to_json()))
+        for k, lam in enumerate(self.LAMBDAS):
+            q = same[k % 2]
+            alpha1_analytic(q, lam)
+            alpha1_oracle(q, lam)
+            gamma_closed_forms(q, lam)
+            adiabatic_hamiltonian(q, lam)
+        assert counts == {"sums": 1, "energies": 1}
+        assert counterdiabatic._size_tables.cache_info().misses == 1
+
+    def test_returned_matrices_are_fresh(self):
+        p = random_spin_glass(3, 1, "mixed")
+        sch = Schedule(1.0, 2)
+        builders = [
+            lambda: problem_hamiltonian(p),
+            lambda: driver_hamiltonian(3),
+            lambda: adiabatic_hamiltonian(p, 0.4),
+            lambda: cd_generator(p, 0.4),
+            lambda: full_hamiltonian(p, sch, 0.3),
+            lambda: rotated_full_hamiltonian(p, sch, 0.3),
+            lambda: exact_evolution(p, sch, 5),
+            lambda: counterdiabatic._operators(p, rotated=True)[0],
+            lambda: counterdiabatic._operators(p, rotated=True)[1],
+        ]
+        for build in builders:
+            first = build()
+            expected = first.copy()
+            first[...] = 7.0
+            assert np.array_equal(build(), expected)
+        cached = [counterdiabatic._problem_vector(p, rotated)
+                  for rotated in (False, True)]
+        cached += counterdiabatic._size_tables(3)
+        assert not any(a.flags.writeable for a in cached)
+
+    def test_caches_keep_less_than_one_dense_matrix(self):
+        # at N = 10 one 2^N x 2^N complex matrix is 16 MiB; the caches
+        # hold the uint16 flip index (2 MiB) and a few 2^N vectors
+        p = random_spin_glass(10, 0, "fully_nonuniform")
+        _clear_caches()
+        tracemalloc.start()
+        try:
+            exact_evolution(p, Schedule(1.0, 1), 1)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert counterdiabatic._size_tables.cache_info().currsize == 1
+        assert counterdiabatic._problem_vector.cache_info().currsize == 1
+        assert kept < 2**20 * 16

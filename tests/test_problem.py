@@ -178,6 +178,59 @@ class TestSerialization:
         assert np.array_equal(h.weights, g.weights)
 
 
+class TestIdentity:
+    """Problems compare and hash by their exact contents."""
+
+    @staticmethod
+    def _problems():
+        for mode in ("homogeneous", "mixed", "fully_nonuniform"):
+            yield random_spin_glass(5, 3, mode)
+        yield mis_to_ising(random_graph(6, 2, weight_mode="mixed"))
+        yield IsingProblem(1)
+
+    def test_round_trip_is_equal_with_equal_hash(self):
+        for p in self._problems():
+            q = IsingProblem.from_json(p.to_json())
+            assert q is not p
+            assert q == p and hash(q) == hash(p)
+
+    def test_reordered_couplings_are_equal(self):
+        p = IsingProblem(3, {(0, 1): 1.0, (1, 2): -0.5}, [0.1, 0.2, 0.3])
+        q = IsingProblem(3, {(2, 1): -0.5, (1, 0): 1.0}, (0.1, 0.2, 0.3))
+        assert q == p and hash(q) == hash(p)
+
+    def test_one_changed_value_is_unequal(self):
+        p = IsingProblem(3, {(0, 1): 1.0, (1, 2): -0.5}, [0.1, 0.2, 0.0],
+                         offset=2.0)
+        changed = [
+            IsingProblem(3, {(0, 1): 1.0, (1, 2): -0.25}, p.fields, offset=2.0),
+            IsingProblem(3, {(0, 1): 1.0, (0, 2): -0.5}, p.fields, offset=2.0),
+            IsingProblem(3, {(0, 1): 1.0}, p.fields, offset=2.0),
+            IsingProblem(3, p.couplings, [0.1, 0.25, 0.0], offset=2.0),
+            # exact bytes: a signed zero is a different field
+            IsingProblem(3, p.couplings, [0.1, 0.2, -0.0], offset=2.0),
+            IsingProblem(3, p.couplings, p.fields, offset=2.5),
+            IsingProblem(4, p.couplings, [0.1, 0.2, 0.0, 0.0], offset=2.0),
+        ]
+        assert IsingProblem(3, p.couplings, p.fields, offset=2.0) == p
+        for q in changed:
+            assert q != p
+        assert len({p, *changed}) == 1 + len(changed)
+        assert p != p.to_json()
+
+    def test_fields_are_a_read_only_copy(self):
+        h = np.array([0.5, -1.0, 0.25])
+        p = IsingProblem(3, {(0, 2): 1.0}, h)
+        assert not p.fields.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            p.fields[0] = 2.0
+        # the caller's array stays writable, and writing it changes nothing
+        assert h.flags.writeable
+        h[0] = 2.0
+        assert p.fields[0] == 0.5
+        assert p == IsingProblem(3, {(0, 2): 1.0}, [0.5, -1.0, 0.25])
+
+
 class TestValidation:
     def test_self_coupling_rejected(self):
         with pytest.raises(ValueError):

@@ -77,6 +77,20 @@ class TestPerturbAnalogBlock:
             perturb_analog_block(u, c, rng, 2)
         assert rng.random() == np.random.default_rng(5).random()
 
+    @pytest.mark.parametrize("draws", [0, -1, 2.5, True, np.float64(2.0)])
+    def test_rejects_a_bad_draw_count(self, draws):
+        # before any draw, and not from deep inside the window code
+        u = gate_unitary(Gate("gms", (0, 1, 2), 0.7))
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="draws must be None or an integer"):
+            perturb_analog_block(u, 0.1, rng, draws)
+        assert rng.random() == np.random.default_rng(5).random()
+
+    def test_accepts_a_numpy_integer_draw_count(self):
+        u = gate_unitary(Gate("gms", (0, 1), 0.7))
+        np.testing.assert_array_equal(perturb_analog_block(u, 0.1, 4, np.int64(3)),
+                                      perturb_analog_block(u, 0.1, 4, 3))
+
 
 def _svd_polar(x):
     w, _, vh = np.linalg.svd(x)
