@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,16 +38,17 @@ class IsingProblem:
 
     Two instances are equal, and hash alike, exactly when N, the
     couplings, the bytes of the fields and the offset are the same, so an
-    instance can key a cache of data derived from it.  ``fields`` is a
-    private read-only copy of the values given, and the ``couplings``
-    dict must not be changed after construction: the key is formed once.
+    instance can key a cache of data derived from it.  The key is formed
+    once, so ``couplings`` and ``fields`` are read-only copies of the
+    values given.  An instance pickles and copies as a rebuild from them.
 
     Parameters
     ----------
     n_qubits : int
         Number of spins N.
     couplings : dict[(int, int), float]
-        Pair couplings J_ij keyed by (i, j) with i < j.
+        Pair couplings J_ij keyed by (i, j) with i < j; kept as a
+        read-only mapping.
     fields : np.ndarray
         Local fields h_i, length N.
     offset : float
@@ -84,7 +86,7 @@ class IsingProblem:
             if not np.isfinite(v):
                 raise ValueError(f"coupling {key} is not finite")
             clean[key] = float(v)
-        object.__setattr__(self, "couplings", clean)
+        object.__setattr__(self, "couplings", types.MappingProxyType(clean))
         # bytes: Python keeps their hashes, and they are exact (0.0 and
         # -0.0 differ, as they do in the fields)
         pairs = sorted(clean)
@@ -103,6 +105,11 @@ class IsingProblem:
 
     def __hash__(self):
         return hash(self._key)
+
+    def __reduce__(self):
+        # a mappingproxy can be neither pickled nor copied
+        return IsingProblem, (self.n_qubits, dict(self.couplings), self.fields,
+                              self.offset)
 
     def is_homogeneous(self) -> bool:
         """True iff every pair i<j has the same coupling and all fields match.

@@ -42,21 +42,24 @@ drawn Pauli in each hit column and the identity in the others.  No gate
 operator is rewritten for a hit.  The draws follow the gates in circuit
 order, so every error site of the per-gate model is kept.
 
-The operators are then applied in fused groups (``_Fuser``; gate fusion
-as in qsim, Isakov et al. 2021).  A gate joins the open groups it
-touches while their qubits and its own number at most w, the circuit's
-widest gate; otherwise those groups are applied to the state and the
-gate opens a new one.  Open groups are disjoint, so they commute.  A
-group's product is composed with the state kernel on its tensor-form
-(2^s, 2^s) matrix, or on its stacked columns, which carries its axis
-order from one operator to the next, and applied to the state in one
-kernel call; the measurement's Hadamards join the same stream.  A Pauli
-stack acts on a qubit of its gate, so it always joins its gate's group.
-Fusion is on only when a group's 4^w entries are fewer than the state's
-2^n amplitudes; otherwise (N=4 with 4-qubit blocks, say) every gate and
-every Pauli stack is one call on the state, and a run has the bits of
-applying them one by one.  ``RunResult.kernel_applications`` counts the
-calls on the state.
+The operators are then applied in fused groups (gate fusion as in qsim,
+Isakov et al. 2021).  The groups depend only on the gates' qubits, so
+each circuit's plan is computed once (``_fusion_plan``, cached with the
+ideal unitaries) and every chunk and noise amplitude walks it.  A gate
+joins the open groups it touches while their qubits and its own number
+at most w, the circuit's widest gate; otherwise those groups close, in
+the plan's order, and the gate opens a new one.  Open groups are
+disjoint, so they commute.  The measurement's n Hadamards are the plan's
+last members.  A group's product is composed with the state kernel on
+its tensor-form (2^s, 2^s) matrix, or on its stacked columns, which
+carries its axis order from one operator to the next, and applied to the
+state in one kernel call.  A Pauli stack acts on a qubit of its gate, so
+it always joins its gate's group.  Fusion is on only when a group's 4^w
+entries are fewer than the state's 2^n amplitudes; otherwise (N=4 with
+4-qubit blocks, say) every gate is its own group and each operator,
+Pauli stacks included, is one call on the state, so a run has the bits
+of applying them one by one.  ``RunResult.kernel_applications`` counts
+the calls on the state.
 
 A chunk holds at most ``_CHUNK_ENTRIES`` state amplitudes, and at most as
 many entries as a stacked operator of the widest gate (4^w), so memory
@@ -65,13 +68,14 @@ and more than 2^16 trajectories gets more chunks than a bound over the
 stacked gates alone would give.  The noise seed is
 split with ``SeedSequence(seed).spawn`` into one generator per chunk, so
 a seed gives the same result on every run.  ``run`` keeps the ideal gate
-unitaries of the circuit it ran last, so a sweep over noise amplitudes
-builds them once.
+unitaries and the fusion plan of the circuit it ran last, so a sweep
+over noise amplitudes builds them once.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -320,17 +324,14 @@ def optimal_state_indices(problem: IsingProblem, truth: GroundTruth = None):
     return np.sort((spins == -1) @ _bit_weights(n)), truth
 
 
-def _measure_success(fuser: _Fuser, indices: np.ndarray) -> np.ndarray:
-    """Success probability of each column of the fuser's state.
+def _measure_success(state: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Success probability of each column of a (2,)*n + (B,) state.
 
-    The Hadamards that turn the X basis into the computational one join
-    the fuser's stream, then every open group is applied.
+    The state has had the plan's closing Hadamards, which turn the X
+    basis into the computational one.
     """
-    for q in range(fuser.n):
-        fuser.add(HADAMARD, (q,))
-    state = fuser.finish()
     # indexed by bits, so the state is read in whatever order it was left
-    amplitudes = state[np.unravel_index(indices, state.shape[:fuser.n])]
+    amplitudes = state[np.unravel_index(indices, state.shape[:-1])]
     return np.sum(np.abs(amplitudes) ** 2, axis=0)
 
 
@@ -406,20 +407,56 @@ _PAULI_OPS = np.stack([PAULI[a] for a in "IXYZ"])
 
 @functools.lru_cache(maxsize=1)
 def _ideal_unitaries(circuit: Circuit) -> tuple:
-    """The circuit's gates and their ideal unitaries, read-only.
+    """The circuit's gates, their ideal unitaries, read-only, and its
+    fusion plan.
 
     Kept for the last circuit run: a noise sweep runs one circuit once
-    per amplitude.
+    per amplitude, and every chunk of a run walks the same plan.
     """
     gates = tuple(circuit.gates())
     ideal = tuple(gate_unitary(g) for g in gates)
     for u in ideal:
         u.flags.writeable = False
-    return gates, ideal
+    return gates, ideal, _fusion_plan([g.qubits for g in gates], circuit.width)
+
+
+def _fusion_plan(qubits, n: int) -> tuple:
+    """Fused groups of the gates on ``qubits`` and n closing Hadamards.
+
+    Member i < len(qubits) is gate i; member len(qubits) + q is the
+    Hadamard on qubit q.  Returns (members, group qubits) pairs in the
+    order the groups are applied, each group's members in the order its
+    product composes them.  A gate joins the open groups it touches while
+    their qubits and its own number at most the widest gate's; otherwise
+    those groups close, in the order of the gates that last joined them,
+    and the gate opens a new one.  Where fusion is off (a group's 4^w entries
+    at least the state's 2^n amplitudes), every member is a group of its
+    own, in circuit order, and its qubits are None: each of its operators
+    is applied on its own.
+    """
+    widest = max(map(len, qubits), default=1)
+    on = [*qubits, *((q,) for q in range(n))]
+    if 4**widest >= 2**n:
+        return tuple(((i,), None) for i in range(len(on)))
+    plan, groups = [], []  # open groups: (qubits, members), disjoint
+    for i, gate in enumerate(on):
+        touched, rest = [], []
+        for group in groups:
+            (rest if group[0].isdisjoint(gate) else touched).append(group)
+        union = frozenset(gate).union(*(g[0] for g in touched))
+        if len(union) <= widest:
+            rest.append((union, [m for g in touched for m in g[1]] + [i]))
+        else:
+            plan += touched
+            rest.append((frozenset(gate), [i]))
+        groups = rest
+    plan += groups
+    return tuple((tuple(members), tuple(sorted(union))) for union, members in plan)
 
 
 def _chunk_operators(ideal, analog, qubits, c, p, rng, b):
-    """Yield (operator, qubits, fidelity sum) for a chunk of b trajectories.
+    """Yield (operator, Pauli stacks, fidelity sum) per gate for a chunk
+    of b trajectories.
 
     ``ideal`` holds the gates' ideal unitaries, ``analog`` whether each
     one is a perturbed block, and ``qubits`` the qubits each acts on, one
@@ -435,14 +472,14 @@ def _chunk_operators(ideal, analog, qubits, c, p, rng, b):
     each d's blocks in one ``_polar`` call that stops per gate, so a
     block gets the same bits in a window of one as in a window of ten.
 
-    Each gate's operator is followed by one (b, 2, 2) Pauli stack per
-    gate qubit that some column's draw hits: a draw below p hits with X,
-    Y or Z, by which third of [0, p) it falls in, and a column not hit
-    gets the identity.  The fidelity sum is ``gate_fidelity``'s over the
-    b trajectories, or None for a gate with no perturbation and for a
-    Pauli stack.  An operator is the read-only ideal unitary or its own
-    part of a fresh array, never a view of a work buffer: the fuser's
-    open groups hold operators across windows.
+    A gate's Pauli stacks, applied right after its operator, are
+    (stack, (q,)) pairs, one (b, 2, 2) stack per gate qubit q that some
+    column's draw hits: a draw below p hits with X, Y or Z, by which
+    third of [0, p) it falls in, and a column not hit gets the identity.
+    The fidelity sum is ``gate_fidelity``'s over the b trajectories, or
+    None for a gate with no perturbation.  An operator is the read-only
+    ideal unitary or its own part of a fresh array, never a view of a
+    work buffer: a run holds the operators of open groups across windows.
     """
     # the entries each gate draws
     weight = [b * (perturbed * u.size + (p > 0) * len(on))
@@ -465,14 +502,14 @@ def _chunk_operators(ideal, analog, qubits, c, p, rng, b):
             segments.append((members, re, im, x))
             slots.update((i, (re[j], im[j])) for j, i in enumerate(members))
             offset += size
-        paulis = {}
+        draws = {}
         for i in range(start, stop):
             if analog[i]:
                 re, im = slots[i]
                 rng.standard_normal(out=re)
                 rng.standard_normal(out=im)
             if p > 0:
-                paulis[i] = rng.random((len(qubits[i]), b))
+                draws[i] = rng.random((len(qubits[i]), b))
         # _check_amplitude keeps c finite, so U + c G is not finite only
         # where c G overflows; that raises here, before any projection
         with np.errstate(over="raise"):
@@ -495,75 +532,16 @@ def _chunk_operators(ideal, analog, qubits, c, p, rng, b):
         # half of the ideal unitaries are F-ordered
         fids = {i: float(gate_fidelity(ideal[i], ops[i]).sum()) for i in perturbed}
         for i in range(start, stop):
-            yield ops.get(i, ideal[i]), qubits[i], fids.get(i)
+            paulis = []
             if p > 0:
-                for q, draws in zip(qubits[i], paulis[i]):
-                    hit = draws < p
+                for q, row in zip(qubits[i], draws[i]):
+                    hit = row < p
                     if hit.any():
                         kinds = np.zeros(b, dtype=int)
-                        kinds[hit] = (draws[hit] / p * 3).astype(int) % 3 + 1
-                        yield _PAULI_OPS[kinds], (q,), None
+                        kinds[hit] = (row[hit] / p * 3).astype(int) % 3 + 1
+                        paulis.append((_PAULI_OPS[kinds], (q,)))
+            yield ops.get(i, ideal[i]), paulis, fids.get(i)
         start = stop
-
-
-class _Fuser:
-    """Applies a stream of gates to a (2,)*n + (B,) state in fused groups.
-
-    An open group holds the operators, shared (d, d) or stacked (B, d, d),
-    of gates whose qubits together number at most ``limit``.  A gate joins
-    the open groups it touches when their qubits and its own stay within
-    the limit; otherwise those groups are applied to the state and the
-    gate opens a group of its own, or is applied at once if it is wider
-    than the limit.  Open groups are disjoint, so they commute and can be
-    applied in any order.  A group's product is formed with the state
-    kernel on its (2^s, 2^s) matrix, or on its stacked (2^s, B, 2^s)
-    columns, and applied to the state in one more call.  The state keeps
-    the axis order each call leaves it in.
-    """
-
-    def __init__(self, state: np.ndarray, limit: int):
-        self.state = state
-        self.n = state.ndim - 1
-        self.limit = limit
-        self.groups = []  # (qubits, [(operator, gate qubits), ...])
-        self.applications = 0
-
-    def add(self, op: np.ndarray, qubits: tuple) -> None:
-        touched, rest = [], []
-        for group in self.groups:
-            (rest if group[0].isdisjoint(qubits) else touched).append(group)
-        self.groups = rest
-        if len(qubits) <= self.limit:
-            union = frozenset(qubits).union(*(g[0] for g in touched))
-            if len(union) <= self.limit:
-                ops = [o for g in touched for o in g[1]]
-                rest.append((union, ops + [(op, qubits)]))
-                return
-        for group in touched:
-            self._flush(group)
-        if len(qubits) <= self.limit:
-            rest.append((frozenset(qubits), [(op, qubits)]))
-        else:
-            self._apply(op, qubits)  # no group can hold it
-
-    def finish(self) -> np.ndarray:
-        """Apply every open group and return the state."""
-        for group in self.groups:
-            self._flush(group)
-        self.groups = []
-        return self.state
-
-    def _flush(self, group) -> None:
-        union, ops = group
-        if len(ops) == 1:
-            self._apply(*ops[0])
-        else:
-            qubits = tuple(sorted(union))
-            self._apply(_product(ops, qubits), qubits)
-
-    def _apply(self, u: np.ndarray, qubits: tuple) -> None:
-        self.state = _kernels.apply_unitary(self.state, u, qubits, self.n)
-        self.applications += 1
 
 
 def run(
@@ -581,7 +559,7 @@ def run(
     if trajectories < 1:
         raise ValueError("trajectories must be >= 1")
     indices, truth = optimal_state_indices(problem, truth)
-    gates, ideal = _ideal_unitaries(circuit)
+    gates, ideal, plan = _ideal_unitaries(circuit)
     if noise.is_trivial:
         trajectories = 1
     c = noise.analog_noise_amplitude
@@ -591,10 +569,8 @@ def run(
     widest = max(map(len, qubits), default=1)
     # the widest gate bounds the entries of a stacked operator
     width = max(1, _CHUNK_ENTRIES // max(2**n, 4**widest))
-    # a fused group is worth its composition only while its matrix is
-    # smaller than the state; otherwise each gate is applied on its own,
-    # in circuit order
-    limit = widest if 4**widest < 2**n else 0
+    on = [*qubits, *((q,) for q in range(n))]
+    hadamards = [(HADAMARD, [], None)] * n
     starts = range(0, trajectories, width)
     chunk_seeds = np.random.SeedSequence(noise.seed).spawn(len(starts))
     successes = np.empty(trajectories)
@@ -605,14 +581,26 @@ def run(
         b = min(width, trajectories - start)
         state = np.zeros((2,) * n + (b,), dtype=np.complex128)
         state[(1,) * n] = 1.0  # |1...1>
-        fuser = _Fuser(state, limit)
-        for v, on, fid in _chunk_operators(ideal, analog, qubits, c, p, rng, b):
-            if fid is not None:
-                fid_sum += fid
-                fid_count += b
-            fuser.add(v, on)
-        successes[start:start + b] = _measure_success(fuser, indices)
-        applications += fuser.applications
+        stream = enumerate(itertools.chain(
+            _chunk_operators(ideal, analog, qubits, c, p, rng, b), hadamards))
+        held = {}  # member -> its operators, until its group is applied
+        for members, fused in plan:
+            # members[-1] joined last, so it is the group's last in the stream
+            while members[-1] not in held:
+                i, (v, paulis, fid) = next(stream)
+                if fid is not None:
+                    fid_sum += fid
+                    fid_count += b
+                held[i] = [(v, on[i]), *paulis]
+            ops = []
+            for i in members:
+                ops += held.pop(i)
+            if fused and len(ops) > 1:
+                ops = [(_product(ops, fused), fused)]
+            for u, targets in ops:
+                state = _kernels.apply_unitary(state, u, targets, n)
+            applications += len(ops)
+        successes[start:start + b] = _measure_success(state, indices)
     mean = float(successes.mean())
     stderr = float(successes.std(ddof=1) / math.sqrt(trajectories)) if trajectories > 1 else 0.0
     fidelity = fid_sum / fid_count if fid_count else 1.0

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -229,6 +231,33 @@ class TestIdentity:
         h[0] = 2.0
         assert p.fields[0] == 0.5
         assert p == IsingProblem(3, {(0, 2): 1.0}, [0.5, -1.0, 0.25])
+
+    def test_couplings_are_a_read_only_copy(self):
+        j = {(0, 1): 1.0, (1, 2): -0.5}
+        p = IsingProblem(3, j, [0.1, 0.2, 0.3])
+        with pytest.raises(TypeError):
+            p.couplings[(0, 1)] = 5.0
+        with pytest.raises(TypeError):
+            del p.couplings[(1, 2)]
+        j[(0, 1)] = 5.0
+        assert p.couplings == {(0, 1): 1.0, (1, 2): -0.5}
+        assert p == IsingProblem(3, {(0, 1): 1.0, (1, 2): -0.5}, [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda p: pickle.loads(pickle.dumps(p)),
+        copy.deepcopy,
+        copy.copy,
+    ])
+    def test_pickle_and_copy_round_trips(self, round_trip):
+        p = random_spin_glass(5, 3, "fully_nonuniform")
+        p = IsingProblem(p.n_qubits, p.couplings, p.fields, offset=-1.5)
+        q = round_trip(p)
+        assert q == p and hash(q) == hash(p)
+        assert q.couplings == p.couplings and q.offset == p.offset
+        np.testing.assert_array_equal(q.fields, p.fields)
+        assert not q.fields.flags.writeable
+        with pytest.raises(TypeError):
+            q.couplings[(0, 1)] = 5.0
 
 
 class TestValidation:

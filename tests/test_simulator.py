@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dacqo import _kernels, simulator
 from dacqo.counterdiabatic import Schedule, exact_evolution
@@ -307,24 +309,25 @@ class TestWindows:
 
     @staticmethod
     def _per_gate(gates, ideal, analog, c, p, seed, b):
-        """(qubits, operator, fidelity sum) per gate, each followed by a
-        stack per hit qubit: the drawn Pauli in hit columns, else I."""
+        """(operator, Pauli stacks, fidelity sum) per gate, with a
+        (stack, (q,)) pair per hit qubit q: the drawn Pauli in hit
+        columns, else I."""
         rng = np.random.default_rng(seed)
         errors = np.stack([PAULI[a] for a in "XYZ"])
         out = []
         for g, u, perturbed in zip(gates, ideal, analog):
-            v, fid = u, None
+            v, fid, paulis = u, None, []
             if perturbed:
                 v = perturb_analog_block(u, c, rng, b)
                 fid = float(gate_fidelity(u, v).sum())
-            out.append((g.qubits, v, fid))
             if p > 0:
                 for q, r in zip(g.qubits, rng.random((len(g.qubits), b))):
                     hit = r < p
                     if hit.any():
                         e = np.array([PAULI["I"]] * b)
                         e[hit] = errors[(r[hit] / p * 3).astype(int) % 3]
-                        out.append(((q,), e, None))
+                        paulis.append((e, (q,)))
+            out.append((v, paulis, fid))
         return out
 
     @pytest.mark.parametrize("cap", [None, 5])
@@ -357,13 +360,15 @@ class TestWindows:
         got = list(simulator._chunk_operators(
             tuple(ideal), analog, [g.qubits for g in gates], 0.08, 0.05,
             np.random.default_rng(9), b))
-        assert len(got) == len(want)
+        assert len(got) == len(want) == len(gates)
         # Pauli stacks among them (one trajectory draws no hit at seed 9)
-        assert b == 1 or len(got) > len(gates)
-        for (v, on, fid), (on_want, w, fid_want) in zip(got, want):
-            assert on == on_want
+        assert b == 1 or any(paulis for _, paulis, _ in got)
+        for (v, paulis, fid), (w, paulis_want, fid_want) in zip(got, want):
             assert fid == fid_want
             assert v.shape == w.shape and np.array_equal(v, w)
+            assert [on for _, on in paulis] == [on for _, on in paulis_want]
+            for (e, _), (e_want, _) in zip(paulis, paulis_want):
+                assert e.shape == e_want.shape and np.array_equal(e, e_want)
         # several windows, some projecting more than one gate per d
         windows = sum(1 for d, _ in stacks if d == 16)
         assert windows > 1 and max(n for _, n in stacks) > 1
@@ -396,7 +401,8 @@ class TestWindows:
         assert stacks == [1] * 4
         rng = np.random.default_rng(9)
         assert len(got) == len(gates)
-        for u, perturbed, (v, _, fid) in zip(ideal, analog, got):
+        for u, perturbed, (v, paulis, fid) in zip(ideal, analog, got):
+            assert paulis == []
             if not perturbed:
                 assert v is u and fid is None
                 continue
@@ -683,8 +689,9 @@ class TestSweep:
 
     def test_cached_unitaries_are_read_only(self):
         circuit = synthesize(_homogeneous_k4(), Schedule(1.0, 2), 4)
-        gates, ideal = simulator._ideal_unitaries(circuit)
+        gates, ideal, plan = simulator._ideal_unitaries(circuit)
         assert gates == tuple(circuit.gates())
+        assert plan == simulator._fusion_plan([g.qubits for g in gates], 4)
         for g, u in zip(gates, ideal):
             np.testing.assert_array_equal(u, gate_unitary(g))
             assert not u.flags.writeable
@@ -854,3 +861,63 @@ class TestFusedGroups:
         assert 0 < 4 * state_calls <= gates
         # composing a group works on its own matrix, never the state
         assert max(n for n in calls if n != 14) <= 4
+
+
+@st.composite
+def _gate_qubits(draw):
+    """A width n <= 8 and the qubits of up to 40 gates of 1-4 qubits."""
+    n = draw(st.integers(1, 8))
+    # the widest gate's bound, drawn first so that fusion is on in many draws
+    widest = draw(st.integers(1, min(4, n)))
+    count = draw(st.integers(0, 40))
+    gate = st.lists(st.integers(0, n - 1), min_size=1, max_size=widest,
+                    unique=True).map(tuple)
+    return n, draw(st.lists(gate, min_size=count, max_size=count))
+
+
+class TestFusionPlan:
+    """``_fusion_plan`` groups a circuit's gates and closing Hadamards."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_gate_qubits())
+    def test_groups_keep_each_qubits_order(self, drawn):
+        n, qubits = drawn
+        plan = simulator._fusion_plan(qubits, n)
+        on = qubits + [(q,) for q in range(n)]
+        widest = max(map(len, qubits), default=1)
+        if 4**widest >= 2**n:
+            # fusion off: each member alone, in circuit order
+            assert plan == tuple(((i,), None) for i in range(len(on)))
+            return
+        order = [i for members, _ in plan for i in members]
+        assert sorted(order) == list(range(len(on)))
+        for members, fused in plan:
+            union = sorted(set().union(*(on[i] for i in members)))
+            assert fused == tuple(union)
+            assert len(members) == 1 or len(union) <= widest
+            # run pulls the stream up to a group's last member
+            assert members[-1] == max(members)
+        for q in range(n):
+            touching = [i for i in order if q in on[i]]
+            assert touching == sorted(touching)
+
+    def test_built_once_per_circuit(self, monkeypatch):
+        plans = []
+        fusion_plan = simulator._fusion_plan
+
+        def counted(qubits, n):
+            plans.append(n)
+            return fusion_plan(qubits, n)
+
+        monkeypatch.setattr(simulator, "_fusion_plan", counted)
+        simulator._ideal_unitaries.cache_clear()
+        success_vs_fidelity_sweep(_homogeneous_k4(), Schedule(1.0, 2), 4,
+                                  [0.0, 0.05, 0.1], trajectories=4)
+        assert plans == [4]
+        # 10 trajectories of a fused 9-qubit circuit in chunks of 4, 4 and 2
+        monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 2048)
+        problem = random_spin_glass(9, 2, "fully_nonuniform")
+        circuit = synthesize(problem, Schedule(1.0, 2), 4)
+        res = run(circuit, problem, NoiseModel(0.05, 0.05, seed=1), trajectories=10)
+        assert res.trajectories == 10
+        assert plans == [4, 9]
