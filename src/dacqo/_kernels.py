@@ -44,8 +44,10 @@ def apply_unitary(state: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarra
     ``u`` is either one 2^k x 2^k matrix, applied to every column, or a
     stacked (m, 2^k, 2^k) array whose ``u[b]`` acts on column ``b`` of a
     (2^n, m) matrix, or on every column of ``state[:, b]`` of a
-    (2^n, m, r) array (likewise for the tensor forms).  Returns a new
-    array of the input's shape, which for a tensor-form input may be a
+    (2^n, m, r) array (likewise for the tensor forms).  Nothing here
+    needs ``u`` to be unitary: any square matrix or stack of square
+    matrices of that size is applied the same way.  Returns a new array
+    of the input's shape, which for a tensor-form input may be a
     transposed view; the input is not modified.
     """
     k = len(qubits)

@@ -49,6 +49,7 @@ from .problem import (
     CapabilityError,
     Graph,
     IsingProblem,
+    _json_object,
     brute_force_ground_state,
     mis_to_ising,
     random_graph,
@@ -103,18 +104,12 @@ def _read_config(ctx, param, path):
     """Install the JSON object in ``path`` as the command's default map."""
     if path is None:
         return
-    try:
-        doc = json.loads(Path(path).read_text())
-    except ValueError as e:  # bad JSON, or bytes that are not UTF-8
-        raise click.BadParameter(f"not a JSON file: {e}")
-    if not isinstance(doc, dict):
-        raise click.BadParameter("the file must hold a JSON object")
     names = sorted(p.name for p in ctx.command.params if p.expose_value)
+    try:
+        doc = _json_object(Path(path).read_text(), "config", names)
+    except ValueError as e:  # bad JSON or keys, or bytes that are not UTF-8
+        raise click.BadParameter(str(e))
     for key, value in doc.items():
-        if key not in names:
-            raise click.BadParameter(
-                f"unknown key {key!r}; keys are {', '.join(names)}"
-            )
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise click.BadParameter(
                 f"{key!r} must be a string or a number, got {json.dumps(value)}"

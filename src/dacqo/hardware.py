@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .problem import IsingProblem
+from .problem import IsingProblem, _json_object, _number
 from .synthesis import (
     _FLIP_BLOCK_CAP,
     Circuit,
@@ -43,19 +43,11 @@ class HardwareSpec:
 
     @staticmethod
     def from_json(text: str) -> "HardwareSpec":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("hardware file must hold a JSON object")
-        unknown = sorted(set(doc) - {"t_M_us", "t_S_us", "coherence_s"})
-        if unknown:
-            raise ValueError(
-                f"hardware file: unknown keys {unknown}; "
-                "keys are t_M_us, t_S_us, coherence_s"
-            )
+        doc = _json_object(text, "hardware", ("t_M_us", "t_S_us", "coherence_s"))
         return HardwareSpec(
-            t_M=_number(doc, "t_M_us", 930.0) * 1e-6,
-            t_S=_number(doc, "t_S_us", 130.0) * 1e-6,
-            coherence_time=_number(doc, "coherence_s", 1.0),
+            t_M=_number(doc.get("t_M_us", 930.0), "t_M_us") * 1e-6,
+            t_S=_number(doc.get("t_S_us", 130.0), "t_S_us") * 1e-6,
+            coherence_time=_number(doc.get("coherence_s", 1.0), "coherence_s"),
         )
 
     def to_json(self) -> str:
@@ -66,13 +58,6 @@ class HardwareSpec:
                 "coherence_s": self.coherence_time,
             }
         )
-
-
-def _number(doc: dict, key: str, default: float) -> float:
-    v = doc.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"hardware file: {key} must be a number, got {v!r}")
-    return v
 
 
 @dataclass(frozen=True)

@@ -143,10 +143,10 @@ class IsingProblem:
 
     @staticmethod
     def from_json(text: str) -> "IsingProblem":
-        doc = _json_object(text, "problem")
-        n = doc["n"]
+        doc = _json_object(text, "problem", ("n", "J", "h", "offset"))
         try:
-            rows = [(_node(i), _node(j), _number(v, "coupling"))
+            n = _integer(doc.get("n"), '"n"')
+            rows = [(_integer(i), _integer(j), _number(v, "coupling"))
                     for i, j, v in doc.get("J", [])]
             _check_unique(rows)
             couplings = {(i, j): v for i, j, v in rows}
@@ -196,7 +196,10 @@ class Graph:
                 raise ValueError("self-loops not allowed")
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
                 raise ValueError(f"edge ({i},{j}) out of range")
-            clean.add((min(i, j), max(i, j)))
+            key = (min(i, j), max(i, j))
+            if key in clean:
+                raise ValueError(f"duplicate edge {key}")
+            clean.add(key)
         object.__setattr__(self, "edges", frozenset(clean))
 
     def to_json(self) -> str:
@@ -210,32 +213,52 @@ class Graph:
 
     @staticmethod
     def from_json(text: str) -> "Graph":
-        doc = _json_object(text, "graph")
-        n = doc["n"]
+        doc = _json_object(text, "graph", ("n", "edges", "weights"))
         try:
-            edges = [(_node(i), _node(j)) for i, j in doc.get("edges", [])]
-            _check_unique(edges)
+            n = _integer(doc.get("n"), '"n"')
+            edges = [(_integer(i), _integer(j)) for i, j in doc.get("edges", [])]
             weights = [_number(w, "weight") for w in doc.get("weights", [1.0] * n)]
         except (TypeError, ValueError) as e:
             raise ValueError(f"malformed graph file: {e}") from e
-        return Graph(n, frozenset(edges), weights)
+        return Graph(n, edges, weights)
 
 
-def _json_object(text: str, kind: str) -> dict:
-    """Parse a problem or graph file: a JSON object with an integer "n"."""
-    doc = json.loads(text)
+def _json_object(text: str, kind: str, keys) -> dict:
+    """Parse an input file: one JSON object whose keys are among ``keys``.
+
+    Text that is not JSON, a key given twice in one object, a document
+    that is not an object and a top-level key outside ``keys`` each raise
+    ValueError naming ``kind`` and the key, so no key is silently
+    dropped or overwritten.
+    """
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as e:
+        raise ValueError(f"{kind} file: {e}") from e
     if not isinstance(doc, dict):
         raise ValueError(f"{kind} file must hold a JSON object")
-    n = doc.get("n")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f'{kind} file needs an integer "n", got {n!r}')
+    for key in doc:
+        if key not in keys:
+            raise ValueError(
+                f"{kind} file: unknown key {key!r}; keys are {', '.join(keys)}"
+            )
     return doc
 
 
-def _node(v) -> int:
-    """A node index read from a file: a JSON integer, not a boolean."""
+def _unique_keys(pairs) -> dict:
+    """Object hook of the JSON parser: reject a key given twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def _integer(v, what: str = "node index") -> int:
+    """An integer read from a file: a JSON integer, not a boolean."""
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"node index {v!r} is not an integer")
+        raise ValueError(f"{what} must be an integer, got {v!r}")
     return v
 
 
@@ -243,7 +266,10 @@ def _number(v, what: str) -> float:
     """A value read from a file: a JSON number, not a boolean or a string."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{what} {v!r} is not a number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{what} is too large for a float") from None
 
 
 def _check_unique(rows) -> None:

@@ -66,6 +66,8 @@ __all__ = [
 
 # largest block the sign-flip (inhomogeneous) construction takes
 _FLIP_BLOCK_CAP = 6
+# seeded matching-peeling passes ``schedule_pairs`` tries after the circle method
+_PEEL_TRIALS = 12
 
 
 class SynthesisError(Exception):
@@ -237,17 +239,17 @@ def _peel_rounds(pairs, seed):
     return rounds
 
 
-def schedule_pairs(pairs, n: int, seed: int = 0, trials: int = 12):
+def schedule_pairs(pairs, n: int, seed: int = 0):
     """Pack pairs into parallel rounds (disjoint qubits per round).
 
-    Deterministic: tries the circle method, then up to ``trials`` seeded
+    Deterministic: tries the circle method, then up to 12 seeded
     matching-peeling passes (seeds ``seed``, ``seed + 1``, ...), and keeps
     the shortest schedule found, the earliest on a tie.  Every round is a
     matching, so no schedule is shorter than the largest degree of the
     pair graph; the passes stop once the best schedule reaches that bound,
     which returns the schedule running every pass would.  Schedules are
-    cached per process by pair set, ``n``, ``seed`` and ``trials``; each
-    call returns fresh round lists.  Every pair must be ``(i, j)`` with
+    cached per process by pair set, ``n`` and ``seed``; each call returns
+    fresh round lists.  Every pair must be ``(i, j)`` with
     ``0 <= i < j < n``; any other raises ``ValueError``.
     """
     pairs = tuple(sorted(set(pairs)))
@@ -255,18 +257,18 @@ def schedule_pairs(pairs, n: int, seed: int = 0, trials: int = 12):
         i, j = pair
         if not 0 <= i < j < n:
             raise ValueError(f"pair {pair} is not (i, j) with 0 <= i < j < n = {n}")
-    rounds = _schedule(pairs, n, seed, trials)
+    rounds = _schedule(pairs, n, seed)
     return [list(rnd) for rnd in rounds]
 
 
 @functools.lru_cache(maxsize=64)
-def _schedule(pairs, n, seed, trials):
+def _schedule(pairs, n, seed):
     """Rounds of ``schedule_pairs`` for sorted distinct ``pairs``, as tuples."""
     if not pairs:
         return ()
     max_degree = np.bincount(np.ravel(pairs)).max()
     best = _circle_rounds(pairs, n)
-    for t in range(trials):
+    for t in range(_PEEL_TRIALS):
         if len(best) == max_degree:
             break
         cand = _peel_rounds(pairs, seed + t)

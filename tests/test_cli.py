@@ -388,46 +388,56 @@ class TestInvalidInputExits2:
         assert flag in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", [
-        '{"n": 2, "J": [[1, 1, 1.0]], "h": [0.0, 0.0]}',
-        '{"n": 2, "J": [[0, 1, NaN]], "h": [0.0, 0.0]}',
-        '{"J": []}',
-        '{"n": "2", "J": []}',
-        '{"n": 2, "J": 5}',
-        '[2]',
-        '{"n": 3, "J": [[0, 1.7, 1.0]]}',
-        '{"n": 3, "J": [[true, 2, 1.0]]}',
-        '{"n": 2, "J": [[0, 1, 1.0], [0, 1, 2.0]]}',
-        '{"n": 2, "J": [[0, 1, 1.0], [1, 0, 2.0]]}',
-        '{"n": 2, "J": [[0, 1, "2.5"]]}',
-        '{"n": 2, "J": [], "h": [true, 0.0]}',
-        '{"n": 2, "J": [], "offset": "1"}',
+    @pytest.mark.parametrize("text,named", [
+        ('{"n": 2, "J": [[1, 1, 1.0]], "h": [0.0, 0.0]}', "self-coupling"),
+        ('{"n": 2, "J": [[0, 1, NaN]], "h": [0.0, 0.0]}', "not finite"),
+        ('{"J": []}', '"n"'),
+        ('{"n": "2", "J": []}', '"n"'),
+        ('{"n": 2, "J": 5}', "malformed problem file"),
+        ('[2]', "JSON object"),
+        ('{"n": 3, "J": [[0, 1.7, 1.0]]}', "1.7"),
+        ('{"n": 3, "J": [[true, 2, 1.0]]}', "True"),
+        ('{"n": 2, "J": [[0, 1, 1.0], [0, 1, 2.0]]}', "(0, 1)"),
+        ('{"n": 2, "J": [[0, 1, 1.0], [1, 0, 2.0]]}', "(0, 1)"),
+        ('{"n": 2, "J": [[0, 1, "2.5"]]}', "'2.5'"),
+        ('{"n": 2, "J": [], "h": [true, 0.0]}', "field True"),
+        ('{"n": 2, "J": [], "offset": "1"}', "offset '1'"),
+        ('{"n": 4, "couplings": [[0, 1, 1.0]], "fields": [1, 1, 1, 1]}',
+         "unknown key 'couplings'"),
+        ('{"n": 3, "J": [[0, 1, 1.0]], "J": []}', "repeated key 'J'"),
+        ('{"n": 2, "J": [[0, 1, 1%s]]}' % ("0" * 400), "coupling is too large"),
     ], ids=["self-coupling", "nan-coupling", "missing-n", "string-n",
             "scalar-J", "not-an-object", "float-node", "boolean-node",
             "repeated-pair", "reversed-pair", "string-coupling",
-            "boolean-field", "string-offset"])
-    def test_problem_files(self, runner, tmp_path, text):
+            "boolean-field", "string-offset", "unknown-key", "repeated-key",
+            "huge-integer-coupling"])
+    def test_problem_files(self, runner, tmp_path, text, named):
         pf = self._problem_file(tmp_path, text)
         result = runner.invoke(main, ["solve", "--problem-file", pf])
         assert result.exit_code == EXIT_CONFIG, result.output
         assert isinstance(result.exception, SystemExit)
+        assert named in result.output
 
-    @pytest.mark.parametrize("text", [
-        '{"edges": [[0, 1]]}',
-        '{"n": 2.5, "edges": []}',
-        '{"n": 3, "edges": [[0, "x"]]}',
-        '{"n": 2, "weights": {"0": 1.0}}',
-        '{"n": 2, "edges": [[0, 1.9]]}',
-        '{"n": 2, "weights": [true, 1.0]}',
-        '{"n": 3, "edges": [[0, 1], [1, 0]]}',
+    @pytest.mark.parametrize("text,named", [
+        ('{"edges": [[0, 1]]}', '"n"'),
+        ('{"n": 2.5, "edges": []}', '"n"'),
+        ('{"n": 3, "edges": [[0, "x"]]}', "'x'"),
+        ('{"n": 2, "weights": {"0": 1.0}}', "weight"),
+        ('{"n": 2, "edges": [[0, 1.9]]}', "1.9"),
+        ('{"n": 2, "weights": [true, 1.0]}', "weight True"),
+        ('{"n": 3, "edges": [[0, 1], [1, 0]]}', "(0, 1)"),
+        ('{"n": 5, "edge": [[0, 1], [1, 2]]}', "unknown key 'edge'"),
+        ('{"n": 3, "edges": [[0, 1]], "edges": []}', "repeated key 'edges'"),
     ], ids=["missing-n", "float-n", "string-node", "object-weights",
-            "float-node", "boolean-weight", "repeated-edge"])
-    def test_graph_files(self, runner, tmp_path, text):
+            "float-node", "boolean-weight", "repeated-edge", "unknown-key",
+            "repeated-key"])
+    def test_graph_files(self, runner, tmp_path, text, named):
         gf = tmp_path / "graph.json"
         gf.write_text(text)
         result = runner.invoke(main, ["solve", "--graph-file", str(gf)])
         assert result.exit_code == EXIT_CONFIG, result.output
         assert isinstance(result.exception, SystemExit)
+        assert named in result.output
 
     @pytest.mark.parametrize("command", ["solve", "emit-circuit"])
     def test_problem_and_graph_file_together(self, runner, tmp_path, command):
@@ -447,24 +457,33 @@ class TestInvalidInputExits2:
         assert "--graph-file" in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,option,text", [
-        ("scaling", "--hardware-file", "[]"),
-        ("scaling", "--hardware-file", '{"t_M_us": "abc"}'),
-        ("scaling", "--hardware-file", '{"t_M": 500, "coherence": 0.001}'),
-        ("solve", "--config", "[1, 2]"),
-        ("solve", "--config", '{"stpes": 3}'),
-        ("solve", "--config", '{"k": [4]}'),
-        ("solve", "--config", '{"c": null}'),
-        ("solve", "--config", '{"k": 4.5}'),
-        ("solve", "--config", '{"k": 1}'),
-        ("fidelity-sweep", "--config", '{"threshold": 0.37}'),
+    @pytest.mark.parametrize("command,option,text,named", [
+        ("scaling", "--hardware-file", "[]", "JSON object"),
+        ("scaling", "--hardware-file", '{"t_M_us": "abc"}', "t_M_us"),
+        ("scaling", "--hardware-file", '{"t_M": 500, "coherence": 0.001}',
+         "unknown key 't_M'"),
+        ("scaling", "--hardware-file", '{"t_M_us": 500, "t_M_us": 600}',
+         "repeated key 't_M_us'"),
+        ("scaling", "--hardware-file", '{"t_S_us": 1%s}' % ("0" * 400),
+         "t_S_us is too large"),
+        ("solve", "--config", "[1, 2]", "JSON object"),
+        ("solve", "--config", '{"stpes": 3}', "unknown key 'stpes'"),
+        ("solve", "--config", '{"k": [4]}', "'k'"),
+        ("solve", "--config", '{"c": null}', "'c'"),
+        ("solve", "--config", '{"k": 4.5}', "'--k'"),
+        ("solve", "--config", '{"k": 1}', "'--k'"),
+        ("fidelity-sweep", "--config", '{"threshold": 0.37}',
+         "unknown key 'threshold'"),
+        ("solve", "--config", '{"steps": 2, "steps": 3}',
+         "repeated key 'steps'"),
     ], ids=["hardware-not-an-object", "hardware-string-duration",
-            "hardware-unknown-keys",
+            "hardware-unknown-keys", "hardware-repeated-key",
+            "hardware-huge-integer",
             "config-not-an-object", "config-unknown-key", "config-list",
             "config-null", "config-fractional-int", "config-k1",
-            "config-threshold"])
+            "config-threshold", "config-repeated-key"])
     def test_hardware_and_config_files(self, runner, tmp_path, command,
-                                       option, text):
+                                       option, text, named):
         f = tmp_path / "in.json"
         f.write_text(text)
         result = runner.invoke(main, [
@@ -472,6 +491,7 @@ class TestInvalidInputExits2:
         ])
         assert result.exit_code == EXIT_CONFIG, result.output
         assert isinstance(result.exception, SystemExit)
+        assert named in result.output
 
     @pytest.mark.parametrize("args", [
         ["emit-circuit", "--n", "4", "--steps", "1", "--output",

@@ -125,6 +125,30 @@ class TestNumpyKernel:
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(mat, before)
 
+    def test_non_unitary_matrices_match_column_loop(self):
+        # the kernel is linear algebra only: a shared and a stacked
+        # matrix that are not unitary apply like the per-column loop
+        n, m = 5, 4
+        rng = np.random.default_rng(60)
+        mat = rng.standard_normal((2**n, m)) + 1j * rng.standard_normal((2**n, m))
+        for qubits in ((1, 2), (3, 0)):
+            shape = (m, 2 ** len(qubits), 2 ** len(qubits))
+            us = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert not np.allclose(us[0].conj().T @ us[0], np.eye(shape[1]))
+            shared = _kernels.apply_unitary(mat, us[0], qubits, n)
+            stacked = _kernels.apply_unitary(mat, us, qubits, n)
+            for b in range(m):
+                column = mat[:, b].copy()
+                np.testing.assert_allclose(
+                    shared[:, b], _kernels.apply_unitary(column, us[0], qubits, n),
+                    rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    stacked[:, b], _kernels.apply_unitary(column, us[b], qubits, n),
+                    rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                shared, _einsum_reference(mat, us[0], qubits, n),
+                rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("n,qubits,m,r", [
         (2, (1,), 3, 4),
         (3, (2, 0), 2, 8),

@@ -269,6 +269,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             IsingProblem(2, {(0, 1): 1.0, (1, 0): 2.0})
 
+    @pytest.mark.parametrize("edges", [[(0, 1), (0, 1)], [(0, 1), (1, 0)]],
+                             ids=["repeated", "reversed"])
+    def test_duplicate_edge_rejected(self, edges):
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+            Graph(3, edges)
+
     def test_all_energies_matches_classical(self):
         p = random_spin_glass(3, 0, "mixed")
         e = all_energies(p)
