@@ -1,784 +1,405 @@
-"""Maximum-cardinality, maximum-weight matching on a plain adjacency dict.
+"""Maximum-cardinality, maximum-weight matching with array state.
 
-This is a port of ``max_weight_matching`` from NetworkX 3.x
-(its ``algorithms/matching.py``), Joris van Rantwijk's
-implementation of Edmonds' blossom algorithm with primal-dual weights
+Edmonds' blossom algorithm with primal-dual weights in Galil's form
 (J. Edmonds, Can. J. Math. 17, 1965; Z. Galil, ACM Computing Surveys
-18, 1986).  The algorithm is kept step for step, with the same iteration
-orders and the same floating-point arithmetic, so it returns the same
-matching as NetworkX on the same graph, ties included.  What changes:
+18, 1986), on m vertices relabelled 0..m-1 in order of first appearance.
+Blossoms get ids m..2m-1.  The dual problem's state lives in arrays:
 
-  * the graph is ``adj = {v: {w: weight}}``, symmetric, whose vertex and
-    neighbour orders stand for NetworkX's node and edge insertion order;
-    ``G[v][w].get(weight, 1)`` reads ``adj[v][w]`` and ``G.neighbors(v)``
-    iterates ``adj[v]``;
-  * it always computes a maximum-cardinality matching
-    (``maxcardinality=True``);
-  * weights are floats, so the integer-weight branches (exact halving in
-    delta3 and the ``verifyOptimum`` check run only for integer weights)
-    are left out.
+  * ``w2[v, w]``: twice the weight of edge (v, w), -inf off the edge set
+    and on the diagonal, so ``dual[v] + dual[w] - w2[v, w]`` is twice the
+    edge's slack, and +inf where there is no edge;
+  * ``dual``: twice each vertex's dual u(v) at its id, each blossom's
+    z(b) at its id;
+  * ``inb[v]``: the top-level blossom holding vertex v (v itself when it
+    is in none);
+  * ``lab[b]``: the label of top-level blossom b: 0 free, 1 S, 2 T;
+  * ``best[v]``, ``bslack[v]``: the S-vertex outside v's blossom whose
+    edge to v has least slack, and that slack (+inf if there is none).
+    Every S-vertex dual moves by the same delta, so this edge changes
+    only when vertices become S or blossoms merge, while its slack moves
+    by delta (v free), 2 delta (v an S-vertex) or not at all (v a
+    T-vertex).  ``best`` of the free vertices gives delta2 and of the
+    S-vertices delta3.
 
-The pair scheduler in ``dacqo.synthesis`` calls it once per peeled round.
+A stage labels the single vertices S and scans all of them in one
+slack-matrix expression.  Each substage then takes every tight
+least-slack edge at once, or, if there is none, computes
+delta2/delta3/delta4 as array reductions, moves every dual and slack
+together and takes the edge (or expands the T-blossom) where the least
+delta occurred.  The vertices that become S update ``best`` with one
+row operation.  Only the tight edges, blossom formation and expansion,
+and augmentation run as Python, on lists indexed by vertex or blossom.
+That Python work is O(m^3) over a run; the array work is O(m^3)
+elements too, except that each new blossom rescans its vertices' rows,
+O(m^4) in the worst case.
 
-NetworkX is distributed under the 3-clause BSD license:
-
-   Copyright (c) 2004-2025, NetworkX Developers
-   Aric Hagberg <hagberg@lanl.gov>
-   Dan Schult <dschult@colgate.edu>
-   Pieter Swart <swart@lanl.gov>
-   All rights reserved.
-
-   Redistribution and use in source and binary forms, with or without
-   modification, are permitted provided that the following conditions are
-   met:
-
-     * Redistributions of source code must retain the above copyright
-       notice, this list of conditions and the following disclaimer.
-
-     * Redistributions in binary form must reproduce the above
-       copyright notice, this list of conditions and the following
-       disclaimer in the documentation and/or other materials provided
-       with the distribution.
-
-     * Neither the name of the NetworkX Developers nor the names of its
-       contributors may be used to endorse or promote products derived
-       from this software without specific prior written permission.
-
-   THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
-   "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
-   LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
-   A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
-   OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
-   SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
-   LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
-   DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
-   THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
-   (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
-   OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+It may take tight edges in another order than other implementations, so
+where several matchings are optimal it may return another one; where
+the optimum is unique (as the pair scheduler's random weights make it)
+it returns that one.  The tests compare it with
+``networkx.max_weight_matching(G, maxcardinality=True)``.  The pair
+scheduler in ``dacqo.synthesis`` calls it once per peeled round.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+import numpy as np
 
 __all__ = ["max_weight_matching"]
 
+_INF = float("inf")
+# dual change per unit delta of a vertex labelled free, S, T (index = label)
+_SIGN = np.array([0.0, 1.0, -1.0])
+# slack a least-slack edge loses per unit delta, by the label of its target
+# vertex: the S source loses delta, an S target another delta, and a T
+# target gains delta back
+_PULL = np.array([1.0, 2.0, 0.0])
+# delta per unit slack of the least-slack edge to a free or an S vertex
+# (T vertices are masked out)
+_SCALE = np.array([1.0, 0.5, 1.0])
 
-def max_weight_matching(adj: dict) -> set:
+
+def max_weight_matching(edges, weights) -> set:
     """Maximum-cardinality matching of greatest total weight.
 
-    ``adj[v][w]`` is the float weight of edge (v, w) and must equal
-    ``adj[w][v]``; every vertex is a key of ``adj``.  Returns the matched
-    edges as a set of ``(v, w)`` tuples, each edge once.  Takes time
-    O(number of vertices ** 3).
+    ``edges`` lists distinct pairs ``(v, w)`` of hashable vertices with
+    ``v != w``; ``weights[k]`` is the float weight of ``edges[k]``.
+    Returns the matched edges as a set of pairs, each as it appears in
+    ``edges``.  For m vertices it takes O(m ** 3) Python steps (array
+    work O(m ** 4) at worst) and O(m ** 2) memory.
     """
-    #
-    # The algorithm is taken from "Efficient Algorithms for Finding Maximum
-    # Matching in Graphs" by Zvi Galil, ACM Computing Surveys, 1986.
-    # It is based on the "blossom" method for finding augmenting paths and
-    # the "primal-dual" method for finding a matching of maximum weight, both
-    # methods invented by Jack Edmonds.
-    #
-    # Many terms used in the code comments are explained in the paper
-    # by Galil. You will probably need the paper to make sense of this code.
-    #
+    edges = list(edges)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (len(edges),):
+        raise ValueError(f"{len(edges)} edges but weights of shape {weights.shape}")
+    if not edges:
+        return set()
+    ends = [v for e in edges for v in e]
+    index = {v: i for i, v in enumerate(dict.fromkeys(ends))}
+    ends = np.fromiter(map(index.__getitem__, ends), int, len(ends)).reshape(-1, 2)
+    return {edges[k] for k in _Matcher(len(index), ends, weights).run()}
 
-    class NoNode:
-        """Dummy value which is different from any node."""
 
-    class Blossom:
-        """Representation of a non-trivial blossom or sub-blossom."""
+class _Matcher:
+    """One run of the blossom algorithm on vertices 0..m-1."""
 
-        __slots__ = ["childs", "edges", "mybestedges"]
+    def __init__(self, m, ends, weights):
+        self.m = m
+        a, b = ends[:, 0], ends[:, 1]
+        self.w2 = np.full((m, m), -_INF)
+        self.w2[a, b] = self.w2[b, a] = 2.0 * weights
+        self.eid = np.full((m, m), -1)
+        self.eid[a, b] = self.eid[b, a] = np.arange(len(ends))
+        self.dual = np.zeros(2 * m)
+        self.dual[:m] = max(0.0, weights.max())
+        self.ids = np.arange(m)
+        self.inb = np.arange(m)
+        self.lab = np.zeros(2 * m, dtype=np.int8)
+        self.best = np.zeros(m, dtype=int)
+        self.bslack = np.full(m, _INF)
+        self.mate = np.full(m, -1)
+        # labeledge[b] = (v, w): top-level blossom b got its label through
+        # edge (v, w) with w in b; None for an S-blossom whose base is single
+        self.labeledge = [None] * (2 * m)
+        self.parent = [-1] * (2 * m)
+        self.base = list(range(m)) + [-1] * m
+        self.leaves = [[v] for v in range(m)] + [None] * m
+        # childs[b] runs round blossom b from its base; edges[b][i]
+        # joins childs[b][i] to childs[b][i + 1] (wrapping)
+        self.childs = [None] * (2 * m)
+        self.edges = [None] * (2 * m)
+        self.unused = list(range(2 * m - 1, m - 1, -1))
+        self.new_s = []     # vertices labelled S since `best` was updated
+        self.merged = []    # vertices whose blossom formed since then
 
-        # b.childs is an ordered list of b's sub-blossoms, starting with
-        # the base and going round the blossom.
+    def run(self):
+        """Augment stage by stage; return the matched edge ids."""
+        m = self.m
+        while self._stage():
+            for b in range(m, 2 * m):
+                if (self.childs[b] is not None and self.parent[b] == -1
+                        and self.lab[b] == 1 and self.dual[b] == 0):
+                    self._expand_at_end(b)
+        return [self.eid[v, w] for v, w in enumerate(self.mate.tolist()) if v < w]
 
-        # b.edges is the list of b's connecting edges, such that
-        # b.edges[i] = (v, w) where v is a vertex in b.childs[i]
-        # and w is a vertex in b.childs[wrap(i+1)].
+    # ------------------------------------------------------------------
+    # one stage: grow alternating trees from the single vertices
+    # ------------------------------------------------------------------
 
-        # If b is a top-level S-blossom,
-        # b.mybestedges is a list of least-slack edges to neighboring
-        # S-blossoms, or None if no such list has been computed yet.
-        # This is used for efficient computation of delta3.
-
-        # Generate the blossom's leaf vertices.
-        def leaves(self):
-            stack = [*self.childs]
-            while stack:
-                t = stack.pop()
-                if isinstance(t, Blossom):
-                    stack.extend(t.childs)
-                else:
-                    yield t
-
-    # Get a list of vertices.
-    gnodes = list(adj)
-    if not gnodes:
-        return set()  # don't bother with empty graphs
-
-    # Find the maximum edge weight.
-    maxweight = 0
-    for i, nbrs in adj.items():
-        for j, wt in nbrs.items():
-            if i != j and wt > maxweight:
-                maxweight = wt
-
-    # If v is a matched vertex, mate[v] is its partner vertex.
-    # If v is a single vertex, v does not occur as a key in mate.
-    # Initially all vertices are single; updated during augmentation.
-    mate = {}
-
-    # If b is a top-level blossom,
-    # label.get(b) is None if b is unlabeled (free),
-    #                 1 if b is an S-blossom,
-    #                 2 if b is a T-blossom.
-    # The label of a vertex is found by looking at the label of its top-level
-    # containing blossom.
-    # If v is a vertex inside a T-blossom, label[v] is 2 iff v is reachable
-    # from an S-vertex outside the blossom.
-    # Labels are assigned during a stage and reset after each augmentation.
-    label = {}
-
-    # If b is a labeled top-level blossom,
-    # labeledge[b] = (v, w) is the edge through which b obtained its label
-    # such that w is a vertex in b, or None if b's base vertex is single.
-    # If w is a vertex inside a T-blossom and label[w] == 2,
-    # labeledge[w] = (v, w) is an edge through which w is reachable from
-    # outside the blossom.
-    labeledge = {}
-
-    # If v is a vertex, inblossom[v] is the top-level blossom to which v
-    # belongs.
-    # If v is a top-level vertex, inblossom[v] == v since v is itself
-    # a (trivial) top-level blossom.
-    # Initially all vertices are top-level trivial blossoms.
-    inblossom = dict(zip(gnodes, gnodes))
-
-    # If b is a sub-blossom,
-    # blossomparent[b] is its immediate parent (sub-)blossom.
-    # If b is a top-level blossom, blossomparent[b] is None.
-    blossomparent = dict(zip(gnodes, repeat(None)))
-
-    # If b is a (sub-)blossom,
-    # blossombase[b] is its base VERTEX (i.e. recursive sub-blossom).
-    blossombase = dict(zip(gnodes, gnodes))
-
-    # If w is a free vertex (or an unreached vertex inside a T-blossom),
-    # bestedge[w] = (v, w) is the least-slack edge from an S-vertex,
-    # or None if there is no such edge.
-    # If b is a (possibly trivial) top-level S-blossom,
-    # bestedge[b] = (v, w) is the least-slack edge to a different S-blossom
-    # (v inside b), or None if there is no such edge.
-    # This is used for efficient computation of delta2 and delta3.
-    bestedge = {}
-
-    # If v is a vertex,
-    # dualvar[v] = 2 * u(v) where u(v) is the v's variable in the dual
-    # optimization problem.
-    # Initially, u(v) = maxweight / 2.
-    dualvar = dict(zip(gnodes, repeat(maxweight)))
-
-    # If b is a non-trivial blossom,
-    # blossomdual[b] = z(b) where z(b) is b's variable in the dual
-    # optimization problem.
-    blossomdual = {}
-
-    # If (v, w) in allowedge or (w, v) in allowedg, then the edge
-    # (v, w) is known to have zero slack in the optimization problem;
-    # otherwise the edge may or may not have zero slack.
-    allowedge = {}
-
-    # Queue of newly discovered S-vertices.
-    queue = []
-
-    # Return 2 * slack of edge (v, w) (does not work inside blossoms).
-    def slack(v, w):
-        return dualvar[v] + dualvar[w] - 2 * adj[v][w]
-
-    # Assign label t to the top-level blossom containing vertex w,
-    # coming through an edge from vertex v.
-    def assignLabel(w, t, v):
-        b = inblossom[w]
-        assert label.get(w) is None and label.get(b) is None
-        label[w] = label[b] = t
-        if v is not None:
-            labeledge[w] = labeledge[b] = (v, w)
-        else:
-            labeledge[w] = labeledge[b] = None
-        bestedge[w] = bestedge[b] = None
-        if t == 1:
-            # b became an S-vertex/blossom; add it(s vertices) to the queue.
-            if isinstance(b, Blossom):
-                queue.extend(b.leaves())
+    def _stage(self):
+        """Search for one augmenting path; False once there is none."""
+        m, dual, lab, inb = self.m, self.dual, self.lab, self.inb
+        lab[:] = 0
+        roots = inb[self.mate < 0]
+        if not roots.size:
+            return False
+        lab[roots] = 1
+        for b in roots.tolist():
+            self.labeledge[b] = None
+        self._rescan(self.ids)
+        while True:
+            vlab = lab[inb]
+            key = self.bslack * _SCALE[vlab]
+            key[vlab == 2] = _INF
+            w = int(key.argmin())
+            delta = key[w]
+            if delta <= 0:
+                tight = np.flatnonzero(key <= 0)
             else:
-                queue.append(b)
-        elif t == 2:
-            # b became a T-vertex/blossom; assign label S to its mate.
-            # (If b is a non-trivial blossom, its base is the only vertex
-            # with an external mate.)
-            base = blossombase[b]
-            assignLabel(mate[base], 1, base)
+                t_blossom = -1
+                if len(self.unused) < m:
+                    zt = np.where(lab[m:] == 2, dual[m:], _INF)
+                    b = int(zt.argmin())
+                    if zt[b] < delta:
+                        delta, t_blossom = zt[b], m + b
+                if delta == _INF:
+                    return False    # no augmenting path: maximum cardinality
+                dual[:m] -= delta * _SIGN[vlab]
+                self.bslack -= delta * _PULL[vlab]
+                if len(self.unused) < m:
+                    dual[m:] += delta * _SIGN[lab[m:]]
+                if t_blossom >= 0:
+                    self._expand_t(t_blossom)
+                    self._update_best()
+                    continue
+                tight = (w,)
+            for w in tight:
+                if self._use_edge(int(self.best[w]), int(w)):
+                    self.new_s.clear()
+                    self.merged.clear()
+                    return True
+            self._update_best()
 
-    # Trace back from vertices v and w to discover either a new blossom
-    # or an augmenting path. Return the base vertex of the new blossom,
-    # or NoNode if an augmenting path was found.
-    def scanBlossom(v, w):
-        # Trace back from v and w, placing breadcrumbs as we go.
+    def _use_edge(self, v, w):
+        """Take tight edge (v, w) from S-vertex v; True if it augmented."""
+        inb = self.inb
+        bw = inb[w]
+        if inb[v] == bw or self.lab[bw] == 2:
+            return False
+        if self.lab[bw] == 0:
+            self._label_t(w, v)
+            return False
+        base = self._scan(v, w)
+        if base >= 0:
+            self._add_blossom(base, v, w)
+            return False
+        self._augment(v, w)
+        return True
+
+    def _same_blossom(self, rows, cols):
+        """Mask of (rows, cols) pairs in one blossom, or None if none can be."""
+        if len(self.unused) == self.m:
+            return None     # no blossoms; the diagonal of w2 is -inf anyway
+        return self.inb[rows, None] == self.inb[cols]
+
+    def _rescan(self, d):
+        """Set ``best`` of the vertices ``d`` over every S-vertex."""
+        s = np.flatnonzero(self.lab[self.inb] == 1)
+        w2 = self.w2[d][:, s]
+        same = self._same_blossom(d, s)
+        if same is not None:
+            w2[same] = -_INF
+        slack = self.dual[d, None] + self.dual[s] - w2
+        k = slack.argmin(axis=1)
+        self.best[d] = s[k]
+        self.bslack[d] = slack[np.arange(len(d)), k]
+
+    def _update_best(self):
+        """Fold the new S-vertices and merged blossoms into ``best``."""
+        m, dual = self.m, self.dual
+        if self.new_s:
+            s = np.array(self.new_s)
+            self.new_s.clear()
+            w2 = self.w2[s]
+            same = self._same_blossom(s, self.ids)
+            if same is not None:
+                w2[same] = -_INF
+            slack = dual[s, None] + dual[:m] - w2
+            k = slack.argmin(axis=0)
+            slack = slack[k, self.ids]
+            better = slack < self.bslack
+            self.best = np.where(better, s[k], self.best)
+            self.bslack = np.where(better, slack, self.bslack)
+        if self.merged:
+            # a merged vertex's least-slack edge may now be inside its blossom
+            self._rescan(np.array(self.merged))
+            self.merged.clear()
+
+    # ------------------------------------------------------------------
+    # labels, blossoms and augmentation (Python, on blossom ids)
+    # ------------------------------------------------------------------
+
+    def _label_t(self, w, v):
+        """Label w's blossom T through (v, w), and the mate of its base S."""
+        b = self.inb[w]
+        self.lab[b] = 2
+        self.labeledge[b] = (v, w)
+        base = self.base[b]
+        mate = self.mate[base]
+        b = self.inb[mate]
+        self.lab[b] = 1
+        self.labeledge[b] = (base, mate)
+        self.new_s.extend(self.leaves[b])
+
+    def _scan(self, v, w):
+        """Trace back from S-vertices v and w alternately.
+
+        Returns the base vertex of the blossom closed by edge (v, w), or
+        -1 if the two trees end in different single vertices.
+        """
+        lab, inb, labeledge = self.lab, self.inb, self.labeledge
         path = []
-        base = NoNode
-        while v is not NoNode:
-            # Look for a breadcrumb in v's blossom or put a new breadcrumb.
-            b = inblossom[v]
-            if label[b] & 4:
-                base = blossombase[b]
+        base = -1
+        while v >= 0:
+            b = inb[v]
+            if lab[b] == 5:
+                base = self.base[b]
                 break
-            assert label[b] == 1
             path.append(b)
-            label[b] = 5
-            # Trace one step back.
+            lab[b] = 5
             if labeledge[b] is None:
-                # The base of blossom b is single; stop tracing this path.
-                assert blossombase[b] not in mate
-                v = NoNode
+                v = -1
             else:
-                assert labeledge[b][0] == mate[blossombase[b]]
-                v = labeledge[b][0]
-                b = inblossom[v]
-                assert label[b] == 2
-                # b is a T-blossom; trace one more step back.
-                v = labeledge[b][0]
-            # Swap v and w so that we alternate between both paths.
-            if w is not NoNode:
+                v = labeledge[inb[labeledge[b][0]]][0]
+            if w >= 0:
                 v, w = w, v
-        # Remove breadcrumbs.
         for b in path:
-            label[b] = 1
-        # Return base vertex, if we found one.
+            lab[b] = 1
         return base
 
-    # Construct a new blossom with given base, through S-vertices v and w.
-    # Label the new blossom as S; set its dual variable to zero;
-    # relabel its T-vertices to S and add them to the queue.
-    def addBlossom(base, v, w):
-        bb = inblossom[base]
-        bv = inblossom[v]
-        bw = inblossom[w]
-        # Create blossom.
-        b = Blossom()
-        blossombase[b] = base
-        blossomparent[b] = None
-        blossomparent[bb] = b
-        # Make list of sub-blossoms and their interconnecting edge endpoints.
-        b.childs = path = []
-        b.edges = edgs = [(v, w)]
-        # Trace back from v to base.
+    def _add_blossom(self, base, v, w):
+        """Make the S-blossom closed by edge (v, w), with the given base."""
+        inb, lab, labeledge, parent = self.inb, self.lab, self.labeledge, self.parent
+        bb, bv, bw = inb[base], inb[v], inb[w]
+        b = self.unused.pop()
+        self.base[b] = base
+        parent[b] = -1
+        parent[bb] = b
+        path, edgs = [], [(v, w)]
         while bv != bb:
-            # Add bv to the new blossom.
-            blossomparent[bv] = b
+            parent[bv] = b
             path.append(bv)
             edgs.append(labeledge[bv])
-            assert label[bv] == 2 or (
-                label[bv] == 1 and labeledge[bv][0] == mate[blossombase[bv]]
-            )
-            # Trace one step back.
-            v = labeledge[bv][0]
-            bv = inblossom[v]
-        # Add base sub-blossom; reverse lists.
+            bv = inb[labeledge[bv][0]]
         path.append(bb)
         path.reverse()
         edgs.reverse()
-        # Trace back from w to base.
         while bw != bb:
-            # Add bw to the new blossom.
-            blossomparent[bw] = b
+            parent[bw] = b
             path.append(bw)
-            edgs.append((labeledge[bw][1], labeledge[bw][0]))
-            assert label[bw] == 2 or (
-                label[bw] == 1 and labeledge[bw][0] == mate[blossombase[bw]]
-            )
-            # Trace one step back.
-            w = labeledge[bw][0]
-            bw = inblossom[w]
-        # Set label to S.
-        assert label[bb] == 1
-        label[b] = 1
+            v, w = labeledge[bw]
+            edgs.append((w, v))
+            bw = inb[v]
+        self.childs[b], self.edges[b] = path, edgs
+        leaves = self.leaves[b] = [x for c in path for x in self.leaves[c]]
+        for c in path:
+            if lab[c] == 2:
+                self.new_s.extend(self.leaves[c])
+            lab[c] = 0
+        lab[b] = 1
         labeledge[b] = labeledge[bb]
-        # Set dual variable to zero.
-        blossomdual[b] = 0
-        # Relabel vertices.
-        for v in b.leaves():
-            if label[inblossom[v]] == 2:
-                # This T-vertex now turns into an S-vertex because it becomes
-                # part of an S-blossom; add it to the queue.
-                queue.append(v)
-            inblossom[v] = b
-        # Compute b.mybestedges.
-        bestedgeto = {}
-        for bv in path:
-            if isinstance(bv, Blossom):
-                if bv.mybestedges is not None:
-                    # Walk this subblossom's least-slack edges.
-                    nblist = bv.mybestedges
-                    # The sub-blossom won't need this data again.
-                    bv.mybestedges = None
+        self.dual[b] = 0.0
+        inb[leaves] = b
+        self.merged.extend(leaves)
+
+    def _release(self, b):
+        self.lab[b] = 0
+        self.dual[b] = 0.0
+        self.childs[b] = self.edges[b] = self.leaves[b] = None
+        self.labeledge[b] = None
+        self.unused.append(b)
+
+    def _expand_at_end(self, b):
+        """Expand S-blossom b, and every sub-blossom with zero dual."""
+        todo = [b]
+        while todo:
+            b = todo.pop()
+            for s in self.childs[b]:
+                self.parent[s] = -1
+                if s >= self.m and self.dual[s] == 0:
+                    todo.append(s)
                 else:
-                    # This subblossom does not have a list of least-slack
-                    # edges; get the information from the vertices.
-                    nblist = [
-                        (v, w) for v in bv.leaves() for w in adj[v] if v != w
-                    ]
-            else:
-                nblist = [(bv, w) for w in adj[bv] if bv != w]
-            for k in nblist:
-                (i, j) = k
-                if inblossom[j] == b:
-                    i, j = j, i
-                bj = inblossom[j]
-                if (
-                    bj != b
-                    and label.get(bj) == 1
-                    and ((bj not in bestedgeto) or slack(i, j) < slack(*bestedgeto[bj]))
-                ):
-                    bestedgeto[bj] = k
-            # Forget about least-slack edge of the subblossom.
-            bestedge[bv] = None
-        b.mybestedges = list(bestedgeto.values())
-        # Select bestedge[b].
-        mybestedge = None
-        bestedge[b] = None
-        for k in b.mybestedges:
-            kslack = slack(*k)
-            if mybestedge is None or kslack < mybestslack:
-                mybestedge = k
-                mybestslack = kslack
-        bestedge[b] = mybestedge
+                    self.inb[self.leaves[s]] = s
+            self._release(b)
 
-    # Expand the given top-level blossom.
-    def expandBlossom(b, endstage):
-        # This is an obnoxiously complicated recursive function for the sake of
-        # a stack-transformation.  So, we hack around the complexity by using
-        # a trampoline pattern.  By yielding the arguments to each recursive
-        # call, we keep the actual callstack flat.
+    def _expand_t(self, b):
+        """Expand T-blossom b mid-stage and relabel its sub-blossoms.
 
-        def _recurse(b, endstage):
-            # Convert sub-blossoms into top-level blossoms.
-            for s in b.childs:
-                blossomparent[s] = None
-                if isinstance(s, Blossom):
-                    if endstage and blossomdual[s] == 0:
-                        # Recursively expand this sub-blossom.
-                        yield s
-                    else:
-                        for v in s.leaves():
-                            inblossom[v] = s
-                else:
-                    inblossom[s] = s
-            # If we expand a T-blossom during a stage, its sub-blossoms must be
-            # relabeled.
-            if (not endstage) and label.get(b) == 2:
-                # Start at the sub-blossom through which the expanding
-                # blossom obtained its label, and relabel sub-blossoms untili
-                # we reach the base.
-                # Figure out through which sub-blossom the expanding blossom
-                # obtained its label initially.
-                entrychild = inblossom[labeledge[b][1]]
-                # Decide in which direction we will go round the blossom.
-                j = b.childs.index(entrychild)
-                if j & 1:
-                    # Start index is odd; go forward and wrap.
-                    j -= len(b.childs)
-                    jstep = 1
-                else:
-                    # Start index is even; go backward.
-                    jstep = -1
-                # Move along the blossom until we get to the base.
-                v, w = labeledge[b]
-                while j != 0:
-                    # Relabel the T-sub-blossom.
-                    if jstep == 1:
-                        p, q = b.edges[j]
-                    else:
-                        q, p = b.edges[j - 1]
-                    label[w] = None
-                    label[q] = None
-                    assignLabel(w, 2, v)
-                    # Step to the next S-sub-blossom and note its forward edge.
-                    allowedge[(p, q)] = allowedge[(q, p)] = True
-                    j += jstep
-                    if jstep == 1:
-                        v, w = b.edges[j]
-                    else:
-                        w, v = b.edges[j - 1]
-                    # Step to the next T-sub-blossom.
-                    allowedge[(v, w)] = allowedge[(w, v)] = True
-                    j += jstep
-                # Relabel the base T-sub-blossom WITHOUT stepping through to
-                # its mate (so don't call assignLabel).
-                bw = b.childs[j]
-                label[w] = label[bw] = 2
-                labeledge[w] = labeledge[bw] = (v, w)
-                bestedge[bw] = None
-                # Continue along the blossom until we get back to entrychild.
-                j += jstep
-                while b.childs[j] != entrychild:
-                    # Examine the vertices of the sub-blossom to see whether
-                    # it is reachable from a neighboring S-vertex outside the
-                    # expanding blossom.
-                    bv = b.childs[j]
-                    if label.get(bv) == 1:
-                        # This sub-blossom just got label S through one of its
-                        # neighbors; leave it be.
-                        j += jstep
-                        continue
-                    if isinstance(bv, Blossom):
-                        for v in bv.leaves():
-                            if label.get(v):
-                                break
-                    else:
-                        v = bv
-                    # If the sub-blossom contains a reachable vertex, assign
-                    # label T to the sub-blossom.
-                    if label.get(v):
-                        assert label[v] == 2
-                        assert inblossom[v] == bv
-                        label[v] = None
-                        label[mate[blossombase[bv]]] = None
-                        assignLabel(v, 2, labeledge[v][0])
-                    j += jstep
-            # Remove the expanded blossom entirely.
-            label.pop(b, None)
-            labeledge.pop(b, None)
-            bestedge.pop(b, None)
-            del blossomparent[b]
-            del blossombase[b]
-            del blossomdual[b]
+        The sub-blossoms on the even-length path from the one that b was
+        entered through to its base become T and S in turn; of the rest,
+        each that a tight edge reaches from an S-vertex becomes T.
+        """
+        inb, lab = self.inb, self.lab
+        childs, edges = self.childs[b], self.edges[b]
+        for s in childs:
+            self.parent[s] = -1
+            inb[self.leaves[s]] = s
+        v, w = self.labeledge[b]
+        entry = inb[w]
+        j = childs.index(entry)
+        if j & 1:
+            j -= len(childs)
+            step = 1
+        else:
+            step = -1
+        while j != 0:
+            self._label_t(w, v)
+            j += step
+            v, w = edges[j] if step == 1 else edges[j - 1][::-1]
+            j += step
+        lab[childs[j]] = 2
+        self.labeledge[childs[j]] = (v, w)
+        j += step
+        while childs[j] != entry:
+            if lab[childs[j]] == 0:
+                for x in self.leaves[childs[j]]:
+                    if self.bslack[x] <= 0:
+                        self._label_t(x, int(self.best[x]))
+                        break
+            j += step
+        self._release(b)
 
-        # Now, we apply the trampoline pattern.  We simulate a recursive
-        # callstack by maintaining a stack of generators, each yielding a
-        # sequence of function arguments.  We grow the stack by appending a call
-        # to _recurse on each argument tuple, and shrink the stack whenever a
-        # generator is exhausted.
-        stack = [_recurse(b, endstage)]
-        while stack:
-            top = stack[-1]
-            for s in top:
-                stack.append(_recurse(s, endstage))
-                break
-            else:
-                stack.pop()
+    def _augment_blossom(self, b, v):
+        """Rematch inside blossom b so that vertex v becomes its base."""
+        t = v
+        while self.parent[t] != b:
+            t = self.parent[t]
+        if t >= self.m:
+            self._augment_blossom(t, v)
+        childs, edges = self.childs[b], self.edges[b]
+        i = j = childs.index(t)
+        if i & 1:
+            j -= len(childs)
+            step = 1
+        else:
+            step = -1
+        while j != 0:
+            j += step
+            w, x = edges[j] if step == 1 else edges[j - 1][::-1]
+            if childs[j] >= self.m:
+                self._augment_blossom(childs[j], w)
+            j += step
+            if childs[j] >= self.m:
+                self._augment_blossom(childs[j], x)
+            self.mate[w] = x
+            self.mate[x] = w
+        self.childs[b] = childs[i:] + childs[:i]
+        self.edges[b] = edges[i:] + edges[:i]
+        self.base[b] = self.base[self.childs[b][0]]
 
-    # Swap matched/unmatched edges over an alternating path through blossom b
-    # between vertex v and the base vertex. Keep blossom bookkeeping
-    # consistent.
-    def augmentBlossom(b, v):
-        # This is an obnoxiously complicated recursive function for the sake of
-        # a stack-transformation.  So, we hack around the complexity by using
-        # a trampoline pattern.  By yielding the arguments to each recursive
-        # call, we keep the actual callstack flat.
-
-        def _recurse(b, v):
-            # Bubble up through the blossom tree from vertex v to an immediate
-            # sub-blossom of b.
-            t = v
-            while blossomparent[t] != b:
-                t = blossomparent[t]
-            # Recursively deal with the first sub-blossom.
-            if isinstance(t, Blossom):
-                yield (t, v)
-            # Decide in which direction we will go round the blossom.
-            i = j = b.childs.index(t)
-            if i & 1:
-                # Start index is odd; go forward and wrap.
-                j -= len(b.childs)
-                jstep = 1
-            else:
-                # Start index is even; go backward.
-                jstep = -1
-            # Move along the blossom until we get to the base.
-            while j != 0:
-                # Step to the next sub-blossom and augment it recursively.
-                j += jstep
-                t = b.childs[j]
-                if jstep == 1:
-                    w, x = b.edges[j]
-                else:
-                    x, w = b.edges[j - 1]
-                if isinstance(t, Blossom):
-                    yield (t, w)
-                # Step to the next sub-blossom and augment it recursively.
-                j += jstep
-                t = b.childs[j]
-                if isinstance(t, Blossom):
-                    yield (t, x)
-                # Match the edge connecting those sub-blossoms.
-                mate[w] = x
-                mate[x] = w
-            # Rotate the list of sub-blossoms to put the new base at the front.
-            b.childs = b.childs[i:] + b.childs[:i]
-            b.edges = b.edges[i:] + b.edges[:i]
-            blossombase[b] = blossombase[b.childs[0]]
-            assert blossombase[b] == v
-
-        # Now, we apply the trampoline pattern.  We simulate a recursive
-        # callstack by maintaining a stack of generators, each yielding a
-        # sequence of function arguments.  We grow the stack by appending a call
-        # to _recurse on each argument tuple, and shrink the stack whenever a
-        # generator is exhausted.
-        stack = [_recurse(b, v)]
-        while stack:
-            top = stack[-1]
-            for args in top:
-                stack.append(_recurse(*args))
-                break
-            else:
-                stack.pop()
-
-    # Swap matched/unmatched edges over an alternating path between two
-    # single vertices. The augmenting path runs through S-vertices v and w.
-    def augmentMatching(v, w):
+    def _augment(self, v, w):
+        """Flip the augmenting path through the tight S-S edge (v, w)."""
+        inb, labeledge = self.inb, self.labeledge
         for s, j in ((v, w), (w, v)):
-            # Match vertex s to vertex j. Then trace back from s
-            # until we find a single vertex, swapping matched and unmatched
-            # edges as we go.
-            while 1:
-                bs = inblossom[s]
-                assert label[bs] == 1
-                assert (labeledge[bs] is None and blossombase[bs] not in mate) or (
-                    labeledge[bs][0] == mate[blossombase[bs]]
-                )
-                # Augment through the S-blossom from s to base.
-                if isinstance(bs, Blossom):
-                    augmentBlossom(bs, s)
-                # Update mate[s]
-                mate[s] = j
-                # Trace one step back.
+            while True:
+                bs = inb[s]
+                if bs >= self.m:
+                    self._augment_blossom(bs, s)
+                self.mate[s] = j
                 if labeledge[bs] is None:
-                    # Reached single vertex; stop.
                     break
-                t = labeledge[bs][0]
-                bt = inblossom[t]
-                assert label[bt] == 2
-                # Trace one more step back.
+                bt = inb[labeledge[bs][0]]
                 s, j = labeledge[bt]
-                # Augment through the T-blossom from j to base.
-                assert blossombase[bt] == t
-                if isinstance(bt, Blossom):
-                    augmentBlossom(bt, j)
-                # Update mate[j]
-                mate[j] = s
-
-    # Main loop: continue until no further improvement is possible.
-    while 1:
-        # Each iteration of this loop is a "stage".
-        # A stage finds an augmenting path and uses that to improve
-        # the matching.
-
-        # Remove labels from top-level blossoms/vertices.
-        label.clear()
-        labeledge.clear()
-
-        # Forget all about least-slack edges.
-        bestedge.clear()
-        for b in blossomdual:
-            b.mybestedges = None
-
-        # Loss of labeling means that we can not be sure that currently
-        # allowable edges remain allowable throughout this stage.
-        allowedge.clear()
-
-        # Make queue empty.
-        queue[:] = []
-
-        # Label single blossoms/vertices with S and put them in the queue.
-        for v in gnodes:
-            if (v not in mate) and label.get(inblossom[v]) is None:
-                assignLabel(v, 1, None)
-
-        # Loop until we succeed in augmenting the matching.
-        augmented = 0
-        while 1:
-            # Each iteration of this loop is a "substage".
-            # A substage tries to find an augmenting path;
-            # if found, the path is used to improve the matching and
-            # the stage ends. If there is no augmenting path, the
-            # primal-dual method is used to pump some slack out of
-            # the dual variables.
-
-            # Continue labeling until all vertices which are reachable
-            # through an alternating path have got a label.
-            while queue and not augmented:
-                # Take an S vertex from the queue.
-                v = queue.pop()
-                assert label[inblossom[v]] == 1
-
-                # Scan its neighbors:
-                for w in adj[v]:
-                    if w == v:
-                        continue  # ignore self-loops
-                    # w is a neighbor to v
-                    bv = inblossom[v]
-                    bw = inblossom[w]
-                    if bv == bw:
-                        # this edge is internal to a blossom; ignore it
-                        continue
-                    if (v, w) not in allowedge:
-                        kslack = slack(v, w)
-                        if kslack <= 0:
-                            # edge k has zero slack => it is allowable
-                            allowedge[(v, w)] = allowedge[(w, v)] = True
-                    if (v, w) in allowedge:
-                        if label.get(bw) is None:
-                            # (C1) w is a free vertex;
-                            # label w with T and label its mate with S (R12).
-                            assignLabel(w, 2, v)
-                        elif label.get(bw) == 1:
-                            # (C2) w is an S-vertex (not in the same blossom);
-                            # follow back-links to discover either an
-                            # augmenting path or a new blossom.
-                            base = scanBlossom(v, w)
-                            if base is not NoNode:
-                                # Found a new blossom; add it to the blossom
-                                # bookkeeping and turn it into an S-blossom.
-                                addBlossom(base, v, w)
-                            else:
-                                # Found an augmenting path; augment the
-                                # matching and end this stage.
-                                augmentMatching(v, w)
-                                augmented = 1
-                                break
-                        elif label.get(w) is None:
-                            # w is inside a T-blossom, but w itself has not
-                            # yet been reached from outside the blossom;
-                            # mark it as reached (we need this to relabel
-                            # during T-blossom expansion).
-                            assert label[bw] == 2
-                            label[w] = 2
-                            labeledge[w] = (v, w)
-                    elif label.get(bw) == 1:
-                        # keep track of the least-slack non-allowable edge to
-                        # a different S-blossom.
-                        if bestedge.get(bv) is None or kslack < slack(*bestedge[bv]):
-                            bestedge[bv] = (v, w)
-                    elif label.get(w) is None:
-                        # w is a free vertex (or an unreached vertex inside
-                        # a T-blossom) but we can not reach it yet;
-                        # keep track of the least-slack edge that reaches w.
-                        if bestedge.get(w) is None or kslack < slack(*bestedge[w]):
-                            bestedge[w] = (v, w)
-
-            if augmented:
-                break
-
-            # There is no augmenting path under these constraints;
-            # compute delta and reduce slack in the optimization problem.
-            # (Note that our vertex dual variables, edge slacks and delta's
-            # are pre-multiplied by two.)  With maximum cardinality there
-            # is no delta1 (the minimum vertex dual).
-            deltatype = -1
-            delta = deltaedge = deltablossom = None
-
-            # Compute delta2: the minimum slack on any edge between
-            # an S-vertex and a free vertex.
-            for v in gnodes:
-                if label.get(inblossom[v]) is None and bestedge.get(v) is not None:
-                    d = slack(*bestedge[v])
-                    if deltatype == -1 or d < delta:
-                        delta = d
-                        deltatype = 2
-                        deltaedge = bestedge[v]
-
-            # Compute delta3: half the minimum slack on any edge between
-            # a pair of S-blossoms.
-            for b in blossomparent:
-                if (
-                    blossomparent[b] is None
-                    and label.get(b) == 1
-                    and bestedge.get(b) is not None
-                ):
-                    kslack = slack(*bestedge[b])
-                    d = kslack / 2.0
-                    if deltatype == -1 or d < delta:
-                        delta = d
-                        deltatype = 3
-                        deltaedge = bestedge[b]
-
-            # Compute delta4: minimum z variable of any T-blossom.
-            for b in blossomdual:
-                if (
-                    blossomparent[b] is None
-                    and label.get(b) == 2
-                    and (deltatype == -1 or blossomdual[b] < delta)
-                ):
-                    delta = blossomdual[b]
-                    deltatype = 4
-                    deltablossom = b
-
-            if deltatype == -1:
-                # No further improvement possible; max-cardinality optimum
-                # reached. Do a final delta update to make the optimum
-                # verifiable.
-                deltatype = 1
-                delta = max(0, min(dualvar.values()))
-
-            # Update dual variables according to delta.
-            for v in gnodes:
-                if label.get(inblossom[v]) == 1:
-                    # S-vertex: 2*u = 2*u - 2*delta
-                    dualvar[v] -= delta
-                elif label.get(inblossom[v]) == 2:
-                    # T-vertex: 2*u = 2*u + 2*delta
-                    dualvar[v] += delta
-            for b in blossomdual:
-                if blossomparent[b] is None:
-                    if label.get(b) == 1:
-                        # top-level S-blossom: z = z + 2*delta
-                        blossomdual[b] += delta
-                    elif label.get(b) == 2:
-                        # top-level T-blossom: z = z - 2*delta
-                        blossomdual[b] -= delta
-
-            # Take action at the point where minimum delta occurred.
-            if deltatype == 1:
-                # No further improvement possible; optimum reached.
-                break
-            elif deltatype == 2:
-                # Use the least-slack edge to continue the search.
-                (v, w) = deltaedge
-                assert label[inblossom[v]] == 1
-                allowedge[(v, w)] = allowedge[(w, v)] = True
-                queue.append(v)
-            elif deltatype == 3:
-                # Use the least-slack edge to continue the search.
-                (v, w) = deltaedge
-                allowedge[(v, w)] = allowedge[(w, v)] = True
-                assert label[inblossom[v]] == 1
-                queue.append(v)
-            elif deltatype == 4:
-                # Expand the least-z blossom.
-                expandBlossom(deltablossom, False)
-
-            # End of a this substage.
-
-        # Paranoia check that the matching is symmetric.
-        for v in mate:
-            assert mate[mate[v]] == v
-
-        # Stop when no more augmenting path can be found.
-        if not augmented:
-            break
-
-        # End of a stage; expand all S-blossoms which have zero dual.
-        for b in list(blossomdual.keys()):
-            if b not in blossomdual:
-                continue  # already expanded
-            if blossomparent[b] is None and label.get(b) == 1 and blossomdual[b] == 0:
-                expandBlossom(b, True)
-
-    # Each matched edge once, as NetworkX's matching_dict_to_set gives it.
-    edges = set()
-    for edge in mate.items():
-        if edge[::-1] not in edges:
-            edges.add(edge)
-    return edges
+                if bt >= self.m:
+                    self._augment_blossom(bt, j)
+                self.mate[j] = s

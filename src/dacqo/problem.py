@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 import types
 from dataclasses import dataclass, field
 
@@ -145,12 +146,13 @@ class IsingProblem:
     def from_json(text: str) -> "IsingProblem":
         doc = _json_object(text, "problem", ("n", "J", "h", "offset"))
         try:
-            n = _integer(doc.get("n"), '"n"')
+            n = _size(doc.get("n"))
             rows = [(_integer(i), _integer(j), _number(v, "coupling"))
                     for i, j, v in doc.get("J", [])]
             _check_unique(rows)
             couplings = {(i, j): v for i, j, v in rows}
-            fields = [_number(h, "field") for h in doc.get("h", [0.0] * n)]
+            fields = ([_number(h, "field") for h in doc["h"]]
+                      if "h" in doc else None)
             offset = _number(doc.get("offset", 0.0), "offset")
         except (TypeError, ValueError) as e:
             raise ValueError(f"malformed problem file: {e}") from e
@@ -215,9 +217,10 @@ class Graph:
     def from_json(text: str) -> "Graph":
         doc = _json_object(text, "graph", ("n", "edges", "weights"))
         try:
-            n = _integer(doc.get("n"), '"n"')
+            n = _size(doc.get("n"))
             edges = [(_integer(i), _integer(j)) for i, j in doc.get("edges", [])]
-            weights = [_number(w, "weight") for w in doc.get("weights", [1.0] * n)]
+            weights = ([_number(w, "weight") for w in doc["weights"]]
+                       if "weights" in doc else None)
         except (TypeError, ValueError) as e:
             raise ValueError(f"malformed graph file: {e}") from e
         return Graph(n, edges, weights)
@@ -260,6 +263,14 @@ def _integer(v, what: str = "node index") -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"{what} must be an integer, got {v!r}")
     return v
+
+
+def _size(v) -> int:
+    """The ``"n"`` of a problem or graph file: an integer that fits an index."""
+    n = _integer(v, '"n"')
+    if n > sys.maxsize:
+        raise ValueError(f'"n" = {n} does not fit an index')
+    return n
 
 
 def _number(v, what: str) -> float:

@@ -13,7 +13,7 @@ k-qubit GMS blocks:
     every pair covered c >= 2 times gets a correction at -(c-1) times the
     strength; these 2-qubit gates are packed into parallel rounds by
     the circle method or by peeling maximum matchings (Edmonds' blossom
-    algorithm, ported from NetworkX in ``dacqo._matching``), stopping
+    algorithm on array state, ``dacqo._matching``), stopping
     once the rounds reach the pair graph's largest degree (a lower
     bound), with each pair set scheduled once per process,
   * each GMS is followed by its conjugate parasitic-term canceller.
@@ -220,20 +220,16 @@ def _peel_rounds(pairs, seed):
     Each round is a maximum-cardinality matching of the pairs still left,
     of greatest weight under weights ``1 + 0.01 r`` with ``r`` drawn
     uniformly from the seeded generator, one per remaining pair in set
-    order.  The weights (almost surely) make that optimum unique, so the
-    seed alone picks the round, whatever the matcher's tie-breaking.
+    order; the pairs and their weights go to the matcher as they are.
+    The weights (almost surely) make that optimum unique, so the seed
+    alone picks the round, whatever the matcher's tie-breaking.
     """
     rng = np.random.default_rng(seed)
     remaining = set(pairs)
     rounds = []
     while remaining:
-        adj = {}
-        weights = (1.0 + 0.01 * rng.random(len(remaining))).tolist()
-        for (i, j), wt in zip(remaining, weights):
-            adj.setdefault(i, {})[j] = wt
-            adj.setdefault(j, {})[i] = wt
-        match = max_weight_matching(adj)
-        rnd = sorted((min(a, b), max(a, b)) for a, b in match)
+        weights = 1.0 + 0.01 * rng.random(len(remaining))
+        rnd = sorted(max_weight_matching(remaining, weights))
         rounds.append(rnd)
         remaining -= set(rnd)
     return rounds

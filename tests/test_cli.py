@@ -406,11 +406,14 @@ class TestInvalidInputExits2:
          "unknown key 'couplings'"),
         ('{"n": 3, "J": [[0, 1, 1.0]], "J": []}', "repeated key 'J'"),
         ('{"n": 2, "J": [[0, 1, 1%s]]}' % ("0" * 400), "coupling is too large"),
+        ('{"n": 9223372036854775808, "J": []}', '"n"'),
+        # fields are read from "h", not from a default of n zeros
+        ('{"n": 9223372036854775807, "J": [], "h": []}', "fields length"),
     ], ids=["self-coupling", "nan-coupling", "missing-n", "string-n",
             "scalar-J", "not-an-object", "float-node", "boolean-node",
             "repeated-pair", "reversed-pair", "string-coupling",
             "boolean-field", "string-offset", "unknown-key", "repeated-key",
-            "huge-integer-coupling"])
+            "huge-integer-coupling", "n-beyond-an-index", "huge-n-with-h"])
     def test_problem_files(self, runner, tmp_path, text, named):
         pf = self._problem_file(tmp_path, text)
         result = runner.invoke(main, ["solve", "--problem-file", pf])
@@ -428,9 +431,13 @@ class TestInvalidInputExits2:
         ('{"n": 3, "edges": [[0, 1], [1, 0]]}', "(0, 1)"),
         ('{"n": 5, "edge": [[0, 1], [1, 2]]}', "unknown key 'edge'"),
         ('{"n": 3, "edges": [[0, 1]], "edges": []}', "repeated key 'edges'"),
+        ('{"n": 9223372036854775808, "edges": []}', '"n"'),
+        # weights are read from "weights", not from a default of n ones
+        ('{"n": 9223372036854775807, "edges": [], "weights": []}',
+         "weights length"),
     ], ids=["missing-n", "float-n", "string-node", "object-weights",
             "float-node", "boolean-weight", "repeated-edge", "unknown-key",
-            "repeated-key"])
+            "repeated-key", "n-beyond-an-index", "huge-n-with-weights"])
     def test_graph_files(self, runner, tmp_path, text, named):
         gf = tmp_path / "graph.json"
         gf.write_text(text)

@@ -158,8 +158,15 @@ def _nx_peel_rounds(pairs, seed):
     return rounds
 
 
+def _labelled_graph(labels, seed):
+    """(order, edges): the complete graph on ``labels``, peel weights."""
+    every = list(itertools.combinations(labels, 2))
+    weights = 1.0 + 0.01 * np.random.default_rng(seed).random(len(every))
+    return list(labels), [(i, j, w) for (i, j), w in zip(every, weights.tolist())]
+
+
 class TestMatching:
-    """The in-repo blossom matcher against networkx, the code it ports."""
+    """The array blossom matcher against networkx's, the test oracle."""
 
     @given(_weighted_graphs())
     @example(([], []))
@@ -167,21 +174,34 @@ class TestMatching:
     @example(([3, 0, 2, 1, 4], []))
     @example((list(range(7)), [(i, j, 1.0 + (i * 7 + j) / 100)
                                for i, j in itertools.combinations(range(7), 2)]))
+    # vertices that are not 0..m-1: sparse, negative and non-integer labels
+    @example(([90, -4, 7, 1000, 13], [(90, 7, 1.5), (7, -4, 2.25),
+                                      (1000, 13, 0.5), (-4, 1000, 3.0),
+                                      (13, 90, 1.25)]))
+    @example(_labelled_graph([3 * v + 11 for v in range(9)], 4))
+    @example(_labelled_graph(["q%d" % v for v in range(6)], 5))
+    # the largest arrays: complete graphs on 40 vertices
+    @example(_labelled_graph(range(40), 0))
+    @example(_labelled_graph(range(79, -1, -2), 1))
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     def test_same_edges_as_networkx(self, drawn):
         order, edges = drawn
-        adj = {v: {} for v in order}
         g = nx.Graph()
         g.add_nodes_from(order)
         for i, j, w in edges:
-            adj[i][j] = adj[j][i] = w
             g.add_edge(i, j, weight=w)
-        got = max_weight_matching(adj)
+        pairs = [(i, j) for i, j, _ in edges]
+        got = max_weight_matching(pairs, [w for _, _, w in edges])
         want = nx.max_weight_matching(g, maxcardinality=True)
         assert {frozenset(e) for e in got} == {frozenset(e) for e in want}
         assert len(got) == len(want)
+        assert got <= set(pairs)
         matched = [v for e in got for v in e]
         assert len(matched) == len(set(matched))
+
+    def test_rejects_weights_of_another_length(self):
+        with pytest.raises(ValueError, match="2 edges"):
+            max_weight_matching([(0, 1), (1, 2)], [1.0])
 
     def test_peel_of_the_n32_k4_corrections(self):
         pairs = sorted(correction_weights(coverage_plan(32, 4)[2]))
@@ -592,6 +612,9 @@ class TestCircuitBytes:
     @pytest.mark.parametrize("problem, steps, k, path, digest", [
         (random_spin_glass(32, 0, "homogeneous"), 1, 4, "auto",
          "d1a526c0482564bca023084db269d776e16cbc170c1d3f2ef509b3008bfa4824"),
+        # a 41-round peel of the N=48 correction pairs
+        (random_spin_glass(48, 0, "homogeneous"), 1, 4, "auto",
+         "33c4ba4cd429b51a9def9b862b7513ecf86bc6162164f65ba9495857ac6f52b4"),
         (random_spin_glass(16, 0, "fully_nonuniform"), 10, 4, "inhomogeneous",
          "6ef417a1129910dab8fdd4300ff89ea8fccd008a9e4ca433bcf0d357d4c5126f"),
         (random_spin_glass(16, 0, "fully_nonuniform"), 10, 4, "digital",
@@ -613,9 +636,10 @@ class TestCircuitBytes:
          "6957968e20b52a9403b5d505d083d074c472cae0aca53fc7ba145715b1ab94c4"),
         (IsingProblem(5, {(0, 1): 0.0, (2, 3): 1.0}), 3, 4, "digital",
          "5573bc13c78992d0ae783e9680feee283554453819afa257d50489ac1c8e5b16"),
-    ], ids=["homogeneous-n32", "inhomogeneous-n16", "digital-n16", "mis14",
-            "mixed-n8-k2", "nonuniform-n8-k6", "homogeneous-n6-shifted",
-            "zero-coupling-auto", "zero-coupling-digital"])
+    ], ids=["homogeneous-n32", "homogeneous-n48", "inhomogeneous-n16",
+            "digital-n16", "mis14", "mixed-n8-k2", "nonuniform-n8-k6",
+            "homogeneous-n6-shifted", "zero-coupling-auto",
+            "zero-coupling-digital"])
     def test_sha256(self, problem, steps, k, path, digest):
         circuit = synthesize(problem, Schedule(1.0, steps), k, path)
         assert hashlib.sha256(circuit.to_json().encode()).hexdigest() == digest
