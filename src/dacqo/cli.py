@@ -21,8 +21,8 @@ from one master seed, so reruns are byte-identical.
 
 Exit codes: 0 success, 2 configuration error (a bad flag or config entry,
 an unreadable input or unwritable output, and any ValueError raised by the
-library on invalid input), 3 capability (size cap) exceeded, 4 numerical
-failure.
+library on invalid input), 3 capability exceeded (a size cap, or an
+input too large to allocate), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -87,6 +87,10 @@ def _guarded(fn):
             fn(*args, **kwargs)
         except CapabilityError as e:
             click.echo(f"capability error: {e}", err=True)
+            sys.exit(EXIT_CAPABILITY)
+        except MemoryError as e:
+            # a size that fits an index but no array, such as a file's "n"
+            click.echo(f"capability error: out of memory: {e}", err=True)
             sys.exit(EXIT_CAPABILITY)
         except (SynthesisError, ZeroDivisionError, FloatingPointError,
                 np.linalg.LinAlgError) as e:

@@ -18,10 +18,11 @@ dense Pauli strings.
 
 What every call would otherwise rebuild is kept in bounded caches: per
 problem (``IsingProblem`` compares and hashes by its exact contents) the
-coupling sums of alpha_1 and the 2^N vector each frame's H_f starts
-from, and per qubit count the flip-mask index, the sum_i X_i mask vector
-and the sum_i Z_i diagonal.  Cached arrays are read-only and no cache
-keeps a 2^N x 2^N matrix; every public function returns a fresh array.
+coupling sums of alpha_1, the 2^N vector each frame's H_f starts from and
+the four commutator norms of the oracle, and per qubit count the
+flip-mask index, the sum_i X_i mask vector and the sum_i Z_i diagonal.
+Cached arrays are read-only and no cache keeps a 2^N x 2^N matrix; every
+public function returns a fresh array.
 
 ``alpha1_analytic`` evaluates the closed form obtained from the first two
 nested commutators O_1 = [H_ad, d_lambda H_ad], O_2 = [H_ad, O_1]:
@@ -31,6 +32,10 @@ nested commutators O_1 = [H_ad, d_lambda H_ad], O_2 = [H_ad, O_1]:
 All pair sums below run over ordered pairs (i != j); with couplings stored
 once per unordered pair this shows up as factors of 2.  ``alpha1_oracle``
 recomputes the same quantity from dense commutators and pins the convention.
+Since [H_f, H_f] = [D, D] = 0 for D = sum_i X_i, O_1 = [D, H_f] does not
+depend on lambda and O_2 = lambda A + (1 - lambda) B with A = [H_f, O_1]
+and B = [D, O_1], so the oracle's Gamma_2 is a quadratic in lambda whose
+coefficients ||A||^2, ||B||^2 and Re<A, B> are formed once per problem.
 
 The gate layer works in a frame rotated by a Hadamard on every qubit
 (Z -> X, X -> Z, Y -> -Y), where the entangling terms become XX/XY/YX and
@@ -70,8 +75,9 @@ __all__ = [
 ]
 
 _DENSE_CAP = 12
-# problems whose coupling sums and H_f vectors are kept, and qubit counts
-# whose index tables are kept (the flip index alone is 2^2N entries)
+# problems whose coupling sums, H_f vectors and oracle norms are kept,
+# and qubit counts whose index tables are kept (the flip index alone is
+# 2^2N entries)
 _PROBLEMS_KEPT = 16
 _SIZES_KEPT = 2
 
@@ -327,20 +333,46 @@ def _coefficients(problem: IsingProblem, schedule: Schedule, times):
         yield lam, ldot, _alpha1(sums, lam) if ldot and live else 0.0
 
 
+@functools.lru_cache(maxsize=_PROBLEMS_KEPT)
+def _commutator_norms(problem: IsingProblem) -> tuple:
+    """(||O_1||^2, ||A||^2, ||B||^2, Re<A, B>) from dense commutators.
+
+    O_1 = [D, H_f], A = [H_f, O_1] and B = [D, O_1] with D = sum_i X_i,
+    all normalized as ``hs_norm_sq``.  Python floats only: no matrix is
+    kept.
+    """
+    Hf, D = _operators(problem)
+    O1 = commutator(D, Hf)
+    A = commutator(Hf, O1)
+    B = commutator(D, O1)
+    cross = float(np.vdot(A, B).real) / A.shape[0]
+    return hs_norm_sq(O1), hs_norm_sq(A), hs_norm_sq(B), cross
+
+
 def gamma_oracle(problem: IsingProblem, lam: float) -> tuple:
-    """(Gamma_1, Gamma_2) from dense nested commutators."""
+    """(Gamma_1, Gamma_2) from dense nested commutators.
+
+    H_ad = lambda H_f + (1-lambda) D and d_lambda H_ad = H_f - D, so by
+    bilinearity O_1 = [H_ad, d_lambda H_ad] = [D, H_f] at every lambda and
+    O_2 = [H_ad, O_1] = lambda A + (1-lambda) B.  Gamma_2 is therefore the
+    quadratic lambda^2 ||A||^2 + (1-lambda)^2 ||B||^2
+    + 2 lambda (1-lambda) Re<A, B>; its three coefficients and Gamma_1
+    are formed once per problem by ``_commutator_norms``.
+    """
     if problem.n_qubits > 8:
         raise CapabilityError("commutator oracle capped at 8 qubits")
-    Hf, D = _operators(problem)
-    H = lam * Hf + (1 - lam) * D
-    dH = Hf - D
-    O1 = commutator(H, dH)
-    O2 = commutator(H, O1)
-    return hs_norm_sq(O1), hs_norm_sq(O2)
+    g1, aa, bb, ab = _commutator_norms(problem)
+    mu = 1 - lam
+    return g1, lam * lam * aa + mu * mu * bb + 2 * lam * mu * ab
 
 
 def alpha1_oracle(problem: IsingProblem, lambda_value: float) -> float:
-    """alpha_1 from dense commutators; pins the closed-form conventions."""
+    """alpha_1 = -Gamma_1/Gamma_2 from ``gamma_oracle``.
+
+    Pins the closed-form conventions: O_1 does not depend on lambda and
+    Gamma_2 is a quadratic in lambda whose coefficients come from dense
+    commutators formed once per problem.
+    """
     g1, g2 = gamma_oracle(problem, lambda_value)
     if g2 == 0.0:
         raise ZeroDivisionError("Gamma_2 vanished")

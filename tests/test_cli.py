@@ -123,6 +123,21 @@ class TestSolve:
         result = runner.invoke(main, ["solve", "--n", "15", "--steps", "1"])
         assert result.exit_code == EXIT_CAPABILITY, result.output
 
+    # an n that fits an index but no array: numpy refuses the 7.28 TiB
+    # per-node array at once, before anything is allocated
+    @pytest.mark.parametrize("flag,text", [
+        ("--problem-file", '{"n": 1000000000000, "J": []}'),
+        ("--graph-file", '{"n": 1000000000000, "edges": []}'),
+    ], ids=["problem", "graph"])
+    def test_unallocatable_n_exits_3(self, runner, tmp_path, flag, text):
+        f = tmp_path / "input.json"
+        f.write_text(text)
+        result = runner.invoke(main, ["solve", flag, str(f), "--steps", "1"])
+        assert result.exit_code == EXIT_CAPABILITY, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("capability error: out of memory")
+        assert result.output.count("\n") == 1
+
     def test_unknown_flag_exits_2(self, runner):
         result = runner.invoke(main, ["solve", "--frobnicate", "1"])
         assert result.exit_code == 2

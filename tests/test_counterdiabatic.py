@@ -23,7 +23,7 @@ from dacqo.counterdiabatic import (
     problem_hamiltonian,
     rotated_full_hamiltonian,
 )
-from dacqo.paulis import pauli_on
+from dacqo.paulis import hs_norm_sq, pauli_on
 from dacqo.problem import (
     CapabilityError,
     Graph,
@@ -220,6 +220,57 @@ class TestAlpha1:
             g1o, g2o = gamma_oracle(p, lam)
             assert g1c == pytest.approx(g1o, rel=1e-11)
             assert g2c == pytest.approx(g2o, rel=1e-11)
+
+
+def _literal_gammas(p, lam):
+    """Gamma_1, Gamma_2 from H(lambda), O_1 and O_2 formed at this lambda."""
+    Hf = problem_hamiltonian(p)
+    D = driver_hamiltonian(p.n_qubits)
+    H = lam * Hf + (1 - lam) * D
+    dH = Hf - D
+    O1 = H @ dH - dH @ H
+    O2 = H @ O1 - O1 @ H
+    return hs_norm_sq(O1), hs_norm_sq(O2)
+
+
+class TestGammaOracle:
+    """The oracle's quadratic in lambda against its definition."""
+
+    @staticmethod
+    def _problems():
+        for n in range(1, 9):
+            for mode in ("homogeneous", "mixed", "fully_nonuniform"):
+                yield random_spin_glass(n, n, mode)
+            for weights in ("unweighted", "mixed", "fully_nonuniform"):
+                yield mis_to_ising(random_graph(n, n, weight_mode=weights))
+
+    def test_matches_literal_commutators(self):
+        for p in self._problems():
+            for lam in (0.0, 0.3, 0.5, 1.0):
+                g1, g2 = gamma_oracle(p, lam)
+                r1, r2 = _literal_gammas(p, lam)
+                assert g1 == pytest.approx(r1, rel=1e-12)
+                assert g2 == pytest.approx(r2, rel=1e-12)
+
+    def test_cross_term_vanishes(self):
+        # A = [H_f, O_1] has entries only at one-bit flips, B = [D, O_1]
+        # only at zero- and two-bit flips, so the closed form has no
+        # lambda (1 - lambda) term
+        for p in self._problems():
+            assert counterdiabatic._commutator_norms(p)[3] == 0.0
+
+    def test_nine_qubits_capped(self):
+        p = random_spin_glass(9, 0, "mixed")
+        for oracle in (gamma_oracle, alpha1_oracle):
+            with pytest.raises(CapabilityError):
+                oracle(p, 0.5)
+
+    def test_zero_problem_raises_before_and_after_cache_hit(self):
+        _clear_caches()
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError):
+                alpha1_oracle(IsingProblem(2), 0.5)
+        assert counterdiabatic._commutator_norms.cache_info().hits == 1
 
 
 class TestCdGenerator:
@@ -425,6 +476,7 @@ class TestCoefficients:
 def _clear_caches():
     for cache in (counterdiabatic._coupling_sums,
                   counterdiabatic._problem_vector,
+                  counterdiabatic._commutator_norms,
                   counterdiabatic._size_tables):
         cache.cache_clear()
 
@@ -458,7 +510,9 @@ class TestCaches:
 
     def test_sweep_computes_instance_data_once(self, monkeypatch):
         # the coupling sums read the coupling matrix once; the
-        # original-frame vector is all_energies
+        # original-frame vector is all_energies; the oracle forms H_f and
+        # D and its three commutators once, while adiabatic_hamiltonian
+        # forms a fresh H_f and D on every call
         counts = collections.Counter()
 
         def counted(name, f):
@@ -471,6 +525,10 @@ class TestCaches:
                             counted("energies", all_energies))
         monkeypatch.setattr(IsingProblem, "coupling_matrix",
                             counted("sums", IsingProblem.coupling_matrix))
+        monkeypatch.setattr(counterdiabatic, "_operators",
+                            counted("operators", counterdiabatic._operators))
+        monkeypatch.setattr(counterdiabatic, "commutator",
+                            counted("commutators", counterdiabatic.commutator))
         _clear_caches()
         p = random_spin_glass(6, 2, "fully_nonuniform")
         # an equal copy finds what p left in the caches
@@ -481,8 +539,13 @@ class TestCaches:
             alpha1_oracle(q, lam)
             gamma_closed_forms(q, lam)
             adiabatic_hamiltonian(q, lam)
-        assert counts == {"sums": 1, "energies": 1}
+        assert counts == {"sums": 1, "energies": 1, "commutators": 3,
+                          "operators": len(self.LAMBDAS) + 1}
         assert counterdiabatic._size_tables.cache_info().misses == 1
+        assert counterdiabatic._commutator_norms.cache_info().misses == 1
+        entry = counterdiabatic._commutator_norms(p)
+        assert len(entry) == 4
+        assert all(type(x) is float for x in entry)
 
     def test_returned_matrices_are_fresh(self):
         p = random_spin_glass(3, 1, "mixed")
