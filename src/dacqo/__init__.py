@@ -2,10 +2,8 @@
 
 from .counterdiabatic import (
     Schedule,
-    adiabatic_hamiltonian,
     alpha1_analytic,
     alpha1_oracle,
-    cd_generator,
     exact_evolution,
     rotated_full_hamiltonian,
 )

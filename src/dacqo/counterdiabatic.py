@@ -16,13 +16,11 @@ operators H_f and sum_i X_i themselves are built by index arithmetic: each
 is a diagonal or a table of coefficients per bit-flip mask, never a sum of
 dense Pauli strings.
 
-What every call would otherwise rebuild is kept in bounded caches: per
-problem (``IsingProblem`` compares and hashes by its exact contents) the
-coupling sums of alpha_1, the 2^N vector each frame's H_f starts from and
-the four commutator norms of the oracle, and per qubit count the
-flip-mask index, the sum_i X_i mask vector and the sum_i Z_i diagonal.
-Cached arrays are read-only and no cache keeps a 2^N x 2^N matrix; every
-public function returns a fresh array.
+Only Python floats are cached, per problem (``IsingProblem`` compares and
+hashes by its exact contents): the coupling sums of alpha_1 and the four
+commutator norms of the oracle.  The dense operators are built on each
+call, which is once per problem for the oracle and once per
+``exact_evolution`` call, so every public function returns a fresh array.
 
 ``alpha1_analytic`` evaluates the closed form obtained from the first two
 nested commutators O_1 = [H_ad, d_lambda H_ad], O_2 = [H_ad, O_1]:
@@ -62,24 +60,18 @@ from .problem import CapabilityError, IsingProblem, _spins, all_energies
 
 __all__ = [
     "Schedule",
-    "adiabatic_hamiltonian",
     "alpha1_analytic",
     "alpha1_oracle",
     "gamma_closed_forms",
     "gamma_oracle",
-    "cd_generator",
     "rotated_full_hamiltonian",
     "exact_evolution",
-    "problem_hamiltonian",
-    "driver_hamiltonian",
 ]
 
 _DENSE_CAP = 12
-# problems whose coupling sums, H_f vectors and oracle norms are kept,
-# and qubit counts whose index tables are kept (the flip index alone is
-# 2^2N entries)
+# problems whose coupling sums and oracle norms are kept (floats only;
+# the dense operators are built on each call)
 _PROBLEMS_KEPT = 16
-_SIZES_KEPT = 2
 
 
 # ---------------------------------------------------------------------------
@@ -158,66 +150,35 @@ class Schedule:
 # dense Hamiltonians
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=_SIZES_KEPT)
-def _size_tables(n: int) -> tuple:
-    """(flip, one, zsum) on n qubits, read-only.
-
-    ``flip[r, c]`` is the flip mask r ^ c in the narrowest unsigned
-    dtype, ``one`` is 1 at each single-bit mask w_i (so sum_i X_i is
-    ``one[flip]``) and ``zsum`` is the diagonal of sum_i Z_i.
-    """
-    b = np.arange(2**n)
-    flip = (b[:, None] ^ b).astype(np.min_scalar_type(2**n - 1))
-    one = np.zeros(2**n, dtype=complex)
-    one[_bit_weights(n)] = 1.0
-    zsum = _spins(b, n).sum(axis=1).astype(complex)
-    for table in (flip, one, zsum):
-        table.setflags(write=False)
-    return flip, one, zsum
-
-
-@functools.lru_cache(maxsize=_PROBLEMS_KEPT)
-def _problem_vector(problem: IsingProblem, rotated: bool) -> np.ndarray:
-    """The 2^N vector H_f is built from, read-only.
-
-    In the original frame H_f is diagonal and this is its diagonal,
-    ``all_energies``.  In the per-qubit Hadamard frame H_f' is a table
-    per flip mask: J_ij at mask w_i | w_j and h_i at mask w_i.
-    """
-    n = problem.n_qubits
-    if rotated:
-        weights = _bit_weights(n)
-        vector = np.zeros(2**n, dtype=complex)
-        for (i, j), v in problem.couplings.items():
-            vector[weights[i] | weights[j]] = v
-        vector[weights] = problem.fields
-    else:
-        vector = all_energies(problem).astype(complex)
-    vector.setflags(write=False)
-    return vector
-
-
 def _operators(problem: IsingProblem, rotated: bool = False) -> tuple:
     """Dense (H_f, sum_i X_i), each built by one indexing step.
 
     Every term is a diagonal Z string or an X string, whose entry (r, c)
     depends only on the flip mask r ^ c, so no Pauli string is formed:
-    each operator is a cached 2^N vector (``_problem_vector``,
-    ``_size_tables``) put on the diagonal or indexed by the flip masks.
-    In the original frame H_f is diagonal and sum_i X_i is indexed; in
-    the per-qubit Hadamard frame (``rotated``) H_f' is indexed and
-    sum_i Z_i diagonal.  Both matrices are fresh.
+    each operator is a 2^N vector put on the diagonal or indexed by the
+    flip masks, which are kept in the narrowest unsigned dtype.  In the
+    original frame H_f is diagonal (``all_energies``) and sum_i X_i is 1
+    at each single-bit mask w_i; in the per-qubit Hadamard frame
+    (``rotated``) H_f' is J_ij at mask w_i | w_j and h_i at mask w_i, and
+    sum_i Z_i is diagonal.  Nothing is cached: both matrices are built on
+    each call.
     """
     n = problem.n_qubits
     if n > _DENSE_CAP:
         raise CapabilityError(
             f"dense operators capped at {_DENSE_CAP} qubits, got {n}"
         )
-    flip, one, zsum = _size_tables(n)
-    vector = _problem_vector(problem, rotated)
+    b = np.arange(2**n)
+    flip = (b[:, None] ^ b).astype(np.min_scalar_type(2**n - 1))
+    weights = _bit_weights(n)
+    vector = np.zeros(2**n, dtype=complex)
     if rotated:
-        return vector[flip], np.diag(zsum)
-    return np.diag(vector), one[flip]
+        for (i, j), v in problem.couplings.items():
+            vector[weights[i] | weights[j]] = v
+        vector[weights] = problem.fields
+        return vector[flip], np.diag(_spins(b, n).sum(axis=1).astype(complex))
+    vector[weights] = 1.0
+    return np.diag(all_energies(problem).astype(complex)), vector[flip]
 
 
 def _with_cd(operators: tuple) -> tuple:
@@ -237,24 +198,6 @@ def _hamiltonian(coefficients: tuple, operators: tuple) -> np.ndarray:
     if ldot:
         H += (2.0 * ldot * a1) * C
     return H
-
-
-def problem_hamiltonian(problem: IsingProblem) -> np.ndarray:
-    """Dense H_f = sum J_ij Z_i Z_j + sum h_i Z_i."""
-    return _operators(problem)[0]
-
-
-def driver_hamiltonian(n: int) -> np.ndarray:
-    """Dense transverse field sum_i X_i on n qubits."""
-    return _operators(IsingProblem(n))[1]
-
-
-def adiabatic_hamiltonian(problem: IsingProblem, lambda_value: float) -> np.ndarray:
-    """lambda * H_f + (1 - lambda) * sum_i X_i as a dense matrix."""
-    if not 0.0 <= lambda_value <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
-    Hf, D = _operators(problem)
-    return lambda_value * Hf + (1.0 - lambda_value) * D
 
 
 # ---------------------------------------------------------------------------
@@ -377,21 +320,6 @@ def alpha1_oracle(problem: IsingProblem, lambda_value: float) -> float:
     if g2 == 0.0:
         raise ZeroDivisionError("Gamma_2 vanished")
     return -g1 / g2
-
-
-def cd_generator(problem: IsingProblem, lambda_value: float) -> np.ndarray:
-    """2 alpha_1 C with C = -(i/2)[H_f, sum_i X_i], dense.
-
-    Callers multiply by lambda_dot to obtain the CD Hamiltonian term.
-    """
-    a = alpha1_analytic(problem, lambda_value)
-    return 2.0 * a * _with_cd(_operators(problem))[2]
-
-
-def full_hamiltonian(problem: IsingProblem, schedule: Schedule, t: float) -> np.ndarray:
-    """Original-frame H(t) = H_ad(lambda(t)) + lambda_dot(t) * cd_generator."""
-    (c,) = _coefficients(problem, schedule, (t,))
-    return _hamiltonian(c, _with_cd(_operators(problem)))
 
 
 def rotated_full_hamiltonian(

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -93,9 +92,6 @@ class Gate:
             phi=float(d.get("phi", 0.0)),
             axis=d.get("axis"),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 class StepAngles(NamedTuple):

@@ -45,8 +45,8 @@ class HardwareSpec:
     def from_json(text: str) -> "HardwareSpec":
         doc = _json_object(text, "hardware", ("t_M_us", "t_S_us", "coherence_s"))
         return HardwareSpec(
-            t_M=_number(doc.get("t_M_us", 930.0), "t_M_us") * 1e-6,
-            t_S=_number(doc.get("t_S_us", 130.0), "t_S_us") * 1e-6,
+            t_M=_number(doc.get("t_M_us", 930.0), "t_M_us") / 1e6,
+            t_S=_number(doc.get("t_S_us", 130.0), "t_S_us") / 1e6,
             coherence_time=_number(doc.get("coherence_s", 1.0), "coherence_s"),
         )
 

@@ -10,17 +10,12 @@ from hypothesis import strategies as st
 from dacqo import counterdiabatic
 from dacqo.counterdiabatic import (
     Schedule,
-    adiabatic_hamiltonian,
     alpha1_analytic,
     alpha1_oracle,
-    cd_generator,
-    driver_hamiltonian,
     exact_evolution,
-    full_hamiltonian,
     gamma_closed_forms,
     gamma_oracle,
     hadamard_frame,
-    problem_hamiltonian,
     rotated_full_hamiltonian,
 )
 from dacqo.paulis import hs_norm_sq, pauli_on
@@ -86,39 +81,12 @@ class TestSchedule:
 
 class TestDenseCap:
     @pytest.mark.parametrize("build", [
-        problem_hamiltonian,
-        lambda p: cd_generator(p, 0.5),
+        counterdiabatic._operators,
         lambda p: rotated_full_hamiltonian(p, Schedule(1.0, 1), 0.5),
-    ], ids=["problem_hamiltonian", "cd_generator", "rotated_full_hamiltonian"])
+    ], ids=["operators", "rotated_full_hamiltonian"])
     def test_dense_operators_capped_at_twelve_qubits(self, build):
         with pytest.raises(CapabilityError, match="capped at 12"):
             build(random_spin_glass(13, 0))
-
-
-class TestAdiabaticHamiltonian:
-    def test_lambda_zero_is_driver(self):
-        p = random_spin_glass(3, 0, "mixed")
-        np.testing.assert_allclose(
-            adiabatic_hamiltonian(p, 0.0), driver_hamiltonian(3)
-        )
-
-    def test_lambda_one_diagonal_energies(self):
-        p = random_spin_glass(3, 0, "mixed")
-        Hf = problem_hamiltonian(p)
-        assert np.array_equal(np.diag(Hf), all_energies(p))
-        assert not (Hf - np.diag(np.diag(Hf))).any()
-        assert np.array_equal(adiabatic_hamiltonian(p, 1.0), Hf)
-
-    def test_single_qubit_eigenvalues(self):
-        # 0.5 Z + 0.5 X has eigenvalues +-1/sqrt(2)
-        p = IsingProblem(1, {}, [1.0])
-        evals = np.linalg.eigvalsh(adiabatic_hamiltonian(p, 0.5))
-        np.testing.assert_allclose(evals, [-1 / np.sqrt(2), 1 / np.sqrt(2)])
-
-    def test_hermitian(self):
-        p = random_spin_glass(4, 1, "fully_nonuniform")
-        H = adiabatic_hamiltonian(p, 0.37)
-        assert np.abs(H - H.conj().T).max() < 1e-12
 
 
 class TestOperators:
@@ -224,8 +192,7 @@ class TestAlpha1:
 
 def _literal_gammas(p, lam):
     """Gamma_1, Gamma_2 from H(lambda), O_1 and O_2 formed at this lambda."""
-    Hf = problem_hamiltonian(p)
-    D = driver_hamiltonian(p.n_qubits)
+    Hf, D = counterdiabatic._operators(p)
     H = lam * Hf + (1 - lam) * D
     dH = Hf - D
     O1 = H @ dH - dH @ H
@@ -273,29 +240,6 @@ class TestGammaOracle:
         assert counterdiabatic._commutator_norms.cache_info().hits == 1
 
 
-class TestCdGenerator:
-    def test_zero_problem_structure(self):
-        p = IsingProblem(2, {(0, 1): 1.0}, [0.0, 0.0])
-        G = cd_generator(p, 0.5)
-        from dacqo.paulis import pauli_on
-
-        target = pauli_on(2, {0: "Y", 1: "Z"}) + pauli_on(2, {0: "Z", 1: "Y"})
-        ratio = G[np.abs(target) > 0] / target[np.abs(target) > 0]
-        assert np.allclose(ratio, ratio.flat[0])
-
-    def test_proportional_to_first_commutator(self):
-        # O1 = [H_ad, dH/dlambda] = -2i (sum h Y + sum J (YZ + ZY))
-        p = random_spin_glass(3, 5, "fully_nonuniform")
-        lam = 0.42
-        Hf = problem_hamiltonian(p)
-        D = driver_hamiltonian(3)
-        H = lam * Hf + (1 - lam) * D
-        O1 = H @ (Hf - D) - (Hf - D) @ H
-        base = cd_generator(p, lam) / (2 * alpha1_analytic(p, lam))
-        dev = np.linalg.norm(O1 - (-2j) * base) / np.linalg.norm(O1)
-        assert dev < 1e-9
-
-
 class TestPauliForm:
     """The CD operator is formed as a commutator; pin its Pauli terms and
     the sign it takes in the Hadamard frame against term-by-term sums."""
@@ -310,13 +254,6 @@ class TestPauliForm:
             G = G + v * (pauli_on(n, {i: "Y", j: field_letter})
                          + pauli_on(n, {i: field_letter, j: "Y"}))
         return G
-
-    def test_cd_generator_terms(self):
-        p = random_spin_glass(3, 11, "fully_nonuniform")
-        for lam in (0.0, 0.35, 0.8):
-            base = cd_generator(p, lam) / (2 * alpha1_analytic(p, lam))
-            np.testing.assert_allclose(base, self._cd_terms(p, "Z"),
-                                       rtol=0, atol=1e-12)
 
     def test_rotated_hamiltonian_matches_docstring_formula(self):
         from dacqo.paulis import pauli_on
@@ -333,6 +270,13 @@ class TestPauliForm:
             H = H - 2 * ldot * alpha1_analytic(p, lam) * self._cd_terms(p, "X")
             np.testing.assert_allclose(rotated_full_hamiltonian(p, sch, t), H,
                                        rtol=0, atol=1e-12)
+
+
+def _original_hamiltonian(p, sch, t):
+    """Original-frame H(t) = H_ad(lambda(t)) + 2 lambda_dot alpha_1 C."""
+    (lam, ldot, a1), = counterdiabatic._coefficients(p, sch, (t,))
+    Hf, D, C = counterdiabatic._with_cd(counterdiabatic._operators(p))
+    return lam * Hf + (1 - lam) * D + 2 * ldot * a1 * C
 
 
 class TestRotatedFrame:
@@ -359,7 +303,7 @@ class TestRotatedFrame:
             sch = Schedule(1.0, 2)
             W = hadamard_frame(n)
             for t in (0.21, 0.6, 0.95):
-                H = full_hamiltonian(p, sch, t)
+                H = _original_hamiltonian(p, sch, t)
                 Hp = rotated_full_hamiltonian(p, sch, t)
                 assert np.abs(W @ H @ W.conj().T - Hp).max() < 1e-10
 
@@ -432,7 +376,7 @@ class TestCoefficients:
         np.testing.assert_allclose(H, (1.0 - sch.lam(0.3)) * driver, atol=1e-15)
         W = hadamard_frame(3)
         np.testing.assert_allclose(
-            W @ full_hamiltonian(p, sch, 0.3) @ W.conj().T, H, atol=1e-12
+            W @ _original_hamiltonian(p, sch, 0.3) @ W.conj().T, H, atol=1e-12
         )
 
     @staticmethod
@@ -475,15 +419,13 @@ class TestCoefficients:
 
 def _clear_caches():
     for cache in (counterdiabatic._coupling_sums,
-                  counterdiabatic._problem_vector,
-                  counterdiabatic._commutator_norms,
-                  counterdiabatic._size_tables):
+                  counterdiabatic._commutator_norms):
         cache.cache_clear()
 
 
 class TestCaches:
-    """Instance data is computed once per problem and per size, and the
-    results keep their bits."""
+    """Instance data is computed once per problem, and the results keep
+    their bits."""
 
     LAMBDAS = np.linspace(0.0, 1.0, 11)
 
@@ -509,10 +451,8 @@ class TestCaches:
                 assert np.array_equal(a, b)
 
     def test_sweep_computes_instance_data_once(self, monkeypatch):
-        # the coupling sums read the coupling matrix once; the
-        # original-frame vector is all_energies; the oracle forms H_f and
-        # D and its three commutators once, while adiabatic_hamiltonian
-        # forms a fresh H_f and D on every call
+        # the coupling sums read the coupling matrix once; the oracle
+        # forms H_f (from all_energies), D and its three commutators once
         counts = collections.Counter()
 
         def counted(name, f):
@@ -538,10 +478,8 @@ class TestCaches:
             alpha1_analytic(q, lam)
             alpha1_oracle(q, lam)
             gamma_closed_forms(q, lam)
-            adiabatic_hamiltonian(q, lam)
         assert counts == {"sums": 1, "energies": 1, "commutators": 3,
-                          "operators": len(self.LAMBDAS) + 1}
-        assert counterdiabatic._size_tables.cache_info().misses == 1
+                          "operators": 1}
         assert counterdiabatic._commutator_norms.cache_info().misses == 1
         entry = counterdiabatic._commutator_norms(p)
         assert len(entry) == 4
@@ -551,13 +489,10 @@ class TestCaches:
         p = random_spin_glass(3, 1, "mixed")
         sch = Schedule(1.0, 2)
         builders = [
-            lambda: problem_hamiltonian(p),
-            lambda: driver_hamiltonian(3),
-            lambda: adiabatic_hamiltonian(p, 0.4),
-            lambda: cd_generator(p, 0.4),
-            lambda: full_hamiltonian(p, sch, 0.3),
             lambda: rotated_full_hamiltonian(p, sch, 0.3),
             lambda: exact_evolution(p, sch, 5),
+            lambda: counterdiabatic._operators(p)[0],
+            lambda: counterdiabatic._operators(p)[1],
             lambda: counterdiabatic._operators(p, rotated=True)[0],
             lambda: counterdiabatic._operators(p, rotated=True)[1],
         ]
@@ -566,14 +501,10 @@ class TestCaches:
             expected = first.copy()
             first[...] = 7.0
             assert np.array_equal(build(), expected)
-        cached = [counterdiabatic._problem_vector(p, rotated)
-                  for rotated in (False, True)]
-        cached += counterdiabatic._size_tables(3)
-        assert not any(a.flags.writeable for a in cached)
 
     def test_caches_keep_less_than_one_dense_matrix(self):
         # at N = 10 one 2^N x 2^N complex matrix is 16 MiB; the caches
-        # hold the uint16 flip index (2 MiB) and a few 2^N vectors
+        # hold Python floats only
         p = random_spin_glass(10, 0, "fully_nonuniform")
         _clear_caches()
         tracemalloc.start()
@@ -582,6 +513,5 @@ class TestCaches:
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert counterdiabatic._size_tables.cache_info().currsize == 1
-        assert counterdiabatic._problem_vector.cache_info().currsize == 1
+        assert counterdiabatic._coupling_sums.cache_info().currsize == 1
         assert kept < 2**20 * 16

@@ -27,6 +27,14 @@ class TestHardwareSpec:
         assert again.t_S == pytest.approx(spec.t_S)
         assert again.coherence_time == spec.coherence_time
 
+    @pytest.mark.parametrize("text", [
+        "{}", '{"t_M_us": 930, "t_S_us": 130}', HardwareSpec().to_json(),
+    ], ids=["empty", "whole-microseconds", "default-to-json"])
+    def test_default_durations_read_back_exactly(self, text):
+        # microseconds are read as value / 1e6, the correctly rounded
+        # quotient, so the defaults and whole microseconds come back equal
+        assert HardwareSpec.from_json(text) == HardwareSpec()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             HardwareSpec(t_M=0.0)

@@ -3,10 +3,13 @@
 Every ``dacqo`` command is a fresh process that pays its imports; scipy
 is needed only by ``fit``, which imports it when a fit runs, and
 networkx only by the tests, as the oracle of the pair scheduler's
-matcher.
+matcher.  Every name a module exports in ``__all__`` must resolve, so
+a stale export fails here and not in a user's ``import *``.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +42,12 @@ def test_cli_and_exact_evolution_do_not_load_scipy():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_every_exported_name_resolves():
+    modules = [importlib.import_module(f"dacqo.{m.name}")
+               for m in pkgutil.iter_modules(dacqo.__path__)]
+    exported = [(m, name) for m in modules for name in getattr(m, "__all__", ())]
+    assert exported
+    assert [(m.__name__, name) for m, name in exported
+            if not hasattr(m, name)] == []

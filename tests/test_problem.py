@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dacqo.paulis import pauli_on
 from dacqo.problem import (
     CapabilityError,
     Graph,
@@ -44,8 +45,6 @@ class TestClassicalEnergy:
     @given(st.integers(0, 2**6 - 1))
     @settings(max_examples=30, deadline=None)
     def test_agrees_with_dense_diagonal(self, basis_index):
-        from dacqo.counterdiabatic import problem_hamiltonian
-
         rng = np.random.default_rng(99)
         n = 6
         p = IsingProblem(
@@ -56,9 +55,9 @@ class TestClassicalEnergy:
             },
             rng.normal(size=n),
         )
-        H = problem_hamiltonian(p)
+        energy = all_energies(p)[basis_index]
         spins = [1 - 2 * ((basis_index >> (n - 1 - i)) & 1) for i in range(n)]
-        assert abs(H[basis_index, basis_index].real - classical_energy(p, spins)) < 1e-12
+        assert abs(energy - classical_energy(p, spins)) < 1e-12
 
 
 class TestBruteForce:
@@ -73,11 +72,14 @@ class TestBruteForce:
         assert truth.bitstrings == frozenset({(1,)})
 
     def test_matches_min_eigenvalue(self):
-        from dacqo.counterdiabatic import problem_hamiltonian
-
+        # H_f summed from Pauli strings, independent of all_energies,
+        # which brute force is built on
         p = random_spin_glass(4, 7, "fully_nonuniform")
+        Hf = sum(v * pauli_on(4, {i: "Z", j: "Z"})
+                 for (i, j), v in p.couplings.items())
+        Hf = Hf + sum(hi * pauli_on(4, {i: "Z"}) for i, hi in enumerate(p.fields))
         truth = brute_force_ground_state(p)
-        evals = np.linalg.eigvalsh(problem_hamiltonian(p))
+        evals = np.linalg.eigvalsh(Hf)
         assert abs(truth.energy - evals[0]) < 1e-10
 
     def test_every_listed_bitstring_is_optimal(self):
