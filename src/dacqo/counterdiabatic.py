@@ -38,10 +38,15 @@ coefficients ||A||^2, ||B||^2 and Re<A, B> are formed once per problem.
 The gate layer works in a frame rotated by a Hadamard on every qubit
 (Z -> X, X -> Z, Y -> -Y), where the entangling terms become XX/XY/YX and
 the driver is diagonal; ``rotated_full_hamiltonian`` builds that frame's
-generator and ``exact_evolution`` integrates it as a trotter-free reference,
-forming the dense H_f', sum_i Z_i and C once per call, recombining them per
-slice and exponentiating each slice through ``numpy.linalg.eigh`` of the
-Hermitian H'(t), so the module needs no scipy.
+generator and ``exact_evolution`` integrates it as a trotter-free reference.
+Both form H'(t) by one formula, ``_hamiltonian``, which takes an array of
+(lambda, lambda_dot, alpha_1) rows and returns one matrix per row.
+``exact_evolution`` takes its slices in stacks of at most ``_STACK_ENTRIES``
+(2^12) matrix entries and exponentiates each stack with a degree-12 Taylor
+polynomial, evaluated Paterson-Stockmeyer style (five batched products)
+after a shared power-of-two scaling chosen from the stack's largest 1-norm
+so that the truncation stays below 2^-53, then squared back.  No
+eigendecomposition is needed, and the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -69,6 +74,14 @@ __all__ = [
 ]
 
 _DENSE_CAP = 12
+# exact_evolution exponentiates its slices in stacks of at most this many
+# matrix entries (one 2^N x 2^N matrix from N=6 on)
+_STACK_ENTRIES = 2**12
+# Taylor coefficients 1/k! of exp to degree 12, and the largest 1-norm
+# theta at which the remainder, at most theta^13/13! / (1 - theta/14),
+# stays below 2^-53 (9.1e-17 at 0.33)
+_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(13))
+_TAYLOR_THETA = 0.33
 # problems whose coupling sums and oracle norms are kept (floats only;
 # the dense operators are built on each call)
 _PROBLEMS_KEPT = 16
@@ -106,13 +119,21 @@ def _smoothstep(T: float):
 _PROFILES = {"sin2sin2": _sin2sin2, "linear-smoothstep": _smoothstep}
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Annealing schedule: total time, trotter step count, lambda(t).
 
     Both built-in profiles satisfy lambda(0)=0, lambda(T)=1 and have
     vanishing velocity at the endpoints, so the CD term switches off at
-    t=0 and t=T.
+    t=0 and t=T.  A custom ``lam`` and its derivative ``lam_dot`` are
+    given together, in place of ``profile``, or not at all.
     """
 
     total_time: float
@@ -122,13 +143,13 @@ class Schedule:
     lam_dot: Callable = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        t, steps = self.total_time, self.trotter_steps
+        t = self.total_time
         if isinstance(t, bool) or not isinstance(t, numbers.Real) \
                 or not (math.isfinite(t) and t > 0):
             raise ValueError(f"total_time must be finite and positive, got {t}")
-        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) \
-                or steps < 1:
-            raise ValueError(f"trotter_steps must be an integer >= 1, got {steps}")
+        _check_count("trotter_steps", self.trotter_steps)
+        if (self.lam is None) != (self.lam_dot is None):
+            raise ValueError("lam and lam_dot must be given together")
         if self.lam is None:
             if self.profile not in _PROFILES:
                 raise ValueError(
@@ -187,16 +208,19 @@ def _with_cd(operators: tuple) -> tuple:
     return Hf, D, -0.5j * commutator(Hf, D)
 
 
-def _hamiltonian(coefficients: tuple, operators: tuple) -> np.ndarray:
-    """lambda H_f + (1-lambda) D + 2 lambda_dot alpha_1 C (no CD term at rest).
+def _hamiltonian(coefficients, operators: tuple) -> np.ndarray:
+    """lambda H_f + (1-lambda) D + 2 lambda_dot alpha_1 C, per coefficient row.
 
-    ``coefficients`` is one (lambda, lambda_dot, alpha_1) of ``_coefficients``.
+    ``coefficients`` holds (lambda, lambda_dot, alpha_1) rows of
+    ``_coefficients`` in its last axis: one row gives one matrix, a (k, 3)
+    array a stack of k.
     """
     Hf, D, C = operators
-    lam, ldot, a1 = coefficients
-    H = lam * Hf + (1.0 - lam) * D
-    if ldot:
-        H += (2.0 * ldot * a1) * C
+    c = np.asarray(coefficients, dtype=float)[..., None, None]
+    lam, ldot, a1 = np.moveaxis(c, -3, 0)
+    H = lam * Hf
+    H += (1.0 - lam) * D
+    H += (2.0 * ldot * a1) * C
     return H
 
 
@@ -346,26 +370,87 @@ def hadamard_frame(n: int) -> np.ndarray:
     return kron_all([HADAMARD] * n)
 
 
+def _add_block(X: np.ndarray, A: np.ndarray, A2: np.ndarray, c: tuple):
+    """X += c[2] A^2 + c[1] A + c[0] I in place, with no temporary stack.
+
+    X is scaled into each term's coefficient and back (three scalings and
+    two in-place additions), so ``_expm_stack`` holds five stacks at most:
+    at N=10 a temporary c_i A^i would add a sixth 16 MiB matrix.
+    """
+    X *= 1.0 / c[2]
+    X += A2
+    X *= c[2] / c[1]
+    X += A
+    X *= c[1]
+    np.einsum("...ii->...i", X)[...] += c[0]
+
+
+def _expm_stack(A: np.ndarray) -> np.ndarray:
+    """exp of each matrix of the stack ``A`` (k, d, d); ``A`` is overwritten.
+
+    The whole stack is scaled by one power of two, 2^-s, that brings every
+    matrix's 1-norm to at most ``_TAYLOR_THETA``.  The degree-12 Taylor
+    polynomial sum_k A^k / k! is then evaluated Paterson-Stockmeyer style
+    as B_0 + A^3 (B_1 + A^3 (B_2 + A^3 B_3)), where B_j holds the terms
+    3j, 3j+1 and 3j+2 in I, A and A^2 and B_3 also the A^3 term: five
+    batched products in all.  s batched squarings undo the scaling.
+    """
+    norm = np.abs(A).sum(axis=-2).max()
+    s = max(0, math.frexp(norm / _TAYLOR_THETA)[1])
+    A *= 0.5**s
+    A2 = A @ A
+    A3 = A2 @ A
+    c = _TAYLOR
+    P = A3 * c[12]
+    _add_block(P, A, A2, c[9:12])
+    Q = np.empty_like(P)
+    for j in (6, 3, 0):
+        np.matmul(A3, P, out=Q)
+        _add_block(Q, A, A2, c[j:j + 3])
+        P, Q = Q, P
+    for _ in range(s):
+        np.matmul(P, P, out=Q)
+        P, Q = Q, P
+    return P
+
+
 def exact_evolution(
     problem: IsingProblem, schedule: Schedule, steps: int
 ) -> np.ndarray:
     """Trotter-free reference propagator in the rotated frame.
 
     Ordered product of exp(-i H'(t_k) dt) over a midpoint grid of
-    ``steps`` slices.  Later factors multiply on the left.  H_f',
-    sum_i Z_i and C are formed once per call and recombined for each
-    slice with alpha_1 from the cached coupling sums.  Each factor comes
-    from the eigenpairs of the Hermitian H'(t_k) = V diag(w) V^dagger
-    and is applied to the running product U as
-    V diag(e^{-i w dt}) (V^dagger U).
+    ``steps`` slices; later factors multiply on the left.  H_f', sum_i Z_i
+    and C are formed once per call, and (lambda, lambda_dot, alpha_1) once
+    for all slices.  The slices are taken in stacks of at most
+    ``_STACK_ENTRIES`` matrix entries (16 slices at N=4, one from N=6 on):
+    each stack's H'(t_k) are formed together and exponentiated by
+    ``_expm_stack``, a degree-12 Taylor polynomial with a shared
+    scaling and squaring, and the factors are multiplied onto U in order.
+
+    Against scipy's ``expm`` of each slice, multiplied the same way, the
+    largest entry error is 6.2e-14 over N = 1..6, all three weight
+    classes and (T, slices) in {(1, 1), (1, 3), (1, 100), (5, 1), (5, 7)},
+    and over N=8 at (5, 7) and (1, 3) (1.4e-14 for the former
+    ``numpy.linalg.eigh`` of each slice).  On the coarse grid T=20 with 2
+    slices, 6 to 10 squarings a slice at N = 2, 4, 6, it is at most 2.4e-13
+    (4.4e-14 by ``eigh``).
     """
+    _check_count("steps", steps)
     if problem.n_qubits > 10:
         raise CapabilityError("exact_evolution capped at 10 qubits")
     operators = _with_cd(_operators(problem, rotated=True))
     dt = schedule.total_time / steps
-    times = ((k + 0.5) * dt for k in range(steps))
-    U = np.eye(2**problem.n_qubits, dtype=complex)
-    for c in _coefficients(problem, schedule, times):
-        w, v = np.linalg.eigh(_hamiltonian(c, operators))
-        U = (v * np.exp(-1j * dt * w)) @ (v.conj().T @ U)
+    times = [(k + 0.5) * dt for k in range(steps)]
+    coefficients = np.array(list(_coefficients(problem, schedule, times)))
+    d = 2**problem.n_qubits
+    per_stack = max(1, _STACK_ENTRIES // (d * d))
+    U = np.eye(d, dtype=complex)
+    for lo in range(0, steps, per_stack):
+        A = _hamiltonian(coefficients[lo:lo + per_stack], operators)
+        A *= -1j * dt
+        for factor in _expm_stack(A):
+            U = factor @ U
+        # free this stack before the next one is formed
+        del A, factor
     return U

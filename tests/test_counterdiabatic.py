@@ -73,6 +73,13 @@ class TestSchedule:
         with pytest.raises(ValueError, match=field):
             Schedule(total_time, steps)
 
+    @pytest.mark.parametrize("given", ["lam", "lam_dot"])
+    def test_custom_profile_needs_lam_and_lam_dot(self, given):
+        # one half alone would be paired with a built-in profile's other
+        # half, or fail later on calling None
+        with pytest.raises(ValueError, match="lam and lam_dot"):
+            Schedule(1.0, 2, **{given: lambda t: t})
+
     def test_accepts_numpy_scalars(self):
         p = random_spin_glass(4, 0)
         circuit = synthesize(p, Schedule(np.float64(1.5), np.int64(2)), 4)
@@ -308,6 +315,11 @@ class TestRotatedFrame:
                 assert np.abs(W @ H @ W.conj().T - Hp).max() < 1e-10
 
 
+# (T, slices) checked against scipy: a single slice; 100 slices, which
+# fill several stacks from N=3 on; T=5 slices, several squarings each
+_EXPM_GRIDS = ((1.0, 1), (1.0, 3), (1.0, 100), (5.0, 1), (5.0, 7))
+
+
 class TestExactEvolution:
     def test_unitary(self):
         p = random_spin_glass(3, 2, "mixed")
@@ -344,23 +356,41 @@ class TestExactEvolution:
         off = U - np.diag(np.diag(U))
         assert np.abs(off).max() < 1e-9
 
-    @pytest.mark.parametrize("n,mode", [
-        (4, "homogeneous"), (6, "fully_nonuniform"),
+    @pytest.mark.parametrize("n,mode,grids", [
+        *(pytest.param(n, mode, _EXPM_GRIDS, id=f"{n}-{mode}")
+          for n in range(1, 7)
+          for mode in ("homogeneous", "mixed", "fully_nonuniform")),
+        pytest.param(8, "mixed", ((5.0, 7),), id="8-mixed"),
     ])
-    def test_matches_expm_product(self, n, mode):
+    def test_matches_expm_product(self, n, mode, grids):
         # an independent propagator: scipy's expm of each slice's H'(t)
         # at the same midpoints, multiplied on the left
         from scipy.linalg import expm
 
         p = random_spin_glass(n, 3, mode)
-        sch = Schedule(1.0, 10)
-        slices = 100
-        dt = sch.total_time / slices
-        ref = np.eye(2**n, dtype=complex)
-        for k in range(slices):
-            H = rotated_full_hamiltonian(p, sch, (k + 0.5) * dt)
-            ref = expm(-1j * dt * H) @ ref
-        assert np.abs(exact_evolution(p, sch, slices) - ref).max() <= 1e-12
+        for total_time, slices in grids:
+            sch = Schedule(total_time, 10)
+            dt = total_time / slices
+            Hs = [rotated_full_hamiltonian(p, sch, (k + 0.5) * dt)
+                  for k in range(slices)]
+            # all scipy calls in a row: alternating them with numpy's
+            # products makes the two BLAS thread pools contend
+            factors = [expm(-1j * dt * H) for H in Hs]
+            ref = np.eye(2**n, dtype=complex)
+            for factor in factors:
+                ref = factor @ ref
+            U = exact_evolution(p, sch, slices)
+            assert np.abs(U - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("steps", [-3, 0, True, 2.0, "3"])
+    def test_rejects_bad_slice_count(self, steps, monkeypatch):
+        # checked before any operator is built
+        def unreachable(*args):
+            raise AssertionError("operators built for a bad slice count")
+
+        monkeypatch.setattr(counterdiabatic, "_operators", unreachable)
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            exact_evolution(random_spin_glass(3, 0), Schedule(1.0, 1), steps)
 
 
 class TestCoefficients:
