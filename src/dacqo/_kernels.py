@@ -16,11 +16,17 @@ axis, for a stacked unitary) and returns the product as a transposed
 view in that memory order, with no copy back; the next call reads the
 order from the strides.  Where the gate's axes are already adjacent and
 in order in memory (and, for a stacked unitary, follow the column axis
-alone), the matmul runs on a reshaped view and copies nothing; otherwise
-one copy brings them to the front.  A result of fewer than
-``_CARRY_ENTRIES`` entries is copied back to canonical order, where a
-call's fixed costs outweigh a copy.  An input of shape (2^n, ...) cannot
-carry a permuted order, so its result is always canonical.
+alone), the matmul runs on a reshaped view and copies nothing.  Where
+they are the innermost axes, in order (and, for a stacked unitary, the
+column axis is outermost), it runs in place as view @ u^T.  Otherwise
+one copy brings them to the front, and a caller that names the qubits
+of its next call (``next_qubits``) gets those axes put innermost in
+that copy, so that the next call runs in place: on a chain of gates
+on disjoint qubits, about every other call copies, not every one.  A
+result of fewer than ``_CARRY_ENTRIES`` entries is copied back to
+canonical order, where a call's fixed costs outweigh a copy.  An input
+of shape (2^n, ...) cannot carry a permuted order, so its result is
+always canonical.
 """
 
 from __future__ import annotations
@@ -38,7 +44,8 @@ import numpy as np
 _CARRY_ENTRIES = 2**13
 
 
-def apply_unitary(state: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
+def apply_unitary(state: np.ndarray, u: np.ndarray, qubits, n: int, *,
+                  next_qubits=None) -> np.ndarray:
     """Apply ``u`` on ``qubits`` of an n-qubit state, matrix or tensor.
 
     ``u`` is either one 2^k x 2^k matrix, applied to every column, or a
@@ -49,6 +56,12 @@ def apply_unitary(state: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarra
     matrices of that size is applied the same way.  Returns a new array
     of the input's shape, which for a tensor-form input may be a
     transposed view; the input is not modified.
+
+    ``next_qubits`` names the qubits of the call that will follow on the
+    result.  When this call copies, its result carries its order and
+    those qubits are disjoint from ``qubits``, the copy puts their axes
+    innermost, in that order, so that the next call runs in place.  It
+    changes the result's memory order, and its values only by rounding.
     """
     k = len(qubits)
     q0 = qubits[0]
@@ -77,20 +90,32 @@ def apply_unitary(state: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarra
     if u.ndim == 3:
         lead = [n]
         # the column axis, and only it, before the gate's axes
-        in_place = mem[:i] == lead and mem[i:i + k] == qubits
+        front = mem[:i] == lead and mem[i:i + k] == qubits
         view = (u.shape[0], 2**k, -1)
     else:
         lead = []
         # the run's view in any memory order, by the same rule
         batch = math.prod(psi.shape[a] for a in mem[:i])
-        in_place = mem[i:i + k] == qubits and (
+        front = mem[i:i + k] == qubits and (
             batch <= 8 or psi.size // (batch << k) >= 256)
-        view = (batch, 2**k, -1) if in_place and i else (2**k, -1)
+        view = (batch, 2**k, -1) if front and i else (2**k, -1)
+    # the gate's axes innermost, in order, and (stacked) the column axis
+    # outermost: (rest, 2^k) @ u^T, or (m, rest, 2^k) @ u[b]^T per column
+    back = not front and mem[-k:] == qubits and mem[:len(lead)] == lead
     order = mem
-    if not in_place:
-        order = lead + qubits + [a for a in mem if a not in qubits and a not in lead]
+    if not (front or back):
+        last = []
+        if (next_qubits is not None and psi.size >= _CARRY_ENTRIES
+                and set(next_qubits).isdisjoint(qubits)):
+            last = list(next_qubits)
+        order = lead + qubits
+        order += [a for a in mem if a not in order and a not in last] + last
     psi = psi.transpose(order)
-    out = np.matmul(u, psi.reshape(view)).reshape(psi.shape)
+    if back:
+        out = np.matmul(psi.reshape(u.shape[:-2] + (-1, 2**k)), u.swapaxes(-1, -2))
+    else:
+        out = np.matmul(u, psi.reshape(view))
+    out = out.reshape(psi.shape)
     inverse = [0] * len(order)
     for j, a in enumerate(order):
         inverse[a] = j

@@ -56,7 +56,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -133,14 +133,20 @@ class Schedule:
     Both built-in profiles satisfy lambda(0)=0, lambda(T)=1 and have
     vanishing velocity at the endpoints, so the CD term switches off at
     t=0 and t=T.  A custom ``lam`` and its derivative ``lam_dot`` are
-    given together, in place of ``profile``, or not at all.
+    given together, in place of ``profile``, or not at all; a custom
+    schedule's ``profile`` is None.  Built-in schedules compare and hash
+    by (total_time, trotter_steps, profile), custom ones by total_time,
+    trotter_steps and the two callables.
     """
 
     total_time: float
     trotter_steps: int
-    profile: str = "sin2sin2"
+    profile: Optional[str] = "sin2sin2"
     lam: Callable = field(default=None, repr=False, compare=False)
     lam_dot: Callable = field(default=None, repr=False, compare=False)
+    # (lam, lam_dot) of a custom schedule, None for a built-in one: the
+    # built-in callables are fresh closures, so they cannot be compared
+    _custom: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         t = self.total_time
@@ -150,7 +156,14 @@ class Schedule:
         _check_count("trotter_steps", self.trotter_steps)
         if (self.lam is None) != (self.lam_dot is None):
             raise ValueError("lam and lam_dot must be given together")
-        if self.lam is None:
+        if self.lam is not None:
+            if self.profile not in (None, "sin2sin2"):
+                raise ValueError(
+                    f"profile {self.profile!r} given with a custom lam and lam_dot"
+                )
+            object.__setattr__(self, "profile", None)
+            object.__setattr__(self, "_custom", (self.lam, self.lam_dot))
+        else:
             if self.profile not in _PROFILES:
                 raise ValueError(
                     f"unknown profile {self.profile!r}; "

@@ -53,10 +53,14 @@ disjoint, so they commute.  The measurement's n Hadamards are the plan's
 last members.  A group's product is composed with the state kernel on
 its tensor-form (2^s, 2^s) matrix, or on its stacked columns, which
 carries its axis order from one operator to the next, and applied to the
-state in one kernel call.  A Pauli stack acts on a qubit of its gate, so
-it always joins its gate's group.  Fusion is on only when a group's 4^w
-entries are fewer than the state's 2^n amplitudes; otherwise (N=4 with
-4-qubit blocks, say) every gate is its own group and each operator,
+state in one kernel call.  Each call on the state names the qubits of
+the call after it (the next group's), so that a call that must copy the
+state lays it out for its successor, which then runs in place: a
+14-qubit solve's chunk copies its state on about half of its calls.  A
+Pauli stack acts on a qubit of its gate, so it always joins its gate's
+group.  Fusion is on only when a group's 4^w entries are fewer than the
+state's 2^n amplitudes; otherwise (N=4 with 4-qubit blocks, say) every
+gate is its own group and each operator,
 Pauli stacks included, is one call on the state, so a run has the bits
 of applying them one by one.  ``RunResult.kernel_applications`` counts
 the calls on the state.
@@ -69,7 +73,8 @@ stacked gates alone would give.  The noise seed is
 split with ``SeedSequence(seed).spawn`` into one generator per chunk, so
 a seed gives the same result on every run.  ``run`` keeps the ideal gate
 unitaries and the fusion plan of the circuit it ran last, so a sweep
-over noise amplitudes builds them once.
+over noise amplitudes builds them once; gates with equal kind, size,
+angles and axis share one unitary, built once per circuit.
 """
 
 from __future__ import annotations
@@ -117,8 +122,11 @@ _WIDTH_CAP = 14
 # stacked block unitary: 2^18 complex128 values, 4 MiB
 _CHUNK_ENTRIES = 2**18
 # cap on the entries of one window of gates whose perturbed blocks are
-# drawn, then projected together: 2^12 complex128 values, 64 KiB
-_WINDOW_ENTRIES = 2**12
+# drawn, then projected together: 2^13 complex128 values, 128 KiB.  At a
+# 14-qubit chunk of 4 trajectories a window holds up to seven 16 x 16
+# blocks for one _polar call; the bits do not depend on it (each gate's
+# stack stops on its own)
+_WINDOW_ENTRIES = 2**13
 # the polar projection's Newton-Schulz stop: max|X^H X - I| at most
 # _POLAR_TOL, within _POLAR_MAX_ITER updates (then the SVD)
 _POLAR_TOL = 1e-13
@@ -411,13 +419,21 @@ def _ideal_unitaries(circuit: Circuit) -> tuple:
     fusion plan.
 
     Kept for the last circuit run: a noise sweep runs one circuit once
-    per amplitude, and every chunk of a run walks the same plan.
+    per amplitude, and every chunk of a run walks the same plan.  Gates
+    with the same kind, qubit count, angles and axis share one array,
+    built once; the key holds each angle's sign too, so that -0.0 and
+    0.0 are told apart and a shared array has the bits of a fresh build.
     """
     gates = tuple(circuit.gates())
-    ideal = tuple(gate_unitary(g) for g in gates)
-    for u in ideal:
-        u.flags.writeable = False
-    return gates, ideal, _fusion_plan([g.qubits for g in gates], circuit.width)
+    built, ideal = {}, []
+    for g in gates:
+        key = (g.kind, len(g.qubits), g.theta, g.phi, g.axis,
+               math.copysign(1.0, g.theta), math.copysign(1.0, g.phi))
+        if key not in built:
+            built[key] = gate_unitary(g)
+            built[key].flags.writeable = False
+        ideal.append(built[key])
+    return gates, tuple(ideal), _fusion_plan([g.qubits for g in gates], circuit.width)
 
 
 def _fusion_plan(qubits, n: int) -> tuple:
@@ -571,6 +587,10 @@ def run(
     width = max(1, _CHUNK_ENTRIES // max(2**n, 4**widest))
     on = [*qubits, *((q,) for q in range(n))]
     hadamards = [(HADAMARD, [], None)] * n
+    # the qubits of the first call on the state of each group's successor:
+    # its fused product's, or a lone gate's own (its Pauli stacks follow it)
+    successors = [fused if len(members) > 1 else on[members[0]]
+                  for members, fused in plan[1:]] + [None]
     starts = range(0, trajectories, width)
     chunk_seeds = np.random.SeedSequence(noise.seed).spawn(len(starts))
     successes = np.empty(trajectories)
@@ -584,7 +604,7 @@ def run(
         stream = enumerate(itertools.chain(
             _chunk_operators(ideal, analog, qubits, c, p, rng, b), hadamards))
         held = {}  # member -> its operators, until its group is applied
-        for members, fused in plan:
+        for (members, fused), successor in zip(plan, successors):
             # members[-1] joined last, so it is the group's last in the stream
             while members[-1] not in held:
                 i, (v, paulis, fid) = next(stream)
@@ -597,8 +617,11 @@ def run(
                 ops += held.pop(i)
             if fused and len(ops) > 1:
                 ops = [(_product(ops, fused), fused)]
-            for u, targets in ops:
-                state = _kernels.apply_unitary(state, u, targets, n)
+            # each call lays out a copy of the state for the call after it
+            after = [targets for _, targets in ops[1:]] + [successor]
+            for (u, targets), following in zip(ops, after):
+                state = _kernels.apply_unitary(state, u, targets, n,
+                                               next_qubits=following)
             applications += len(ops)
         successes[start:start + b] = _measure_success(state, indices)
     mean = float(successes.mean())

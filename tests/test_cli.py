@@ -40,9 +40,9 @@ class TestSolve:
         calls = []
         apply_unitary = _kernels.apply_unitary
 
-        def counted(state, u, qubits, n):
+        def counted(state, u, qubits, n, **kwargs):
             calls.append(n)
-            return apply_unitary(state, u, qubits, n)
+            return apply_unitary(state, u, qubits, n, **kwargs)
 
         monkeypatch.setattr(_kernels, "apply_unitary", counted)
         result = runner.invoke(main, [

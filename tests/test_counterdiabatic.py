@@ -80,6 +80,40 @@ class TestSchedule:
         with pytest.raises(ValueError, match="lam and lam_dot"):
             Schedule(1.0, 2, **{given: lambda t: t})
 
+    def test_custom_schedules_compare_by_their_callables(self):
+        def f(t):
+            return t
+
+        def g(t):
+            return 1.0
+
+        def h(t):
+            return t * t
+
+        def k(t):
+            return 2.0 * t
+
+        custom = Schedule(1.0, 2, lam=f, lam_dot=g)
+        assert custom != Schedule(1.0, 2, lam=h, lam_dot=k)
+        assert custom != Schedule(1.0, 2, lam=f, lam_dot=k)
+        assert custom != Schedule(1.0, 2)
+        assert custom == Schedule(1.0, 2, lam=f, lam_dot=g)
+        assert hash(custom) == hash(Schedule(1.0, 2, lam=f, lam_dot=g))
+        # the unused profile is neither kept nor shown
+        assert custom.profile is None and "sin2sin2" not in repr(custom)
+        assert Schedule(1.0, 2, profile=None, lam=f, lam_dot=g) == custom
+        with pytest.raises(ValueError, match="profile"):
+            Schedule(1.0, 2, profile="bogus", lam=f, lam_dot=g)
+        with pytest.raises(ValueError, match="profile"):
+            Schedule(1.0, 2, profile="linear-smoothstep", lam=f, lam_dot=g)
+        # equal built-in schedules stay equal, with equal hashes
+        for profile in ("sin2sin2", "linear-smoothstep"):
+            a, b = Schedule(1.5, 3, profile=profile), Schedule(1.5, 3, profile=profile)
+            assert a == b and hash(a) == hash(b) and a.lam is not b.lam
+        assert Schedule(1.5, 3) != Schedule(1.5, 3, profile="linear-smoothstep")
+        with pytest.raises(ValueError, match="profile"):
+            Schedule(1.0, 2, profile=None)
+
     def test_accepts_numpy_scalars(self):
         p = random_spin_glass(4, 0)
         circuit = synthesize(p, Schedule(np.float64(1.5), np.int64(2)), 4)

@@ -182,16 +182,36 @@ class TestOrderCarrying:
     @given(data=st.data())
     def test_chain_matches_einsum_reference(self, carry, data):
         # carry = 0 keeps every result in its matmul's order; the default
-        # sends these small ones back to canonical order
+        # sends these small ones back to canonical order.  Each call names
+        # no next qubits, the next gate's or random ones, and the state
+        # may start with the first gate's axes innermost
         n = data.draw(st.integers(1, 8), label="n")
         m = data.draw(st.integers(1, 5), label="columns")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
         mat = rng.standard_normal((2**n, m)) + 1j * rng.standard_normal((2**n, m))
+
+        def some_qubits(label):
+            k = data.draw(st.integers(1, min(n, 4)), label=label)
+            return tuple(data.draw(st.permutations(range(n)))[:k])
+
+        gates = [some_qubits("k") for _ in range(data.draw(st.integers(1, 6), label="gates"))]
         ref, psi = mat, mat.reshape((2,) * n + (m,))
+        if data.draw(st.booleans(), label="innermost"):
+            # memory order: the column axis, the other qubits, then the
+            # first gate's in order
+            order = [n] + [a for a in range(n) if a not in gates[0]] + list(gates[0])
+            psi = np.ascontiguousarray(psi.transpose(order)).transpose(np.argsort(order))
         with mock.patch.object(_kernels, "_CARRY_ENTRIES", carry):
-            for _ in range(data.draw(st.integers(1, 6), label="gates")):
-                k = data.draw(st.integers(1, min(n, 4)), label="k")
-                qubits = tuple(data.draw(st.permutations(range(n)))[:k])
+            for j, qubits in enumerate(gates):
+                k = len(qubits)
+                following = data.draw(st.sampled_from(["none", "next", "random"]),
+                                      label="next_qubits")
+                if following == "next":
+                    following = gates[j + 1] if j + 1 < len(gates) else None
+                elif following == "random":
+                    following = some_qubits("next k")
+                else:
+                    following = None
                 if data.draw(st.booleans(), label="stacked"):
                     u = np.stack([_random_unitary(k, int(s))
                                   for s in rng.integers(0, 2**16, m)])
@@ -201,9 +221,41 @@ class TestOrderCarrying:
                 else:
                     u = _random_unitary(k, int(rng.integers(0, 2**16)))
                     ref = _einsum_reference(ref, u, qubits, n)
-                psi = _kernels.apply_unitary(psi, u, qubits, n)
+                psi = _kernels.apply_unitary(psi, u, qubits, n, next_qubits=following)
                 assert psi.shape == (2,) * n + (m,)
         np.testing.assert_allclose(psi.reshape(2**n, m), ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_copy_is_laid_out_for_the_next_call(self, monkeypatch, stacked):
+        # a copying call with next_qubits puts those axes innermost, in
+        # order, behind the column axis, so the call on them reads the
+        # state's own memory (view @ u^T); without next_qubits it copies
+        n, m, first, second = 12, 4, (3, 7, 1), (10, 0, 5)
+        rng = np.random.default_rng(2)
+        mat = rng.standard_normal((2**n, m)) + 1j * rng.standard_normal((2**n, m))
+        assert mat.size >= _kernels._CARRY_ENTRIES
+        u1 = np.stack([_random_unitary(3, b) for b in range(m)])
+        u2 = np.stack([_random_unitary(3, 10 + b) for b in range(m)])
+        if not stacked:
+            u2 = u2[0]
+        matmul, operands = np.matmul, []
+
+        def spy(a, b, *args, **kwargs):
+            operands.extend((a, b))
+            return matmul(a, b, *args, **kwargs)
+
+        psi = mat.reshape((2,) * n + (m,))
+        ref = _kernels.apply_unitary(_kernels.apply_unitary(mat, u1, first, n), u2, second, n)
+        for following, copies in ((second, False), (None, True)):
+            out = _kernels.apply_unitary(psi, u1, first, n, next_qubits=following)
+            mem = sorted(range(n + 1), key=out.strides.__getitem__, reverse=True)
+            assert (mem[0] == n and mem[-3:] == list(second)) is not copies
+            operands.clear()
+            monkeypatch.setattr(np, "matmul", spy)
+            out2 = _kernels.apply_unitary(out, u2, second, n)
+            monkeypatch.undo()
+            assert any(np.shares_memory(x, out) for x in operands) is not copies
+            np.testing.assert_allclose(out2.reshape(2**n, m), ref, rtol=0, atol=1e-13)
 
     def test_result_stays_in_matmul_order(self):
         # a stacked 4-qubit gate on a (2^14, 4) chunk: the result is a

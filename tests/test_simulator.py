@@ -683,7 +683,12 @@ class TestSweep:
         p = _homogeneous_k4()
         sch = Schedule(1.0, 2)
         success_vs_fidelity_sweep(p, sch, 4, [0.0, 0.05, 0.1], trajectories=4)
-        assert calls == list(synthesize(p, sch, 4).gates())
+        # once for the whole grid, and once per distinct unitary
+        gates = list(synthesize(p, sch, 4).gates())
+        first = {}
+        for g in gates:
+            first.setdefault((g.kind, len(g.qubits), g.theta, g.phi, g.axis), g)
+        assert calls == list(first.values()) and len(calls) < len(gates)
         # every amplitude still goes through the public run
         assert [r.analog_noise_amplitude for r in runs] == [0.0, 0.05, 0.1]
 
@@ -695,6 +700,43 @@ class TestSweep:
         for g, u in zip(gates, ideal):
             np.testing.assert_array_equal(u, gate_unitary(g))
             assert not u.flags.writeable
+
+    def test_builds_each_distinct_unitary_once(self, monkeypatch):
+        # equal gates on other qubits share one array; a zero angle's sign,
+        # the kind, the size and the axis each make a gate distinct
+        from dacqo import gates as gates_module
+
+        built = []
+
+        def counting(build):
+            def counted(*args):
+                built.append(args)
+                return build(*args)
+            return counted
+
+        for name in ("gms_unitary", "rotation_unitary"):
+            monkeypatch.setattr(gates_module, name, counting(getattr(gates_module, name)))
+        layers = [
+            [Gate("1q", (0,), theta=0.0, axis="x"), Gate("1q", (1,), theta=-0.0, axis="x"),
+             Gate("1q", (2,), theta=0.0, axis="x"), Gate("1q", (3,), theta=0.0, axis="z")],
+            [Gate("gms", (0, 1), 0.3, phi=-0.0), Gate("gms", (2, 3), 0.3, phi=0.0)],
+            [Gate("gms", (1, 2), 0.3, phi=0.0), Gate("gms_dag", (0, 3), 0.3, phi=0.0)],
+            [Gate("gms", (0, 1, 2), 0.3, phi=0.0), Gate("1q", (3,), theta=-0.0, axis="x")],
+            [Gate("gms", (0, 1), -0.0, phi=-0.0), Gate("gms", (2, 3), 0.0, phi=-0.0)],
+        ]
+        problem = mis_to_ising(random_graph(8, 2))
+        for circuit, distinct in ((Circuit(4, layers), 9),
+                                  (synthesize(problem, Schedule(1.0, 3), 4), None)):
+            built.clear()
+            simulator._ideal_unitaries.cache_clear()
+            gates, ideal, _ = simulator._ideal_unitaries(circuit)
+            keys = {(g.kind, len(g.qubits), g.theta, g.phi, g.axis,
+                     math.copysign(1, g.theta), math.copysign(1, g.phi)) for g in gates}
+            assert len(built) == len({id(u) for u in ideal}) == len(keys) < len(gates)
+            for g, u in zip(gates, ideal):
+                want = gate_unitary(g)
+                assert u.tobytes() == want.tobytes() and u.strides == want.strides
+            assert distinct is None or len(keys) == distinct
 
     def test_width_cap_checked_before_synthesis(self, monkeypatch):
         def must_not_run(*args, **kwargs):
@@ -759,9 +801,9 @@ def _counting_kernel(monkeypatch):
     calls = []
     apply_unitary = _kernels.apply_unitary
 
-    def counted(state, u, qubits, n):
+    def counted(state, u, qubits, n, **kwargs):
         calls.append(n)
-        return apply_unitary(state, u, qubits, n)
+        return apply_unitary(state, u, qubits, n, **kwargs)
 
     monkeypatch.setattr(_kernels, "apply_unitary", counted)
     return calls
@@ -793,6 +835,23 @@ class TestFusedGroups:
         # noise this strong hits gates in every chunk
         assert p == 0 or not math.isclose(res.success_probability,
                                           run(circuit, problem).success_probability)
+
+    @pytest.mark.parametrize("n,chunk_entries", [(10, 2**13), (12, 2**14)])
+    def test_carried_order_matches_per_gate_loop(self, monkeypatch, n, chunk_entries):
+        # a full chunk of at least _CARRY_ENTRIES amplitudes keeps its axis
+        # order, so copies are laid out for the next group and calls run
+        # in place behind them; 10 trajectories in chunks of 8 and 2 (N=10)
+        # or 4, 4 and 2 (N=12)
+        monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", chunk_entries)
+        problem = mis_to_ising(random_graph(n, 3))
+        circuit = synthesize(problem, Schedule(1.0, 2), 4)
+        assert chunk_entries >= _kernels._CARRY_ENTRIES
+        noise = NoiseModel(0.05, 0.02, seed=5)
+        res = run(circuit, problem, noise, trajectories=10)
+        mean, stderr, fidelity = _per_gate_run(circuit, problem, noise, 10)
+        assert res.gms_fidelity == fidelity
+        assert res.success_probability == pytest.approx(mean, rel=1e-12, abs=0)
+        assert res.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
 
     def test_noiseless_matches_per_gate_loop(self):
         problem = mis_to_ising(random_graph(10, 1))
