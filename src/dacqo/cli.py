@@ -31,6 +31,7 @@ import csv
 import functools
 import gc
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -51,6 +52,7 @@ from .problem import (
     IsingProblem,
     _json_object,
     brute_force_ground_state,
+    independent_set_from_spins,
     mis_to_ising,
     random_graph,
     random_spin_glass,
@@ -156,14 +158,16 @@ _schedule_options = _options(
 )
 
 
-def _get_problem(cfg) -> IsingProblem:
+def _get_problem(cfg) -> tuple:
+    """The instance, and the graph it encodes (None unless a graph file)."""
     if cfg["problem_file"] and cfg["graph_file"]:
         raise ValueError("give --problem-file or --graph-file, not both")
     if cfg["problem_file"]:
-        return IsingProblem.from_json(Path(cfg["problem_file"]).read_text())
+        return IsingProblem.from_json(Path(cfg["problem_file"]).read_text()), None
     if cfg["graph_file"]:
-        return mis_to_ising(Graph.from_json(Path(cfg["graph_file"]).read_text()))
-    return random_spin_glass(cfg["n"], cfg["seed"], cfg["mode"])
+        graph = Graph.from_json(Path(cfg["graph_file"]).read_text())
+        return mis_to_ising(graph), graph
+    return random_spin_glass(cfg["n"], cfg["seed"], cfg["mode"]), None
 
 
 def _get_schedule(cfg) -> Schedule:
@@ -229,7 +233,7 @@ def cmd_solve(**cfg):
     """Run one instance end to end and report the outcome."""
     if not (cfg["problem_file"] or cfg["graph_file"]):
         check_simulation_width(cfg["n"])  # before N(N-1)/2 couplings are drawn
-    problem = _get_problem(cfg)
+    problem, graph = _get_problem(cfg)
     check_simulation_width(problem.n_qubits)
     schedule = _get_schedule(cfg)
     path, k = synthesis_plan(problem, cfg["k"])
@@ -241,11 +245,20 @@ def cmd_solve(**cfg):
     )
     truth = brute_force_ground_state(problem)
     result = run(circuit, problem, noise, cfg["trajectories"], truth=truth)
-    _write_report({
+    bitstrings = sorted(list(b) for b in truth.bitstrings)
+    report = {
         "n_qubits": problem.n_qubits,
         "ground_energy": truth.energy,
         "ground_energy_with_offset": truth.energy + problem.offset,
-        "optimal_bitstrings": sorted(list(b) for b in truth.bitstrings),
+        "optimal_bitstrings": bitstrings,
+    }
+    if graph is not None:
+        # each optimal bitstring's nodes, in the order of the bitstrings
+        report["independent_sets"] = [
+            {"nodes": nodes, "weight": math.fsum(graph.weights[nodes])}
+            for nodes in (sorted(independent_set_from_spins(b)) for b in bitstrings)]
+    _write_report({
+        **report,
         "success_probability": result.success_probability,
         "gms_fidelity": result.gms_fidelity,
         "stderr": result.stderr,
@@ -387,7 +400,7 @@ def cmd_scaling(**cfg):
 @_guarded
 def cmd_emit_circuit(**cfg):
     """Write a synthesized layered circuit to JSON."""
-    problem = _get_problem(cfg)
+    problem, _ = _get_problem(cfg)
     schedule = _get_schedule(cfg)
     path, k = synthesis_plan(problem, cfg["k"], cfg["synth_path"])
     circuit = synthesize(problem, schedule, k, path)

@@ -136,7 +136,11 @@ class Schedule:
     given together, in place of ``profile``, or not at all; a custom
     schedule's ``profile`` is None.  Built-in schedules compare and hash
     by (total_time, trotter_steps, profile), custom ones by total_time,
-    trotter_steps and the two callables.
+    trotter_steps and the two callables.  A built-in schedule's own
+    lam and lam_dot, given back together with a profile (as
+    ``dataclasses.replace`` does), are not custom: the profile's are
+    built again for the total time, so a copy with another total_time
+    or profile is that built-in schedule.
     """
 
     total_time: float
@@ -156,7 +160,10 @@ class Schedule:
         _check_count("trotter_steps", self.trotter_steps)
         if (self.lam is None) != (self.lam_dot is None):
             raise ValueError("lam and lam_dot must be given together")
-        if self.lam is not None:
+        # a built-in profile's lam names its lam_dot
+        builtin = (self.profile is not None
+                   and getattr(self.lam, "_lam_dot", None) is self.lam_dot)
+        if self.lam is not None and not builtin:
             if self.profile not in (None, "sin2sin2"):
                 raise ValueError(
                     f"profile {self.profile!r} given with a custom lam and lam_dot"
@@ -170,6 +177,7 @@ class Schedule:
                     f"choose from {sorted(_PROFILES)}"
                 )
             lam, lam_dot = _PROFILES[self.profile](self.total_time)
+            lam._lam_dot = lam_dot
             object.__setattr__(self, "lam", lam)
             object.__setattr__(self, "lam_dot", lam_dot)
 

@@ -50,10 +50,14 @@ joins the open groups it touches while their qubits and its own number
 at most w, the circuit's widest gate; otherwise those groups close, in
 the plan's order, and the gate opens a new one.  Open groups are
 disjoint, so they commute.  The measurement's n Hadamards are the plan's
-last members.  A group's product is composed with the state kernel on
-its tensor-form (2^s, 2^s) matrix, or on its stacked columns, which
-carries its axis order from one operator to the next, and applied to the
-state in one kernel call.  Each call on the state names the qubits of
+last members.  A group's product (``_product``, which also forms
+``circuit_unitary`` and ``trotter_reference_unitary``) first multiplies
+each run of its operators on one qubit tuple as plain matrices, a 1q
+gate with the Pauli stacks that follow it, say; the state kernel then
+applies each merged operator to the group's tensor-form (2^s, 2^s)
+matrix, or to its stacked columns, carrying its axis order from one
+operator to the next, and the product goes to the state in one kernel
+call.  Each call on the state names the qubits of
 the call after it (the next group's), so that a call that must copy the
 state lays it out for its successor, which then runs in place: a
 14-qubit solve's chunk copies its state on about half of its calls.  A
@@ -73,8 +77,9 @@ stacked gates alone would give.  The noise seed is
 split with ``SeedSequence(seed).spawn`` into one generator per chunk, so
 a seed gives the same result on every run.  ``run`` keeps the ideal gate
 unitaries and the fusion plan of the circuit it ran last, so a sweep
-over noise amplitudes builds them once; gates with equal kind, size,
-angles and axis share one unitary, built once per circuit.
+over noise amplitudes builds them once.  Gates with equal kind, size,
+angles and axis share one unitary, built once per circuit, and so once
+per call of the dense products.
 """
 
 from __future__ import annotations
@@ -348,7 +353,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     n = circuit.width
     if n > 12:
         raise CapabilityError("dense circuit unitary capped at 12 qubits")
-    return _product(((gate_unitary(g), g.qubits) for g in circuit.gates()), range(n))
+    return _product(_gate_operators(circuit.gates()), range(n))
 
 
 def trotter_reference_unitary(
@@ -384,7 +389,7 @@ def trotter_reference_unitary(
         for axis, theta in (("x", ang.x[0]), ("z", ang.z), ("y", ang.y[0])):
             if abs(theta) >= _EPS:
                 gates += (Gate("1q", (q,), theta=theta, axis=axis) for q in range(n))
-    return _product(((gate_unitary(g), g.qubits) for g in gates), range(n))
+    return _product(_gate_operators(gates), range(n))
 
 
 def _product(ops, qubits) -> np.ndarray:
@@ -393,6 +398,16 @@ def _product(ops, qubits) -> np.ndarray:
     The first operator is applied first.  Returns a (2^s, 2^s) matrix
     for s qubits, or a (B, 2^s, 2^s) stack once an operator is a stacked
     (B, d, d) one.
+
+    Operators wait as pending ones, on disjoint qubits, so they commute.
+    An operator on the same qubit tuple, in the same order, as a pending
+    one is multiplied into it with a plain matmul (a shared (d, d) and a
+    stacked (B, d, d) one broadcast); no operator in between touched
+    those qubits, or the pending one would have gone.  A merge costs d^3
+    flops a matrix, and applying the operator to the product d^2 2^s.
+    Any other operator first has the kernel apply each pending one it
+    touches to the product, in the order they were opened; the rest go
+    at the end, in that order.
     """
     position = {q: i for i, q in enumerate(qubits)}
     s = len(position)
@@ -400,10 +415,29 @@ def _product(ops, qubits) -> np.ndarray:
     # in tensor form, so the kernel carries the axis order from one
     # operator to the next; the last reshape copies it back to canonical
     m = np.eye(d, dtype=np.complex128).reshape((2,) * s + (d,))
-    for op, on in ops:
+
+    def apply(op, on):
+        nonlocal m
         if op.ndim == 3 and m.ndim == s + 1:
             m = np.broadcast_to(m[..., None, :], (2,) * s + (len(op), d))
         m = _kernels.apply_unitary(m, op, [position[q] for q in on], s)
+
+    pending = {}  # opening index -> [operator, qubits], in opening order
+    owner = {}  # qubit -> the opening index of the pending operator on it
+    for i, (op, on) in enumerate(ops):
+        touched = sorted({owner[q] for q in on if q in owner})
+        if len(touched) == 1 and pending[touched[0]][1] == on:
+            pending[touched[0]][0] = op @ pending[touched[0]][0]
+            continue
+        for j in touched:
+            before, closed = pending.pop(j)
+            apply(before, closed)
+            for q in closed:
+                del owner[q]
+        pending[i] = [op, on]
+        owner.update((q, i) for q in on)
+    for op, on in pending.values():
+        apply(op, on)
     if m.ndim == s + 1:
         return m.reshape(d, d)
     return np.moveaxis(m, s, 0).reshape(-1, d, d)
@@ -419,21 +453,31 @@ def _ideal_unitaries(circuit: Circuit) -> tuple:
     fusion plan.
 
     Kept for the last circuit run: a noise sweep runs one circuit once
-    per amplitude, and every chunk of a run walks the same plan.  Gates
-    with the same kind, qubit count, angles and axis share one array,
-    built once; the key holds each angle's sign too, so that -0.0 and
-    0.0 are told apart and a shared array has the bits of a fresh build.
+    per amplitude, and every chunk of a run walks the same plan.  Equal
+    gates share one array (``_gate_operators``).
     """
     gates = tuple(circuit.gates())
-    built, ideal = {}, []
+    ideal = tuple(u for u, _ in _gate_operators(gates))
+    for u in ideal:
+        u.flags.writeable = False
+    return gates, ideal, _fusion_plan([g.qubits for g in gates], circuit.width)
+
+
+def _gate_operators(gates):
+    """Yield (unitary, qubits) per gate, building each distinct unitary once.
+
+    Gates with the same kind, qubit count, angles and axis share one
+    array, built once per call; the key holds each angle's sign too, so
+    that -0.0 and 0.0 are told apart and a shared array has the bits of
+    a fresh build.
+    """
+    built = {}
     for g in gates:
         key = (g.kind, len(g.qubits), g.theta, g.phi, g.axis,
                math.copysign(1.0, g.theta), math.copysign(1.0, g.phi))
         if key not in built:
             built[key] = gate_unitary(g)
-            built[key].flags.writeable = False
-        ideal.append(built[key])
-    return gates, tuple(ideal), _fusion_plan([g.qubits for g in gates], circuit.width)
+        yield built[key], g.qubits
 
 
 def _fusion_plan(qubits, n: int) -> tuple:

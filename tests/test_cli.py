@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -83,6 +84,41 @@ class TestSolve:
             "name": "graph.json",
             "sha256": hashlib.sha256(text.encode()).hexdigest(),
         }
+
+    @pytest.mark.parametrize("weights", [
+        [1.0] * 6,  # ties: several maximum independent sets
+        [0.5, 2.0, 1.25, 0.75, 1.5, 1.0],
+    ], ids=["unit", "weighted"])
+    def test_graph_file_reports_maximum_weight_independent_sets(
+            self, runner, tmp_path, weights):
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)]
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"n": 6, "edges": edges, "weights": weights}))
+        result = runner.invoke(main, ["solve", "--graph-file", str(graph),
+                                      "--steps", "1"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        # brute force: every independent set of the largest total weight
+        independent = [
+            (math.fsum(weights[i] for i in nodes), nodes)
+            for size in range(7) for nodes in itertools.combinations(range(6), size)
+            if not any(i in nodes and j in nodes for i, j in edges)]
+        best = max(w for w, _ in independent)
+        want = sorted(list(nodes) for w, nodes in independent if w == best)
+        sets = report["independent_sets"]
+        assert sorted(s["nodes"] for s in sets) == want
+        assert all(s["weight"] == best for s in sets)
+        # one per optimal bitstring, in its order: spin -1 is a chosen node
+        assert [s["nodes"] for s in sets] == [
+            [i for i, spin in enumerate(b) if spin == -1]
+            for b in report["optimal_bitstrings"]]
+        keys = list(report)
+        assert keys.index("independent_sets") == keys.index("optimal_bitstrings") + 1
+
+    def test_independent_sets_only_for_a_graph_file(self, runner):
+        result = runner.invoke(main, ["solve", "--n", "4", "--steps", "1"])
+        assert result.exit_code == 0, result.output
+        assert "independent_sets" not in json.loads(result.output)
 
     def test_problem_file(self, runner, tmp_path):
         from dacqo.problem import random_spin_glass

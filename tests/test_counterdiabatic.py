@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -113,6 +114,36 @@ class TestSchedule:
         assert Schedule(1.5, 3) != Schedule(1.5, 3, profile="linear-smoothstep")
         with pytest.raises(ValueError, match="profile"):
             Schedule(1.0, 2, profile=None)
+
+    @pytest.mark.parametrize("profile", ["sin2sin2", "linear-smoothstep"])
+    def test_replace_rebuilds_a_built_in_profile(self, profile):
+        # replace passes the old lam and lam_dot back in; they are the
+        # profile's for the old total time
+        copy = dataclasses.replace(Schedule(1.0, 2, profile=profile), total_time=2.0)
+        fresh = Schedule(2.0, 2, profile=profile)
+        assert copy == fresh and copy.profile == profile
+        for t in (0.5, 1.0, 1.5):
+            assert copy.lam(t) == fresh.lam(t)
+            assert copy.lam_dot(t) == fresh.lam_dot(t)
+        assert copy.lam(1.0) == pytest.approx(0.5)
+        other = dataclasses.replace(Schedule(1.0, 2), profile="linear-smoothstep")
+        assert other == Schedule(1.0, 2, profile="linear-smoothstep")
+        assert other.lam(0.25) == Schedule(1.0, 2, profile="linear-smoothstep").lam(0.25)
+
+    def test_replace_keeps_a_custom_profile(self):
+        def f(t):
+            return t
+
+        def g(t):
+            return 1.0
+
+        copy = dataclasses.replace(Schedule(1.0, 2, lam=f, lam_dot=g), total_time=2.0)
+        assert copy == Schedule(2.0, 2, lam=f, lam_dot=g)
+        assert copy.profile is None and copy.lam is f and copy.lam_dot is g
+        # one half of a built-in pair with a custom other half stays custom
+        half = Schedule(1.0, 2)
+        mixed = Schedule(2.0, 2, lam=half.lam, lam_dot=g)
+        assert mixed.profile is None and mixed.lam is half.lam
 
     def test_accepts_numpy_scalars(self):
         p = random_spin_glass(4, 0)

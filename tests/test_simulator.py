@@ -531,6 +531,124 @@ class TestCircuitUnitary:
         with pytest.raises(CapabilityError):
             circuit_unitary(Circuit(13, []))
 
+    def test_builds_each_distinct_unitary_once(self, monkeypatch):
+        # a homogeneous N=6 circuit repeats its rotations on every qubit
+        # and its blocks' angles; same-qubit gates merge before the kernel
+        p = random_spin_glass(6, 0, "homogeneous")
+        sch = Schedule(1.0, 2)
+        built, listed = [], []
+        gate_operators = simulator._gate_operators
+
+        def counted_build(g):
+            built.append(g)
+            return gate_unitary(g)
+
+        def listing(gates):
+            listed.append(list(gates))
+            return gate_operators(listed[-1])
+
+        monkeypatch.setattr(simulator, "gate_unitary", counted_build)
+        monkeypatch.setattr(simulator, "_gate_operators", listing)
+        calls = _counting_kernel(monkeypatch)
+        circuit = synthesize_homogeneous(p, sch, 4)
+        for product in (lambda: circuit_unitary(circuit),
+                        lambda: trotter_reference_unitary(p, sch, 4)):
+            for log in (built, listed, calls):
+                log.clear()
+            product()
+            [gates] = listed
+            first = {}
+            for g in gates:
+                first.setdefault((g.kind, len(g.qubits), g.theta, g.phi, g.axis,
+                                  math.copysign(1, g.theta), math.copysign(1, g.phi)), g)
+            assert built == list(first.values()) and len(built) < len(gates)
+            assert 0 < len(calls) < len(gates)
+
+
+def _product_per_operator(ops, qubits):
+    """``_product`` without merges: one kernel call per operator, on the
+    identity in canonical order."""
+    position = {q: i for i, q in enumerate(qubits)}
+    s = len(position)
+    d = 2**s
+    m = np.eye(d, dtype=complex)
+    for op, on in ops:
+        if op.ndim == 3 and m.ndim == 2:
+            # (d, B, d): matrix b acts on the columns of m[:, b]
+            m = np.broadcast_to(m[:, None, :], (d, len(op), d))
+        m = _kernels.apply_unitary(m, op, [position[q] for q in on], s)
+    return m if m.ndim == 2 else np.moveaxis(m, 1, 0)
+
+
+def _random_unitaries(rng, shape, k):
+    """Random unitaries of dimension 2^k, of leading ``shape``."""
+    z = rng.standard_normal(shape + (2**k, 2**k, 2))
+    return np.linalg.qr(z[..., 0] + 1j * z[..., 1])[0]
+
+
+@st.composite
+def _operator_lists(draw):
+    """Qubit labels, a stack size B and up to 16 (qubits, stacked) entries.
+
+    An entry takes the qubits of an earlier one, as they are or reversed,
+    or a fresh tuple, so that same-qubit runs, runs broken by an operator
+    on some of their qubits, and the same qubits in another order
+    (``(0, 2)`` and ``(2, 0)``) all turn up.
+    """
+    s = draw(st.integers(1, 5))
+    labels = draw(st.permutations([0, 2, 3, 5, 6, 7]).map(lambda p: tuple(p[:s])))
+    b = draw(st.integers(1, 3))
+    entries = []
+    for _ in range(draw(st.integers(0, 16))):
+        how = draw(st.sampled_from(("fresh", "last", "earlier", "reversed")))
+        if entries and how != "fresh":
+            on = entries[-1][0] if how == "last" else draw(st.sampled_from(entries))[0]
+            on = on[::-1] if how == "reversed" else on
+        else:
+            on = tuple(draw(st.lists(st.sampled_from(labels), min_size=1,
+                                     max_size=min(3, s), unique=True)))
+        entries.append((on, draw(st.booleans())))
+    return labels, b, entries
+
+
+class TestProduct:
+    """``_product`` merges same-qubit operators before the kernel."""
+
+    @staticmethod
+    def _ops(rng, b, entries):
+        return [(_random_unitaries(rng, (b,) if stacked else (), len(on)), on)
+                for on, stacked in entries]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_operator_lists(), st.integers(0, 2**32 - 1))
+    def test_matches_one_call_per_operator(self, drawn, seed):
+        labels, b, entries = drawn
+        ops = self._ops(np.random.default_rng(seed), b, entries)
+        got = simulator._product(ops, labels)
+        want = _product_per_operator(ops, labels)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("entries,calls", [
+        # a run on (0, 2) across an operator on other qubits: one call
+        ([((0, 2), False), ((3,), True), ((0, 2), True), ((0, 2), False)], 2),
+        # an operator on one of its qubits breaks the run
+        ([((0, 2), False), ((2,), False), ((0, 2), False)], 3),
+        # the same qubits in another order are another operator
+        ([((0, 2), False), ((2, 0), False)], 2),
+        ([((0, 2), True), ((2, 0), True), ((0, 2), False)], 3),
+        # a shared operator into a stack, and a stack into a shared one
+        ([((3,), False), ((3,), True), ((3,), False)], 1),
+    ])
+    def test_merges_only_same_qubit_runs(self, monkeypatch, entries, calls):
+        ops = self._ops(np.random.default_rng(3), 2, entries)
+        want = _product_per_operator(ops, (0, 2, 3))
+        counted = _counting_kernel(monkeypatch)
+        got = simulator._product(ops, (0, 2, 3))
+        assert len(counted) == calls
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
 
 class TestRun:
     def test_noiseless_matches_exact_reference(self):
