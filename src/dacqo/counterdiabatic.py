@@ -35,18 +35,26 @@ depend on lambda and O_2 = lambda A + (1 - lambda) B with A = [H_f, O_1]
 and B = [D, O_1], so the oracle's Gamma_2 is a quadratic in lambda whose
 coefficients ||A||^2, ||B||^2 and Re<A, B> are formed once per problem.
 
+lambda(t) and lambda_dot(t) come from a ``Schedule``, which is plain data:
+the built-in profiles are module-level functions of (t, T), and a built-in
+schedule holds them as values of (function, total_time), so schedules
+compare, hash, copy and pickle by their fields.
+
 The gate layer works in a frame rotated by a Hadamard on every qubit
 (Z -> X, X -> Z, Y -> -Y), where the entangling terms become XX/XY/YX and
 the driver is diagonal; ``rotated_full_hamiltonian`` builds that frame's
 generator and ``exact_evolution`` integrates it as a trotter-free reference.
 Both form H'(t) by one formula, ``_hamiltonian``, which takes an array of
 (lambda, lambda_dot, alpha_1) rows and returns one matrix per row.
-``exact_evolution`` takes its slices in stacks of at most ``_STACK_ENTRIES``
-(2^12) matrix entries and exponentiates each stack with a degree-12 Taylor
-polynomial, evaluated Paterson-Stockmeyer style (five batched products)
-after a shared power-of-two scaling chosen from the stack's largest 1-norm
-so that the truncation stays below 2^-53, then squared back.  No
-eigendecomposition is needed, and the module needs no scipy.
+``exact_evolution`` evaluates each slice at ``Schedule.midpoint``'s time
+expression, so with as many slices as trotter steps it reads H'(t) at the
+trotter grid's times bit for bit.  It takes its slices in stacks of at
+most ``_STACK_ENTRIES`` (2^12) matrix entries and exponentiates each stack
+with a degree-12 Taylor polynomial, evaluated Paterson-Stockmeyer style
+(five batched products) after a shared power-of-two scaling chosen from
+the stack's largest 1-norm so that the truncation stays below 2^-53, then
+squared back.  No eigendecomposition is needed, and the module needs no
+scipy.
 """
 
 from __future__ import annotations
@@ -91,32 +99,41 @@ _PROBLEMS_KEPT = 16
 # schedule
 # ---------------------------------------------------------------------------
 
-def _sin2sin2(T: float):
-    def lam(t):
-        inner = math.sin(math.pi * t / (2.0 * T)) ** 2
-        return math.sin(0.5 * math.pi * inner) ** 2
-
-    def lam_dot(t):
-        b = math.pi * t / (2.0 * T)
-        a = 0.5 * math.pi * math.sin(b) ** 2
-        return (math.pi**2 / (4.0 * T)) * math.sin(2 * a) * math.sin(2 * b)
-
-    return lam, lam_dot
+def _sin2sin2_lam(t, T):
+    inner = math.sin(math.pi * t / (2.0 * T)) ** 2
+    return math.sin(0.5 * math.pi * inner) ** 2
 
 
-def _smoothstep(T: float):
-    def lam(t):
-        s = t / T
-        return s * s * (3.0 - 2.0 * s)
-
-    def lam_dot(t):
-        s = t / T
-        return 6.0 * s * (1.0 - s) / T
-
-    return lam, lam_dot
+def _sin2sin2_lam_dot(t, T):
+    b = math.pi * t / (2.0 * T)
+    a = 0.5 * math.pi * math.sin(b) ** 2
+    return (math.pi**2 / (4.0 * T)) * math.sin(2 * a) * math.sin(2 * b)
 
 
-_PROFILES = {"sin2sin2": _sin2sin2, "linear-smoothstep": _smoothstep}
+def _smoothstep_lam(t, T):
+    s = t / T
+    return s * s * (3.0 - 2.0 * s)
+
+
+def _smoothstep_lam_dot(t, T):
+    s = t / T
+    return 6.0 * s * (1.0 - s) / T
+
+
+# profile -> (lambda(t, T), lambda_dot(t, T))
+_PROFILES = {"sin2sin2": (_sin2sin2_lam, _sin2sin2_lam_dot),
+             "linear-smoothstep": (_smoothstep_lam, _smoothstep_lam_dot)}
+
+
+@dataclass(frozen=True)
+class _BuiltIn:
+    """lambda or lambda_dot of a built-in profile at one total time."""
+
+    function: Callable
+    total_time: float
+
+    def __call__(self, t):
+        return self.function(t, self.total_time)
 
 
 def _check_count(name: str, value) -> None:
@@ -132,25 +149,21 @@ class Schedule:
 
     Both built-in profiles satisfy lambda(0)=0, lambda(T)=1 and have
     vanishing velocity at the endpoints, so the CD term switches off at
-    t=0 and t=T.  A custom ``lam`` and its derivative ``lam_dot`` are
+    t=0 and t=T.  A built-in schedule's ``lam`` and ``lam_dot`` are values
+    that hold the profile's module-level function and the total time, so
+    the schedule is plain data: it compares, hashes, copies and pickles by
+    its five fields.  Given back together (as ``dataclasses.replace``
+    does), built-in values are rebuilt from ``profile`` and
+    ``total_time``.  A custom ``lam`` and its derivative ``lam_dot`` are
     given together, in place of ``profile``, or not at all; a custom
-    schedule's ``profile`` is None.  Built-in schedules compare and hash
-    by (total_time, trotter_steps, profile), custom ones by total_time,
-    trotter_steps and the two callables.  A built-in schedule's own
-    lam and lam_dot, given back together with a profile (as
-    ``dataclasses.replace`` does), are not custom: the profile's are
-    built again for the total time, so a copy with another total_time
-    or profile is that built-in schedule.
+    schedule's ``profile`` is None.
     """
 
     total_time: float
     trotter_steps: int
     profile: Optional[str] = "sin2sin2"
-    lam: Callable = field(default=None, repr=False, compare=False)
-    lam_dot: Callable = field(default=None, repr=False, compare=False)
-    # (lam, lam_dot) of a custom schedule, None for a built-in one: the
-    # built-in callables are fresh closures, so they cannot be compared
-    _custom: Optional[tuple] = field(default=None, init=False, repr=False)
+    lam: Callable = field(default=None, repr=False)
+    lam_dot: Callable = field(default=None, repr=False)
 
     def __post_init__(self):
         t = self.total_time
@@ -160,26 +173,22 @@ class Schedule:
         _check_count("trotter_steps", self.trotter_steps)
         if (self.lam is None) != (self.lam_dot is None):
             raise ValueError("lam and lam_dot must be given together")
-        # a built-in profile's lam names its lam_dot
-        builtin = (self.profile is not None
-                   and getattr(self.lam, "_lam_dot", None) is self.lam_dot)
-        if self.lam is not None and not builtin:
-            if self.profile not in (None, "sin2sin2"):
-                raise ValueError(
-                    f"profile {self.profile!r} given with a custom lam and lam_dot"
-                )
-            object.__setattr__(self, "profile", None)
-            object.__setattr__(self, "_custom", (self.lam, self.lam_dot))
-        else:
+        if self.lam is None or (isinstance(self.lam, _BuiltIn)
+                                and isinstance(self.lam_dot, _BuiltIn)):
             if self.profile not in _PROFILES:
                 raise ValueError(
                     f"unknown profile {self.profile!r}; "
                     f"choose from {sorted(_PROFILES)}"
                 )
-            lam, lam_dot = _PROFILES[self.profile](self.total_time)
-            lam._lam_dot = lam_dot
-            object.__setattr__(self, "lam", lam)
-            object.__setattr__(self, "lam_dot", lam_dot)
+            lam, lam_dot = _PROFILES[self.profile]
+            object.__setattr__(self, "lam", _BuiltIn(lam, t))
+            object.__setattr__(self, "lam_dot", _BuiltIn(lam_dot, t))
+        elif self.profile in (None, "sin2sin2"):
+            object.__setattr__(self, "profile", None)
+        else:
+            raise ValueError(
+                f"profile {self.profile!r} given with a custom lam and lam_dot"
+            )
 
     def midpoint(self, step_index: int) -> float:
         """Midpoint time of trotter step ``step_index`` (1-based)."""
@@ -441,13 +450,14 @@ def exact_evolution(
     """Trotter-free reference propagator in the rotated frame.
 
     Ordered product of exp(-i H'(t_k) dt) over a midpoint grid of
-    ``steps`` slices; later factors multiply on the left.  H_f', sum_i Z_i
-    and C are formed once per call, and (lambda, lambda_dot, alpha_1) once
-    for all slices.  The slices are taken in stacks of at most
-    ``_STACK_ENTRIES`` matrix entries (16 slices at N=4, one from N=6 on):
-    each stack's H'(t_k) are formed together and exponentiated by
-    ``_expm_stack``, a degree-12 Taylor polynomial with a shared
-    scaling and squaring, and the factors are multiplied onto U in order.
+    ``steps`` slices, t_k = (k - 1/2) T / steps as in ``Schedule.midpoint``;
+    later factors multiply on the left.  H_f', sum_i Z_i and C are formed
+    once per call, and (lambda, lambda_dot, alpha_1) once for all slices.
+    The slices are taken in stacks of at most ``_STACK_ENTRIES`` matrix
+    entries (16 slices at N=4, one from N=6 on): each stack's H'(t_k) are
+    formed together and exponentiated by ``_expm_stack``, a degree-12
+    Taylor polynomial with a shared scaling and squaring, and the factors
+    are multiplied onto U in order.
 
     Against scipy's ``expm`` of each slice, multiplied the same way, the
     largest entry error is 6.2e-14 over N = 1..6, all three weight
@@ -462,7 +472,9 @@ def exact_evolution(
         raise CapabilityError("exact_evolution capped at 10 qubits")
     operators = _with_cd(_operators(problem, rotated=True))
     dt = schedule.total_time / steps
-    times = [(k + 0.5) * dt for k in range(steps)]
+    # Schedule.midpoint's (i - 0.5) * T / steps at i = k + 1, so that at
+    # steps = trotter_steps the slices sit on the trotter grid bit for bit
+    times = [(k + 0.5) * schedule.total_time / steps for k in range(steps)]
     coefficients = np.array(list(_coefficients(problem, schedule, times)))
     d = 2**problem.n_qubits
     per_stack = max(1, _STACK_ENTRIES // (d * d))

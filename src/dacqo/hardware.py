@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .counterdiabatic import _check_count
 from .problem import IsingProblem, _json_object, _number
 from .synthesis import (
     _FLIP_BLOCK_CAP,
@@ -99,8 +100,7 @@ def analytic_runtime(
                    (the cost model counts entangling rounds and the global
                    rotation layers only)
     """
-    if trotter_steps < 1:
-        raise ValueError(f"trotter_steps must be >= 1, got {trotter_steps}")
+    _check_count("trotter_steps", trotter_steps)
     if path == "digital":
         multi = 3 * (n - 1)
         single = 3

@@ -94,6 +94,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
+from .counterdiabatic import _check_count
 from .gates import _EPS, Gate, gate_unitary, solve_gms_angles, trotter_angles
 from .paulis import HADAMARD, PAULI, _bit_weights
 from .problem import (
@@ -616,8 +617,7 @@ def run(
     check_simulation_width(n)
     if noise is None:
         noise = NoiseModel()
-    if trajectories < 1:
-        raise ValueError("trajectories must be >= 1")
+    _check_count("trajectories", trajectories)
     indices, truth = optimal_state_indices(problem, truth)
     gates, ideal, plan = _ideal_unitaries(circuit)
     if noise.is_trivial:

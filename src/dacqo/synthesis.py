@@ -514,13 +514,9 @@ def synthesize_digital_baseline(
     rounds = schedule_pairs(pairs, n)
 
     def step_factors(ang):
-        # native XX gates exp(-i theta X X), 2 theta as the GMS angle
+        # native XX gates exp(-i theta X X): the pure-XX GMS prescription
         for rnd in rounds:
-            yield [
-                [Gate("gms", p, theta=2.0 * ang.xx[p], phi=0.0)]
-                for p in rnd
-                if abs(ang.xx[p]) >= _EPS
-            ]
+            yield [solve_gms_angles(ang.xx[p], 0.0, p) for p in rnd]
         yield _rotations("x", ang.x)
         yield _rotations("z", [ang.z] * n)
         # YX then XY: exp(-i theta Y X) = V exp(-i theta X X) V^dag with
@@ -531,7 +527,7 @@ def synthesize_digital_baseline(
                 yield [
                     [
                         Gate("1q", (p[which],), theta=-math.pi / 4, axis="z"),
-                        Gate("gms", p, theta=2.0 * ang.xy[p], phi=0.0),
+                        *solve_gms_angles(ang.xy[p], 0.0, p),
                         Gate("1q", (p[which],), theta=math.pi / 4, axis="z"),
                     ]
                     for p in rnd

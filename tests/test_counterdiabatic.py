@@ -1,6 +1,9 @@
 import collections
+import copy
 import dataclasses
 import itertools
+import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -30,6 +33,38 @@ from dacqo.problem import (
     random_spin_glass,
 )
 from dacqo.synthesis import synthesize
+
+
+def _ramp(t):
+    return t
+
+
+def _ramp_dot(t):
+    return 1.0
+
+
+def _closure_profiles(T):
+    """The built-in profiles as closures over T, kept as the reference."""
+
+    def sin2sin2_lam(t):
+        inner = math.sin(math.pi * t / (2.0 * T)) ** 2
+        return math.sin(0.5 * math.pi * inner) ** 2
+
+    def sin2sin2_lam_dot(t):
+        b = math.pi * t / (2.0 * T)
+        a = 0.5 * math.pi * math.sin(b) ** 2
+        return (math.pi**2 / (4.0 * T)) * math.sin(2 * a) * math.sin(2 * b)
+
+    def smoothstep_lam(t):
+        s = t / T
+        return s * s * (3.0 - 2.0 * s)
+
+    def smoothstep_lam_dot(t):
+        s = t / T
+        return 6.0 * s * (1.0 - s) / T
+
+    return {"sin2sin2": (sin2sin2_lam, sin2sin2_lam_dot),
+            "linear-smoothstep": (smoothstep_lam, smoothstep_lam_dot)}
 
 
 class TestSchedule:
@@ -144,6 +179,39 @@ class TestSchedule:
         half = Schedule(1.0, 2)
         mixed = Schedule(2.0, 2, lam=half.lam, lam_dot=g)
         assert mixed.profile is None and mixed.lam is half.lam
+
+    @pytest.mark.parametrize("schedule", [
+        Schedule(1.5, 3),
+        Schedule(1.5, 3, profile="linear-smoothstep"),
+        Schedule(2.0, 4, lam=_ramp, lam_dot=_ramp_dot),
+    ], ids=["sin2sin2", "linear-smoothstep", "custom"])
+    def test_pickle_round_trip(self, schedule):
+        back = pickle.loads(pickle.dumps(schedule))
+        assert back == schedule and hash(back) == hash(schedule)
+        assert back.profile == schedule.profile
+        assert back.lam(0.7) == schedule.lam(0.7)
+        assert back.lam_dot(0.7) == schedule.lam_dot(0.7)
+
+    @pytest.mark.parametrize("profile", ["sin2sin2", "linear-smoothstep"])
+    def test_copies_equal_a_fresh_schedule(self, profile):
+        base = Schedule(1.0, 2, profile=profile)
+        assert copy.deepcopy(base) == base
+        assert dataclasses.replace(base, total_time=2.5) == Schedule(
+            2.5, 2, profile=profile)
+        assert dataclasses.replace(base, trotter_steps=7) == Schedule(
+            1.0, 7, profile=profile)
+        other = "sin2sin2" if profile != "sin2sin2" else "linear-smoothstep"
+        assert dataclasses.replace(base, profile=other) == Schedule(
+            1.0, 2, profile=other)
+
+    @pytest.mark.parametrize("profile", ["sin2sin2", "linear-smoothstep"])
+    def test_profiles_equal_the_closure_reference(self, profile):
+        for T in (0.3, 1.0, 1.5, 7.25, 40.0):
+            sch = Schedule(T, 3, profile=profile)
+            lam, lam_dot = _closure_profiles(T)[profile]
+            for t in np.linspace(0.0, T, 23):
+                assert sch.lam(t) == lam(t)
+                assert sch.lam_dot(t) == lam_dot(t)
 
     def test_accepts_numpy_scalars(self):
         p = random_spin_glass(4, 0)
@@ -446,6 +514,25 @@ class TestExactEvolution:
                 ref = factor @ ref
             U = exact_evolution(p, sch, slices)
             assert np.abs(U - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("total_time,steps", [
+        (1.0, 10), (1.0, 1), (2.5, 7), (0.3, 40),
+    ])
+    def test_slices_sit_on_the_trotter_grid(self, total_time, steps,
+                                            monkeypatch):
+        # exact_evolution(p, sch, sch.trotter_steps) reads H'(t) at the
+        # trotter midpoints, bit for bit
+        seen = []
+        coefficients = counterdiabatic._coefficients
+
+        def recording(problem, schedule, times):
+            seen.extend(times)
+            return coefficients(problem, schedule, times)
+
+        monkeypatch.setattr(counterdiabatic, "_coefficients", recording)
+        sch = Schedule(total_time, steps)
+        exact_evolution(random_spin_glass(2, 0), sch, sch.trotter_steps)
+        assert seen == [sch.midpoint(k) for k in range(1, steps + 1)]
 
     @pytest.mark.parametrize("steps", [-3, 0, True, 2.0, "3"])
     def test_rejects_bad_slice_count(self, steps, monkeypatch):

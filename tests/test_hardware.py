@@ -113,6 +113,11 @@ class TestAnalyticRuntime:
         with pytest.raises(ValueError, match="trotter_steps"):
             analytic_runtime(8, steps, path=path)
 
+    @pytest.mark.parametrize("steps", [2.5, 2.0, True, "3"])
+    def test_rejects_a_step_count_that_is_not_an_integer(self, steps):
+        with pytest.raises(ValueError, match="trotter_steps must be an integer"):
+            analytic_runtime(8, steps)
+
 
 class TestEnhancementFactor:
     def test_small_homogeneous_instance(self):

@@ -713,6 +713,16 @@ class TestRun:
         with pytest.raises(ValueError):
             NoiseModel(0.0, 1.5)
 
+    @pytest.mark.parametrize("trajectories", [2.5, 2.0, True, "8"])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_rejects_a_trajectory_count_that_is_not_an_integer(
+            self, trajectories, noisy):
+        p = _homogeneous_k4()
+        circuit = synthesize_homogeneous(p, Schedule(1.0, 1), 4)
+        noise = NoiseModel(0.05, 0.01, seed=0) if noisy else None
+        with pytest.raises(ValueError, match="trajectories must be an integer"):
+            run(circuit, p, noise, trajectories=trajectories)
+
 
 def _depolarized_success(circuit, problem, p):
     """Exact success of the per-qubit depolarizing channel on a density matrix."""
