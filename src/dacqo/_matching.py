@@ -33,6 +33,31 @@ That Python work is O(m^3) over a run; the array work is O(m^3)
 elements too, except that each new blossom rescans its vertices' rows,
 O(m^4) in the worst case.
 
+Where m is even, the first run starts from Blossom V's greedy
+initialization (V. Kolmogorov, Math. Prog. Comp. 1, 43, 2009) instead of
+uniform duals.  Each ``dual[v]`` starts at the vertex's largest incident
+weight (u(v) at half of it), which is feasible for weights of any sign.
+Then, in vertex order, each vertex still exposed lowers its dual by its
+least slack, so that edge becomes tight, and takes a tight edge to
+another exposed vertex if it has one.  Every slack is then >= 0 and
+every matched edge tight, which is all that the stages need.  If the
+stages end with a perfect matching, these duals certify it as the
+maximum-weight perfect matching (Edmonds' duality for the
+perfect-matching polytope), and so as the maximum-weight
+maximum-cardinality matching.  If they leave a vertex exposed there is
+no such certificate: that one needs every exposed vertex to hold the
+same, least dual, which uniform duals keep and greedy ones do not.  The
+matcher then runs again from uniform duals, as it does for odd m.
+
+On the pair scheduler's N=32, k=4 correction peel the greedy pass
+matches about 12 of each round's 16 edges, a matching runs 4.6 stages
+instead of 17, and the 25 rounds take 18 ms instead of 40 ms; the 57
+rounds at N=64 take 0.11 s instead of 0.25 s (medians of six fresh
+processes each, on a 2-vCPU host).  A fallback costs one greedy-started
+run more: of the 77 matchings made by ``dacqo scaling --max-n 100`` and
+an N=16 and an N=32 ``emit-circuit``, 13 fall back, all on graphs of at
+most 16 vertices, for about 1.5 ms in all.
+
 It may take tight edges in another order than other implementations, so
 where several matchings are optimal it may return another one; where
 the optimum is unique (as the pair scheduler's random weights make it)
@@ -74,24 +99,41 @@ def max_weight_matching(edges, weights) -> set:
         raise ValueError(f"{len(edges)} edges but weights of shape {weights.shape}")
     if not edges:
         return set()
+    w2, eid = _arrays(edges, weights)
+    m = len(w2)
+    if m % 2 == 0:
+        found = _Matcher(w2, eid, greedy=True).run()
+        if 2 * len(found) == m:
+            return {edges[k] for k in found}
+    return {edges[k] for k in _Matcher(w2, eid, greedy=False).run()}
+
+
+def _arrays(edges, weights):
+    """``w2`` and ``eid`` of a non-empty edge list and its weight array.
+
+    The vertices are relabelled 0..m-1 in order of first appearance.
+    """
     ends = [v for e in edges for v in e]
     index = {v: i for i, v in enumerate(dict.fromkeys(ends))}
-    ends = np.fromiter(map(index.__getitem__, ends), int, len(ends)).reshape(-1, 2)
-    return {edges[k] for k in _Matcher(len(index), ends, weights).run()}
+    m = len(index)
+    a, b = np.fromiter(map(index.__getitem__, ends), int, len(ends)).reshape(-1, 2).T
+    w2 = np.full((m, m), -_INF)
+    w2[a, b] = w2[b, a] = 2.0 * weights
+    eid = np.full((m, m), -1)
+    eid[a, b] = eid[b, a] = np.arange(len(edges))
+    return w2, eid
 
 
 class _Matcher:
-    """One run of the blossom algorithm on vertices 0..m-1."""
+    """One run of the blossom algorithm on vertices 0..m-1.
 
-    def __init__(self, m, ends, weights):
-        self.m = m
-        a, b = ends[:, 0], ends[:, 1]
-        self.w2 = np.full((m, m), -_INF)
-        self.w2[a, b] = self.w2[b, a] = 2.0 * weights
-        self.eid = np.full((m, m), -1)
-        self.eid[a, b] = self.eid[b, a] = np.arange(len(ends))
+    ``w2`` and ``eid`` are read, never written, so runs may share them.
+    """
+
+    def __init__(self, w2, eid, greedy):
+        m = self.m = len(w2)
+        self.w2, self.eid = w2, eid
         self.dual = np.zeros(2 * m)
-        self.dual[:m] = max(0.0, weights.max())
         self.ids = np.arange(m)
         self.inb = np.arange(m)
         self.lab = np.zeros(2 * m, dtype=np.int8)
@@ -111,6 +153,32 @@ class _Matcher:
         self.unused = list(range(2 * m - 1, m - 1, -1))
         self.new_s = []     # vertices labelled S since `best` was updated
         self.merged = []    # vertices whose blossom formed since then
+        if greedy:
+            self._greedy_start()
+        else:
+            self.dual[:m] = max(0.0, w2.max() / 2)
+
+    def _greedy_start(self):
+        """Greedy duals and matching for the stages to start from.
+
+        Each ``dual[v]`` starts at the vertex's largest incident weight, so
+        every slack is >= 0.  In vertex order, each vertex still exposed
+        lowers its dual by its least slack and takes a tight edge to another
+        exposed vertex if it has one: slacks stay >= 0 and every matched
+        edge is tight.
+        """
+        m, w2, dual, mate = self.m, self.w2, self.dual, self.mate
+        dual[:m] = w2.max(axis=1) / 2
+        for v in range(m):
+            if mate[v] >= 0:
+                continue
+            slack = dual[v] + dual[:m] - w2[v]
+            least = slack.min()
+            dual[v] -= least
+            slack[mate >= 0] = _INF
+            w = int(slack.argmin())
+            if slack[w] <= least:
+                mate[v], mate[w] = w, v
 
     def run(self):
         """Augment stage by stage; return the matched edge ids."""

@@ -136,11 +136,15 @@ class _BuiltIn:
         return self.function(t, self.total_time)
 
 
-def _check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer >= 1 (not a bool)."""
+def _check_count(name: str, value, least=1) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``least`` (not a bool).
+
+    With ``least`` None every integer passes.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value}")
+            or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,10 @@ def analytic_runtime(
                    the YX/XY rounds are treated as absorbed into the gate
                    (the cost model counts entangling rounds and the global
                    rotation layers only)
+
+    ``n`` must be an integer >= 2 on every path, and >= k on daqc_inhomog.
     """
+    _check_count("n", n, least=2)
     _check_count("trotter_steps", trotter_steps)
     if path == "digital":
         multi = 3 * (n - 1)
@@ -108,6 +111,8 @@ def analytic_runtime(
         multi = analytic_depth(n, k, "homogeneous") - 3.0
         single = 3
     elif path == "daqc_inhomog":
+        if n < k:
+            raise ValueError(f"need N >= k, got N={n}, k={k}")
         subs = k * (k - 1) // 2
         # the 4 block-family layers become 4*subs, each sandwiched in flips
         multi = 4 * subs + 2 + 2.0 * (n - k) * (n - k + 1) / n
@@ -131,6 +136,8 @@ def enhancement_factor(
     otherwise, with k clamped to the qubit count).  Keys are the requested
     block sizes.
     """
+    for k in block_sizes:
+        _check_count("block_size", k)
     if any(k < 2 or k > _FLIP_BLOCK_CAP for k in block_sizes):
         raise ValueError(f"block sizes must lie in 2..{_FLIP_BLOCK_CAP}")
     digital = circuit_runtime(

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._matching import max_weight_matching
-from .counterdiabatic import Schedule
+from .counterdiabatic import Schedule, _check_count
 from .gates import _EPS, Gate, solve_gms_angles, trotter_angles
 from .problem import IsingProblem
 
@@ -553,7 +553,9 @@ def synthesis_plan(problem: IsingProblem, block_size: int, path: str = "auto"):
     baseline, which has no block size (None).  The block size is clamped
     to 2..N, and to at most 6 on the inhomogeneous path.  Forcing the
     homogeneous path on an inhomogeneous instance raises ValueError, and
-    so does a problem of fewer than 2 qubits, on every path.
+    so does a problem of fewer than 2 qubits, on every path, and a block
+    size that is not an integer (a bool is not one) on every path but
+    ``digital``, which ignores it.
     """
     if path not in SYNTHESIS_PATHS:
         raise ValueError(f"unknown synthesis path {path!r}")
@@ -563,6 +565,7 @@ def synthesis_plan(problem: IsingProblem, block_size: int, path: str = "auto"):
         )
     if path == "digital":
         return path, None
+    _check_count("block_size", block_size, least=None)
     homogeneous = problem.is_homogeneous()
     if path == "auto":
         path = "homogeneous" if homogeneous else "inhomogeneous"

@@ -118,6 +118,18 @@ class TestAnalyticRuntime:
         with pytest.raises(ValueError, match="trotter_steps must be an integer"):
             analytic_runtime(8, steps)
 
+    @pytest.mark.parametrize("path", ["digital", "daqc_homog", "daqc_inhomog"])
+    @pytest.mark.parametrize("n", [0, 1, -4, 2.5, 8.0, True, "8"])
+    def test_rejects_a_size_that_is_not_an_integer_of_at_least_two(self, path, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 2"):
+            analytic_runtime(n, 1, path=path)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sign_flip_blocks_need_as_many_qubits(self, n):
+        with pytest.raises(ValueError, match="need N >= k"):
+            analytic_runtime(n, 1, path="daqc_inhomog", k=4)
+        assert analytic_runtime(n, 1, path="daqc_inhomog", k=n) > 0
+
 
 class TestEnhancementFactor:
     def test_small_homogeneous_instance(self):
@@ -134,3 +146,9 @@ class TestEnhancementFactor:
         p = random_spin_glass(4, 0, "homogeneous")
         with pytest.raises(ValueError):
             enhancement_factor(p, Schedule(1.0, 1), block_sizes=(1,))
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3"])
+    def test_rejects_a_block_size_that_is_not_an_integer(self, k):
+        p = random_spin_glass(6, 0, "homogeneous")
+        with pytest.raises(ValueError, match="block_size must be an integer"):
+            enhancement_factor(p, Schedule(1.0, 1), block_sizes=(2, k))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from dacqo._matching import max_weight_matching
+from dacqo._matching import _arrays, _Matcher, max_weight_matching
 from dacqo.counterdiabatic import Schedule, exact_evolution
 from dacqo.gates import Gate
 from dacqo.paulis import pauli_on, phase_distance
@@ -165,6 +165,29 @@ def _labelled_graph(labels, seed):
     return list(labels), [(i, j, w) for (i, j), w in zip(every, weights.tolist())]
 
 
+def _peel_weighted(pairs, seed):
+    """(order, edges): the graph of ``pairs``, peel weights."""
+    weights = 1.0 + 0.01 * np.random.default_rng(seed).random(len(pairs))
+    order = list(dict.fromkeys(v for p in pairs for v in p))
+    return order, [(i, j, w) for (i, j), w in zip(pairs, weights.tolist())]
+
+
+# even orders without a perfect matching, so a greedy-started run cannot
+# certify its result and the matcher runs again from uniform duals
+_TWO_TRIANGLES = _peel_weighted([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], 6)
+_STAR_AND_EDGE = _peel_weighted([(0, 1), (0, 2), (0, 3), (4, 5)], 7)
+# a tree on which the greedy-started run ends with the matching
+# {(0, 5), (1, 2)} of weight 5: two edges, but not the heaviest two
+_LIGHT_GREEDY_TREE = ([0, 5, 1, 2, 3, 4], [
+    (0, 5, 1.0), (1, 2, 4.0), (2, 3, 9.0), (2, 4, 8.0), (4, 5, 4.0)])
+
+
+def _greedy_matcher(edges):
+    """A greedy-started ``_Matcher`` on ``(i, j, weight)`` edges."""
+    return _Matcher(*_arrays([(i, j) for i, j, _ in edges],
+                             np.array([w for _, _, w in edges])), greedy=True)
+
+
 class TestMatching:
     """The array blossom matcher against networkx's, the test oracle."""
 
@@ -183,6 +206,12 @@ class TestMatching:
     # the largest arrays: complete graphs on 40 vertices
     @example(_labelled_graph(range(40), 0))
     @example(_labelled_graph(range(79, -1, -2), 1))
+    # even orders without a perfect matching: the uniform-dual run decides
+    @example(_TWO_TRIANGLES)
+    @example(_STAR_AND_EDGE)
+    @example(_LIGHT_GREEDY_TREE)
+    # an even-order regular graph: the Petersen graph, 3-regular on 10
+    @example(_peel_weighted(sorted(nx.petersen_graph().edges), 2))
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     def test_same_edges_as_networkx(self, drawn):
         order, edges = drawn
@@ -198,6 +227,35 @@ class TestMatching:
         assert got <= set(pairs)
         matched = [v for e in got for v in e]
         assert len(matched) == len(set(matched))
+
+    @given(_weighted_graphs())
+    @example(_labelled_graph(range(40), 0))
+    @example(_TWO_TRIANGLES)
+    @example(([0, 1, 2, 3], [(0, 1, -2.0), (1, 2, -0.5), (2, 3, -3.0),
+                             (0, 3, 1.5)]))
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_greedy_start_is_feasible_with_matched_edges_tight(self, drawn):
+        _, edges = drawn
+        if not edges:
+            return
+        matcher = _greedy_matcher(edges)
+        m, w2, mate = matcher.m, matcher.w2, matcher.mate
+        dual = matcher.dual[:m]
+        slack = dual[:, None] + dual - w2   # twice the slack; +inf off edges
+        tol = 1e-12 * np.abs(w2[np.isfinite(w2)]).max()
+        assert slack.min() >= -tol
+        matched = np.flatnonzero(mate >= 0)
+        assert (mate[mate[matched]] == matched).all()
+        assert np.abs(slack[matched, mate[matched]]).max(initial=0.0) <= tol
+
+    def test_greedy_start_certifies_only_a_perfect_matching(self):
+        # where the greedy-started stages leave a vertex exposed, their
+        # matching may be lighter than the best of its cardinality
+        for _, edges in (_TWO_TRIANGLES, _STAR_AND_EDGE, _LIGHT_GREEDY_TREE):
+            matcher = _greedy_matcher(edges)
+            assert 2 * len(matcher.run()) < matcher.m
+        # edge ids 0 and 1: (0, 5) and (1, 2); networkx's is (2, 3), (4, 5)
+        assert sorted(_greedy_matcher(_LIGHT_GREEDY_TREE[1]).run()) == [0, 1]
 
     def test_rejects_weights_of_another_length(self):
         with pytest.raises(ValueError, match="2 edges"):
@@ -549,6 +607,26 @@ class TestSynthesisPlan:
         with pytest.raises(ValueError, match="unknown synthesis path"):
             synthesis_plan(_ring(), 4, "telepathic")
 
+    @pytest.mark.parametrize("path", ["auto", "homogeneous", "inhomogeneous"])
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3", None])
+    def test_rejects_a_block_size_that_is_not_an_integer(self, path, k):
+        for p in (random_spin_glass(6, 0, "homogeneous"),
+                  random_spin_glass(6, 0, "fully_nonuniform")):
+            if path == "homogeneous" and not p.is_homogeneous():
+                continue
+            with pytest.raises(ValueError, match="block_size must be an integer"):
+                synthesis_plan(p, k, path)
+            with pytest.raises(ValueError, match="block_size must be an integer"):
+                synthesize(p, Schedule(1.0, 1), k, path)
+
+    def test_digital_path_takes_its_own_plan_back(self):
+        # the baseline has no block size: the plan's None goes back in
+        p = random_spin_glass(6, 0, "fully_nonuniform")
+        path, k = synthesis_plan(p, 4, "digital")
+        assert k is None
+        assert synthesize(p, Schedule(1.0, 1), k, path) == \
+            synthesize_digital_baseline(p, Schedule(1.0, 1))
+
     @pytest.mark.parametrize("path", SYNTHESIS_PATHS)
     def test_one_qubit_rejected_on_every_path(self, path):
         p = IsingProblem(1, {}, [1.0])
@@ -615,6 +693,10 @@ class TestCircuitBytes:
         # a 41-round peel of the N=48 correction pairs
         (random_spin_glass(48, 0, "homogeneous"), 1, 4, "auto",
          "33c4ba4cd429b51a9def9b862b7513ecf86bc6162164f65ba9495857ac6f52b4"),
+        # the largest routine peel: 1824 correction pairs of largest degree
+        # 57 in 57 rounds, every one a perfect matching
+        (random_spin_glass(64, 0, "homogeneous"), 1, 4, "auto",
+         "2aaca654e6b82469c3e3b32fcd6db6d89778e8b679660a586c01b0bf61b7bc1e"),
         (random_spin_glass(16, 0, "fully_nonuniform"), 10, 4, "inhomogeneous",
          "6ef417a1129910dab8fdd4300ff89ea8fccd008a9e4ca433bcf0d357d4c5126f"),
         (random_spin_glass(16, 0, "fully_nonuniform"), 10, 4, "digital",
@@ -636,9 +718,9 @@ class TestCircuitBytes:
          "6957968e20b52a9403b5d505d083d074c472cae0aca53fc7ba145715b1ab94c4"),
         (IsingProblem(5, {(0, 1): 0.0, (2, 3): 1.0}), 3, 4, "digital",
          "5573bc13c78992d0ae783e9680feee283554453819afa257d50489ac1c8e5b16"),
-    ], ids=["homogeneous-n32", "homogeneous-n48", "inhomogeneous-n16",
-            "digital-n16", "mis14", "mixed-n8-k2", "nonuniform-n8-k6",
-            "homogeneous-n6-shifted", "zero-coupling-auto",
+    ], ids=["homogeneous-n32", "homogeneous-n48", "homogeneous-n64",
+            "inhomogeneous-n16", "digital-n16", "mis14", "mixed-n8-k2",
+            "nonuniform-n8-k6", "homogeneous-n6-shifted", "zero-coupling-auto",
             "zero-coupling-digital"])
     def test_sha256(self, problem, steps, k, path, digest):
         circuit = synthesize(problem, Schedule(1.0, steps), k, path)
