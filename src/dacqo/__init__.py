@@ -20,7 +20,6 @@ from .problem import (
     GroundTruth,
     IsingProblem,
     brute_force_ground_state,
-    classical_energy,
     mis_to_ising,
     random_spin_glass,
 )

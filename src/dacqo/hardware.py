@@ -100,10 +100,14 @@ def analytic_runtime(
                    (the cost model counts entangling rounds and the global
                    rotation layers only)
 
-    ``n`` must be an integer >= 2 on every path, and >= k on daqc_inhomog.
+    ``n`` must be an integer >= 2 on every path.  Both daqc paths need
+    ``k`` to be an integer >= 2, and daqc_inhomog needs N >= k; digital
+    ignores ``k``.
     """
     _check_count("n", n, least=2)
     _check_count("trotter_steps", trotter_steps)
+    if path in ("daqc_homog", "daqc_inhomog"):
+        _check_count("k", k, least=2)
     if path == "digital":
         multi = 3 * (n - 1)
         single = 3

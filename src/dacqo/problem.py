@@ -24,7 +24,6 @@ __all__ = [
     "IsingProblem",
     "GroundTruth",
     "Graph",
-    "classical_energy",
     "brute_force_ground_state",
     "mis_to_ising",
     "random_spin_glass",
@@ -292,19 +291,6 @@ def _check_unique(rows) -> None:
         if key in seen:
             raise ValueError(f"pair {key} appears twice")
         seen.add(key)
-
-
-def classical_energy(problem: IsingProblem, spins) -> float:
-    """Ising energy of a +/-1 spin configuration (offset excluded)."""
-    spins = np.asarray(spins)
-    if len(spins) != problem.n_qubits:
-        raise ValueError(
-            f"expected {problem.n_qubits} spins, got {len(spins)}"
-        )
-    e = float(problem.fields @ spins)
-    for (i, j), v in problem.couplings.items():
-        e += v * spins[i] * spins[j]
-    return e
 
 
 def _spins(indices: np.ndarray, n: int) -> np.ndarray:

@@ -170,13 +170,11 @@ def coverage_plan(n: int, k: int):
         supplementary = [
             b for b in supplementary if frozenset(b) not in prim_sets
         ]
-    coverage = {}
-    for i, j in itertools.combinations(range(n), 2):
-        c = 0
-        for block in primary + supplementary:
-            if i in block and j in block:
-                c += 1
-        coverage[(i, j)] = c
+    coverage = dict.fromkeys(itertools.combinations(range(n), 2), 0)
+    for block in primary + supplementary:
+        # sorted: a supplementary block may wrap around past qubit n - 1
+        for pair in itertools.combinations(sorted(block), 2):
+            coverage[pair] += 1
     return primary, supplementary, coverage
 
 
@@ -235,30 +233,30 @@ def _peel_rounds(pairs, seed):
     return rounds
 
 
-def schedule_pairs(pairs, n: int, seed: int = 0):
+def schedule_pairs(pairs, n: int):
     """Pack pairs into parallel rounds (disjoint qubits per round).
 
-    Deterministic: tries the circle method, then up to 12 seeded
-    matching-peeling passes (seeds ``seed``, ``seed + 1``, ...), and keeps
-    the shortest schedule found, the earliest on a tie.  Every round is a
-    matching, so no schedule is shorter than the largest degree of the
-    pair graph; the passes stop once the best schedule reaches that bound,
-    which returns the schedule running every pass would.  Schedules are
-    cached per process by pair set, ``n`` and ``seed``; each call returns
-    fresh round lists.  Every pair must be ``(i, j)`` with
-    ``0 <= i < j < n``; any other raises ``ValueError``.
+    Deterministic: tries the circle method, then up to 12
+    matching-peeling passes seeded 0, 1, ..., 11, and keeps the shortest
+    schedule found, the earliest on a tie.  Every round is a matching, so
+    no schedule is shorter than the largest degree of the pair graph; the
+    passes stop once the best schedule reaches that bound, which returns
+    the schedule running every pass would.  Schedules are cached per
+    process by pair set and ``n``; each call returns fresh round lists.
+    Every pair must be ``(i, j)`` with ``0 <= i < j < n``; any other
+    raises ``ValueError``.
     """
     pairs = tuple(sorted(set(pairs)))
     for pair in pairs:
         i, j = pair
         if not 0 <= i < j < n:
             raise ValueError(f"pair {pair} is not (i, j) with 0 <= i < j < n = {n}")
-    rounds = _schedule(pairs, n, seed)
+    rounds = _schedule(pairs, n)
     return [list(rnd) for rnd in rounds]
 
 
 @functools.lru_cache(maxsize=64)
-def _schedule(pairs, n, seed):
+def _schedule(pairs, n):
     """Rounds of ``schedule_pairs`` for sorted distinct ``pairs``, as tuples."""
     if not pairs:
         return ()
@@ -267,7 +265,7 @@ def _schedule(pairs, n, seed):
     for t in range(_PEEL_TRIALS):
         if len(best) == max_degree:
             break
-        cand = _peel_rounds(pairs, seed + t)
+        cand = _peel_rounds(pairs, t)
         if len(cand) < len(best):
             best = cand
     return tuple(tuple(rnd) for rnd in best)
@@ -460,16 +458,13 @@ def synthesize_inhomogeneous(
     k = block_size
     if not 2 <= k <= _FLIP_BLOCK_CAP:
         raise ValueError(f"block_size must be in 2..{_FLIP_BLOCK_CAP}")
-    Jmat = problem.coupling_matrix()
     sets = [tuple(range(b, b + k)) for b in range(0, n - k + 1, k)] if k > 2 else []
     local_pairs = list(itertools.combinations(range(k), 2))
     in_set = {(s[a], s[b]) for s in sets for a, b in local_pairs}
-    cross_pairs = sorted(
-        (i, j)
-        for i, j in itertools.combinations(range(n), 2)
-        if (i, j) not in in_set and abs(Jmat[i, j]) > 0
+    rounds = schedule_pairs(
+        [p for p, v in problem.couplings.items() if v != 0 and p not in in_set],
+        n,
     )
-    rounds = schedule_pairs(cross_pairs, n)
 
     def step_factors(ang):
         # in-set couplings via sign-flip sub-blocks
@@ -508,10 +503,7 @@ def synthesize_digital_baseline(
     after each 2-qubit round.
     """
     n = problem.n_qubits
-    Jmat = problem.coupling_matrix()
-    pairs = sorted(p for p in itertools.combinations(range(n), 2)
-                   if abs(Jmat[p]) > 0)
-    rounds = schedule_pairs(pairs, n)
+    rounds = schedule_pairs([p for p, v in problem.couplings.items() if v != 0], n)
 
     def step_factors(ang):
         # native XX gates exp(-i theta X X): the pure-XX GMS prescription

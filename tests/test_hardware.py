@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from dacqo.counterdiabatic import Schedule
@@ -123,6 +124,19 @@ class TestAnalyticRuntime:
     def test_rejects_a_size_that_is_not_an_integer_of_at_least_two(self, path, n):
         with pytest.raises(ValueError, match="n must be an integer >= 2"):
             analytic_runtime(n, 1, path=path)
+
+    @pytest.mark.parametrize("path", ["daqc_homog", "daqc_inhomog"])
+    @pytest.mark.parametrize("k", [2.5, 4.0, 1, 0, True, "4"])
+    def test_rejects_a_block_size_that_is_not_an_integer_of_at_least_two(
+        self, path, k
+    ):
+        with pytest.raises(ValueError, match="k must be an integer >= 2"):
+            analytic_runtime(8, 1, path=path, k=k)
+
+    @pytest.mark.parametrize("path", ["daqc_homog", "daqc_inhomog"])
+    def test_accepts_a_numpy_integer_block_size(self, path):
+        assert analytic_runtime(8, 1, path=path, k=np.int64(4)) == \
+            analytic_runtime(8, 1, path=path, k=4)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_sign_flip_blocks_need_as_many_qubits(self, n):

@@ -14,12 +14,21 @@ from dacqo.problem import (
     IsingProblem,
     all_energies,
     brute_force_ground_state,
-    classical_energy,
     independent_set_from_spins,
     mis_to_ising,
     random_graph,
     random_spin_glass,
 )
+
+
+def classical_energy(problem, spins):
+    """Ising energy of a +/-1 spin configuration (offset excluded), term by
+    term: the oracle the vectorized energies are checked against."""
+    spins = np.asarray(spins)
+    e = float(problem.fields @ spins)
+    for (i, j), v in problem.couplings.items():
+        e += v * spins[i] * spins[j]
+    return e
 
 
 class TestClassicalEnergy:
@@ -36,11 +45,6 @@ class TestClassicalEnergy:
         # h terms: -1 - 1 + 1 = -1
         p = IsingProblem(3, {(0, 1): 1, (1, 2): 1, (0, 2): 1}, [1, 1, 1])
         assert classical_energy(p, (-1, -1, 1)) == -2.0
-
-    def test_length_mismatch(self):
-        p = IsingProblem(2, {(0, 1): 1.0})
-        with pytest.raises(ValueError):
-            classical_energy(p, (1, 1, 1))
 
     @given(st.integers(0, 2**6 - 1))
     @settings(max_examples=30, deadline=None)
