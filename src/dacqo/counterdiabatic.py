@@ -35,10 +35,11 @@ depend on lambda and O_2 = lambda A + (1 - lambda) B with A = [H_f, O_1]
 and B = [D, O_1], so the oracle's Gamma_2 is a quadratic in lambda whose
 coefficients ||A||^2, ||B||^2 and Re<A, B> are formed once per problem.
 
-lambda(t) and lambda_dot(t) come from a ``Schedule``, which is plain data:
-the built-in profiles are module-level functions of (t, T), and a built-in
-schedule holds them as values of (function, total_time), so schedules
-compare, hash, copy and pickle by their fields.
+lambda(t) and lambda_dot(t) come from a ``Schedule``, which is plain data
+(total time, trotter step count and profile name), so schedules compare,
+hash, copy and pickle by their fields.  Its ``lam`` and ``lam_dot`` methods
+evaluate the built-in profile's module-level functions of (t, T); a custom
+profile is a subclass that overrides them.
 
 The gate layer works in a frame rotated by a Hadamard on every qubit
 (Z -> X, X -> Z, Y -> -Y), where the entangling terms become XX/XY/YX and
@@ -46,15 +47,15 @@ the driver is diagonal; ``rotated_full_hamiltonian`` builds that frame's
 generator and ``exact_evolution`` integrates it as a trotter-free reference.
 Both form H'(t) by one formula, ``_hamiltonian``, which takes an array of
 (lambda, lambda_dot, alpha_1) rows and returns one matrix per row.
-``exact_evolution`` evaluates each slice at ``Schedule.midpoint``'s time
-expression, so with as many slices as trotter steps it reads H'(t) at the
-trotter grid's times bit for bit.  It takes its slices in stacks of at
-most ``_STACK_ENTRIES`` (2^12) matrix entries and exponentiates each stack
-with a degree-12 Taylor polynomial, evaluated Paterson-Stockmeyer style
-(five batched products) after a shared power-of-two scaling chosen from
-the stack's largest 1-norm so that the truncation stays below 2^-53, then
-squared back.  No eigendecomposition is needed, and the module needs no
-scipy.
+``exact_evolution`` evaluates each slice at ``Schedule.midpoints``, the
+grid the trotter angles are read on, so with as many slices as trotter
+steps it reads H'(t) at the trotter grid's times bit for bit.  It takes
+its slices in stacks of at most ``_STACK_ENTRIES`` (2^12) matrix entries
+and exponentiates each stack with a degree-12 Taylor polynomial,
+evaluated Paterson-Stockmeyer style (five batched products) after a
+shared power-of-two scaling chosen from the stack's largest 1-norm so
+that the truncation stays below 2^-53, then squared back.  No
+eigendecomposition is needed, and the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,17 +125,6 @@ _PROFILES = {"sin2sin2": (_sin2sin2_lam, _sin2sin2_lam_dot),
              "linear-smoothstep": (_smoothstep_lam, _smoothstep_lam_dot)}
 
 
-@dataclass(frozen=True)
-class _BuiltIn:
-    """lambda or lambda_dot of a built-in profile at one total time."""
-
-    function: Callable
-    total_time: float
-
-    def __call__(self, t):
-        return self.function(t, self.total_time)
-
-
 def _check_count(name: str, value, least=1) -> None:
     """Raise ValueError unless ``value`` is an integer >= ``least`` (not a bool).
 
@@ -149,25 +138,19 @@ def _check_count(name: str, value, least=1) -> None:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Annealing schedule: total time, trotter step count, lambda(t).
+    """Annealing schedule: total time, trotter step count, lambda profile.
 
     Both built-in profiles satisfy lambda(0)=0, lambda(T)=1 and have
     vanishing velocity at the endpoints, so the CD term switches off at
-    t=0 and t=T.  A built-in schedule's ``lam`` and ``lam_dot`` are values
-    that hold the profile's module-level function and the total time, so
-    the schedule is plain data: it compares, hashes, copies and pickles by
-    its five fields.  Given back together (as ``dataclasses.replace``
-    does), built-in values are rebuilt from ``profile`` and
-    ``total_time``.  A custom ``lam`` and its derivative ``lam_dot`` are
-    given together, in place of ``profile``, or not at all; a custom
-    schedule's ``profile`` is None.
+    t=0 and t=T.  A schedule is plain data: it compares, hashes, copies
+    and pickles by its three fields, and ``lam`` and ``lam_dot`` evaluate
+    the named profile's module-level functions at (t, total_time).  A
+    custom lambda(t) is a subclass that overrides ``lam`` and ``lam_dot``.
     """
 
     total_time: float
     trotter_steps: int
-    profile: Optional[str] = "sin2sin2"
-    lam: Callable = field(default=None, repr=False)
-    lam_dot: Callable = field(default=None, repr=False)
+    profile: str = "sin2sin2"
 
     def __post_init__(self):
         t = self.total_time
@@ -175,30 +158,30 @@ class Schedule:
                 or not (math.isfinite(t) and t > 0):
             raise ValueError(f"total_time must be finite and positive, got {t}")
         _check_count("trotter_steps", self.trotter_steps)
-        if (self.lam is None) != (self.lam_dot is None):
-            raise ValueError("lam and lam_dot must be given together")
-        if self.lam is None or (isinstance(self.lam, _BuiltIn)
-                                and isinstance(self.lam_dot, _BuiltIn)):
-            if self.profile not in _PROFILES:
-                raise ValueError(
-                    f"unknown profile {self.profile!r}; "
-                    f"choose from {sorted(_PROFILES)}"
-                )
-            lam, lam_dot = _PROFILES[self.profile]
-            object.__setattr__(self, "lam", _BuiltIn(lam, t))
-            object.__setattr__(self, "lam_dot", _BuiltIn(lam_dot, t))
-        elif self.profile in (None, "sin2sin2"):
-            object.__setattr__(self, "profile", None)
-        else:
+        if self.profile not in _PROFILES:
             raise ValueError(
-                f"profile {self.profile!r} given with a custom lam and lam_dot"
+                f"unknown profile {self.profile!r}; "
+                f"choose from {sorted(_PROFILES)}"
             )
 
-    def midpoint(self, step_index: int) -> float:
-        """Midpoint time of trotter step ``step_index`` (1-based)."""
-        if not 1 <= step_index <= self.trotter_steps:
-            raise ValueError("step_index out of range")
-        return (step_index - 0.5) * self.total_time / self.trotter_steps
+    def lam(self, t: float) -> float:
+        """lambda(t)."""
+        return _PROFILES[self.profile][0](t, self.total_time)
+
+    def lam_dot(self, t: float) -> float:
+        """d lambda / dt at t."""
+        return _PROFILES[self.profile][1](t, self.total_time)
+
+    def midpoints(self, slices: int = None) -> list:
+        """Midpoint times (k + 1/2) T / n of n equal slices of [0, T], k < n.
+
+        n is ``slices``, or the trotter step count when none is given: the
+        one grid on which both the trotter angles and ``exact_evolution``
+        read H'(t).
+        """
+        slices = self.trotter_steps if slices is None else slices
+        _check_count("slices", slices)
+        return [(k + 0.5) * self.total_time / slices for k in range(slices)]
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +437,7 @@ def exact_evolution(
     """Trotter-free reference propagator in the rotated frame.
 
     Ordered product of exp(-i H'(t_k) dt) over a midpoint grid of
-    ``steps`` slices, t_k = (k - 1/2) T / steps as in ``Schedule.midpoint``;
+    ``steps`` slices, t_k = (k + 1/2) T / steps from ``Schedule.midpoints``;
     later factors multiply on the left.  H_f', sum_i Z_i and C are formed
     once per call, and (lambda, lambda_dot, alpha_1) once for all slices.
     The slices are taken in stacks of at most ``_STACK_ENTRIES`` matrix
@@ -476,9 +459,7 @@ def exact_evolution(
         raise CapabilityError("exact_evolution capped at 10 qubits")
     operators = _with_cd(_operators(problem, rotated=True))
     dt = schedule.total_time / steps
-    # Schedule.midpoint's (i - 0.5) * T / steps at i = k + 1, so that at
-    # steps = trotter_steps the slices sit on the trotter grid bit for bit
-    times = [(k + 0.5) * schedule.total_time / steps for k in range(steps)]
+    times = schedule.midpoints(steps)
     coefficients = np.array(list(_coefficients(problem, schedule, times)))
     d = 2**problem.n_qubits
     per_stack = max(1, _STACK_ENTRIES // (d * d))

@@ -168,8 +168,7 @@ def trotter_angles(problem: IsingProblem, schedule: Schedule):
     J = problem.coupling_matrix()
     h = problem.fields
     dt = schedule.total_time / schedule.trotter_steps
-    midpoints = map(schedule.midpoint, range(1, schedule.trotter_steps + 1))
-    coefficients = _coefficients(problem, schedule, midpoints)
+    coefficients = _coefficients(problem, schedule, schedule.midpoints())
     for step, (lam, ldot, a1) in enumerate(coefficients, start=1):
         cd = -ldot * a1
         angles = StepAngles(

@@ -170,21 +170,23 @@ class GroundTruth:
     bitstrings: frozenset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected node-weighted graph for independent-set instances."""
+    """Undirected node-weighted graph for independent-set instances.
+
+    ``weights`` is a read-only copy of the values given.  Graphs compare
+    and hash by identity.
+    """
 
     n_nodes: int
     edges: frozenset
     weights: np.ndarray = None
 
     def __post_init__(self):
-        if self.weights is None:
-            object.__setattr__(self, "weights", np.ones(self.n_nodes))
-        else:
-            object.__setattr__(
-                self, "weights", np.asarray(self.weights, dtype=float)
-            )
+        weights = np.ones(self.n_nodes) if self.weights is None \
+            else np.array(self.weights, dtype=float)
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
         if len(self.weights) != self.n_nodes:
             raise ValueError("weights length must equal n_nodes")
         if not np.all(np.isfinite(self.weights)):
@@ -339,11 +341,13 @@ def mis_to_ising(graph: Graph, penalty: float = None) -> IsingProblem:
     The constant shift is stored in ``offset``.
     """
     w = graph.weights
+    heaviest = float(w.max(initial=0.0))
     if penalty is None:
-        penalty = 2.0 * float(w.max()) if graph.n_nodes else 2.0
-    if penalty <= float(w.max(initial=0.0)):
+        # 2 where every weight is 0: any positive penalty exceeds them
+        penalty = 2.0 * heaviest or 2.0
+    if penalty <= heaviest:
         raise ValueError(
-            f"penalty {penalty} must exceed max node weight {w.max()}"
+            f"penalty {penalty} must exceed max node weight {heaviest}"
         )
     n = graph.n_nodes
     h = w / 2.0

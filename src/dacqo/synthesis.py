@@ -148,9 +148,11 @@ def coverage_plan(n: int, k: int):
 
     Returns (primary_blocks, supplementary_blocks, pair_coverage) where
     pair_coverage maps every qubit pair (i<j) to the number of blocks
-    containing both endpoints.
+    containing both endpoints.  N and k are integers with 2 <= k <= N.
     """
-    if not 2 <= k <= n:
+    _check_count("n", n, least=2)
+    _check_count("k", k, least=2)
+    if k > n:
         raise ValueError("need 2 <= k <= n")
     primary = [tuple(range(b, b + k)) for b in range(0, n - k + 1, k)]
     supplementary = []
@@ -594,8 +596,13 @@ def analytic_depth(n: int, k: int, variant: str = "homogeneous", m: int = 0) -> 
     homogeneous              : 9 + 2 (N-k)(N-k+1) / N
     programmable_xx          : 6 + 2 (N-4)(N-3) / N
     programmable_xx_nonlocal : 6 + 2 [(N-4)(N-3) - 6M] / N
+
+    N and k are integers with 2 <= k <= N, and M an integer >= 0.
     """
-    if n < k or k < 2:
+    _check_count("n", n, least=2)
+    _check_count("k", k, least=2)
+    _check_count("m", m, least=0)
+    if n < k:
         raise ValueError("need N >= k >= 2")
     if variant == "homogeneous":
         return 9.0 + 2.0 * (n - k) * (n - k + 1) / n

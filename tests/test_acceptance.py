@@ -248,9 +248,14 @@ def test_09_noise_monotonicity_and_crossover(capsys):
 
 
 def test_10_counterdiabatic_advantage(capsys):
+    class WithoutCD(Schedule):
+        # the same lambda(t) with lambda_dot held at 0: no CD term
+        def lam_dot(self, t):
+            return 0.0
+
     p = random_spin_glass(4, 0, "homogeneous")
     with_cd = Schedule(0.5, 10)
-    without_cd = Schedule(0.5, 10, lam=with_cd.lam, lam_dot=lambda t: 0.0)
+    without_cd = WithoutCD(0.5, 10)
     s_cd = run(synthesize_homogeneous(p, with_cd, 4), p).success_probability
     s_plain = run(
         synthesize_homogeneous(p, without_cd, 4), p

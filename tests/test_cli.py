@@ -115,6 +115,19 @@ class TestSolve:
         keys = list(report)
         assert keys.index("independent_sets") == keys.index("optimal_bitstrings") + 1
 
+    def test_graph_file_of_zero_weights(self, runner, tmp_path):
+        # every independent set weighs 0: the default penalty stays
+        # positive, and each set is reported as optimal
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(
+            {"n": 3, "edges": [[0, 1], [1, 2]], "weights": [0, 0, 0]}))
+        result = runner.invoke(main, ["solve", "--graph-file", str(graph),
+                                      "--steps", "1"])
+        assert result.exit_code == 0, result.output
+        sets = json.loads(result.output)["independent_sets"]
+        assert sorted(s["nodes"] for s in sets) == [[], [0], [0, 2], [1], [2]]
+        assert all(s["weight"] == 0.0 for s in sets)
+
     def test_independent_sets_only_for_a_graph_file(self, runner):
         result = runner.invoke(main, ["solve", "--n", "4", "--steps", "1"])
         assert result.exit_code == 0, result.output

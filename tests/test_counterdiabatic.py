@@ -35,14 +35,6 @@ from dacqo.problem import (
 from dacqo.synthesis import synthesize
 
 
-def _ramp(t):
-    return t
-
-
-def _ramp_dot(t):
-    return 1.0
-
-
 def _closure_profiles(T):
     """The built-in profiles as closures over T, kept as the reference."""
 
@@ -109,51 +101,43 @@ class TestSchedule:
         with pytest.raises(ValueError, match=field):
             Schedule(total_time, steps)
 
-    @pytest.mark.parametrize("given", ["lam", "lam_dot"])
-    def test_custom_profile_needs_lam_and_lam_dot(self, given):
-        # one half alone would be paired with a built-in profile's other
-        # half, or fail later on calling None
-        with pytest.raises(ValueError, match="lam and lam_dot"):
-            Schedule(1.0, 2, **{given: lambda t: t})
+    def test_three_plain_fields(self):
+        # lam and lam_dot are methods, not fields a caller can pass
+        assert [f.name for f in dataclasses.fields(Schedule)] == [
+            "total_time", "trotter_steps", "profile"]
+        with pytest.raises(TypeError):
+            Schedule(1.0, 2, lam=lambda t: t, lam_dot=lambda t: 1.0)
 
-    def test_custom_schedules_compare_by_their_callables(self):
-        def f(t):
-            return t
-
-        def g(t):
-            return 1.0
-
-        def h(t):
-            return t * t
-
-        def k(t):
-            return 2.0 * t
-
-        custom = Schedule(1.0, 2, lam=f, lam_dot=g)
-        assert custom != Schedule(1.0, 2, lam=h, lam_dot=k)
-        assert custom != Schedule(1.0, 2, lam=f, lam_dot=k)
-        assert custom != Schedule(1.0, 2)
-        assert custom == Schedule(1.0, 2, lam=f, lam_dot=g)
-        assert hash(custom) == hash(Schedule(1.0, 2, lam=f, lam_dot=g))
-        # the unused profile is neither kept nor shown
-        assert custom.profile is None and "sin2sin2" not in repr(custom)
-        assert Schedule(1.0, 2, profile=None, lam=f, lam_dot=g) == custom
-        with pytest.raises(ValueError, match="profile"):
-            Schedule(1.0, 2, profile="bogus", lam=f, lam_dot=g)
-        with pytest.raises(ValueError, match="profile"):
-            Schedule(1.0, 2, profile="linear-smoothstep", lam=f, lam_dot=g)
-        # equal built-in schedules stay equal, with equal hashes
+    def test_schedules_compare_by_their_fields(self):
         for profile in ("sin2sin2", "linear-smoothstep"):
             a, b = Schedule(1.5, 3, profile=profile), Schedule(1.5, 3, profile=profile)
-            assert a == b and hash(a) == hash(b) and a.lam is not b.lam
+            assert a == b and hash(a) == hash(b)
         assert Schedule(1.5, 3) != Schedule(1.5, 3, profile="linear-smoothstep")
+        assert Schedule(1.5, 3) != Schedule(1.5, 4)
+        assert Schedule(1.5, 3) != Schedule(2.0, 3)
         with pytest.raises(ValueError, match="profile"):
             Schedule(1.0, 2, profile=None)
 
+    def test_subclass_overrides_the_profile(self):
+        # a custom lambda(t) is a subclass; it differs from the built-in
+        # schedule of the same fields
+        class Ramp(Schedule):
+            def lam(self, t):
+                return t / self.total_time
+
+            def lam_dot(self, t):
+                return 1.0 / self.total_time
+
+        ramp = Ramp(2.0, 4)
+        assert ramp.lam(0.5) == 0.25 and ramp.lam_dot(0.5) == 0.5
+        assert ramp != Schedule(2.0, 4)
+        p = random_spin_glass(3, 0, "mixed")
+        assert synthesize(p, ramp, 3).to_json() != synthesize(
+            p, Schedule(2.0, 4), 3).to_json()
+
     @pytest.mark.parametrize("profile", ["sin2sin2", "linear-smoothstep"])
     def test_replace_rebuilds_a_built_in_profile(self, profile):
-        # replace passes the old lam and lam_dot back in; they are the
-        # profile's for the old total time
+        # lam and lam_dot read the copy's own total time
         copy = dataclasses.replace(Schedule(1.0, 2, profile=profile), total_time=2.0)
         fresh = Schedule(2.0, 2, profile=profile)
         assert copy == fresh and copy.profile == profile
@@ -165,32 +149,33 @@ class TestSchedule:
         assert other == Schedule(1.0, 2, profile="linear-smoothstep")
         assert other.lam(0.25) == Schedule(1.0, 2, profile="linear-smoothstep").lam(0.25)
 
-    def test_replace_keeps_a_custom_profile(self):
-        def f(t):
-            return t
-
-        def g(t):
-            return 1.0
-
-        copy = dataclasses.replace(Schedule(1.0, 2, lam=f, lam_dot=g), total_time=2.0)
-        assert copy == Schedule(2.0, 2, lam=f, lam_dot=g)
-        assert copy.profile is None and copy.lam is f and copy.lam_dot is g
-        # one half of a built-in pair with a custom other half stays custom
-        half = Schedule(1.0, 2)
-        mixed = Schedule(2.0, 2, lam=half.lam, lam_dot=g)
-        assert mixed.profile is None and mixed.lam is half.lam
-
     @pytest.mark.parametrize("schedule", [
         Schedule(1.5, 3),
         Schedule(1.5, 3, profile="linear-smoothstep"),
-        Schedule(2.0, 4, lam=_ramp, lam_dot=_ramp_dot),
-    ], ids=["sin2sin2", "linear-smoothstep", "custom"])
+    ], ids=["sin2sin2", "linear-smoothstep"])
     def test_pickle_round_trip(self, schedule):
         back = pickle.loads(pickle.dumps(schedule))
         assert back == schedule and hash(back) == hash(schedule)
         assert back.profile == schedule.profile
         assert back.lam(0.7) == schedule.lam(0.7)
         assert back.lam_dot(0.7) == schedule.lam_dot(0.7)
+
+    @pytest.mark.parametrize("total_time,steps", [
+        (1.0, 10), (1.0, 1), (2.5, 7), (0.3, 40), (1.3, 3),
+    ])
+    def test_midpoints(self, total_time, steps):
+        sch = Schedule(total_time, steps)
+        dt = total_time / steps
+        grid = sch.midpoints()
+        assert grid == sch.midpoints(steps)
+        assert grid == pytest.approx([(k + 0.5) * dt for k in range(steps)],
+                                     rel=1e-15)
+        assert len(sch.midpoints(2 * steps)) == 2 * steps
+
+    @pytest.mark.parametrize("slices", [-3, 0, True, 2.0, "3"])
+    def test_midpoints_reject_a_bad_slice_count(self, slices):
+        with pytest.raises(ValueError, match="slices must be an integer"):
+            Schedule(1.0, 2).midpoints(slices)
 
     @pytest.mark.parametrize("profile", ["sin2sin2", "linear-smoothstep"])
     def test_copies_equal_a_fresh_schedule(self, profile):
@@ -482,10 +467,12 @@ class TestExactEvolution:
         # h = J = 0 makes alpha_1 singular, so switch the CD term off with
         # a zero-velocity schedule; only the diagonal (1-lambda) sum Z
         # survives and the propagator stays diagonal
+        class NoVelocity(Schedule):
+            def lam_dot(self, t):
+                return 0.0
+
         p = IsingProblem(2, {(0, 1): 0.0}, [0.0, 1e-12])
-        base = Schedule(1.0, 1)
-        sch = Schedule(1.0, 1, lam=base.lam, lam_dot=lambda t: 0.0)
-        U = exact_evolution(p, sch, 50)
+        U = exact_evolution(p, NoVelocity(1.0, 1), 50)
         off = U - np.diag(np.diag(U))
         assert np.abs(off).max() < 1e-9
 
@@ -532,7 +519,7 @@ class TestExactEvolution:
         monkeypatch.setattr(counterdiabatic, "_coefficients", recording)
         sch = Schedule(total_time, steps)
         exact_evolution(random_spin_glass(2, 0), sch, sch.trotter_steps)
-        assert seen == [sch.midpoint(k) for k in range(1, steps + 1)]
+        assert seen == sch.midpoints()
 
     @pytest.mark.parametrize("steps", [-3, 0, True, 2.0, "3"])
     def test_rejects_bad_slice_count(self, steps, monkeypatch):

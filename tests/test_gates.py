@@ -134,7 +134,7 @@ class TestStepAngles:
         sch = Schedule(2.0, 4)
         step = 2
         ang = list(trotter_angles(p, sch))[step - 1]
-        t = sch.midpoint(step)
+        t = sch.midpoints()[step - 1]
         lam, ldot = sch.lam(t), sch.lam_dot(t)
         dt = 0.5
         cd = -ldot * alpha1_analytic(p, lam)
@@ -158,8 +158,15 @@ class TestStepAngles:
         assert ang.xy[0, 1] > 0
 
     def test_rejects_nan(self):
+        class NaNProfile(Schedule):
+            def lam(self, t):
+                return math.nan
+
+            def lam_dot(self, t):
+                return 1.0
+
         p = IsingProblem(2, {(0, 1): 1.0}, [1.0, 1.0])
-        sch = Schedule(1.0, 2, lam=lambda t: math.nan, lam_dot=lambda t: 1.0)
+        sch = NaNProfile(1.0, 2)
         with pytest.raises(ValueError, match="^step 1: xx angles are not finite"):
             next(trotter_angles(p, sch))
 

@@ -140,6 +140,18 @@ class TestMisEncoding:
         with pytest.raises(ValueError):
             mis_to_ising(g, penalty=2.0)
 
+    def test_all_zero_weights_take_a_positive_default_penalty(self):
+        # twice the largest weight would be 0, which no penalty may be
+        g = Graph(3, {(0, 1), (1, 2)}, [0.0, 0.0, 0.0])
+        p = mis_to_ising(g)
+        assert p.couplings == {(0, 1): 0.5, (1, 2): 0.5}
+        truth = brute_force_ground_state(p)
+        # every independent set weighs 0, so each one is optimal
+        assert truth.energy + p.offset == 0.0
+        assert {frozenset(independent_set_from_spins(b))
+                for b in truth.bitstrings} == {
+            frozenset(s) for s in _independent_sets(g)}
+
 
 def _independent_sets(g: Graph):
     for r in range(g.n_nodes + 1):
@@ -184,6 +196,31 @@ class TestSerialization:
         h = Graph.from_json(g.to_json())
         assert h.edges == g.edges
         assert np.array_equal(h.weights, g.weights)
+
+
+class TestGraphIdentity:
+    """Graphs hold a read-only copy of their weights and compare by identity."""
+
+    def test_weights_are_a_read_only_copy(self):
+        w = np.array([1.0, 2.0, 0.5])
+        g = Graph(3, {(0, 1)}, w)
+        w[0] = 7.0
+        assert g.weights[0] == 1.0
+        assert w.flags.writeable
+        for graph in (g, Graph(3, {(0, 1)})):
+            assert not graph.weights.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                graph.weights[0] = 7.0
+
+    def test_compare_by_identity(self):
+        g = Graph(3, {(0, 1)}, [1.0, 2.0, 0.5])
+        assert g == g
+        assert g != Graph(3, {(0, 1)}, [1.0, 2.0, 0.5])
+
+    def test_hashable(self):
+        g = Graph(3, {(0, 1)}, [1.0, 2.0, 0.5])
+        assert hash(g) == hash(g)
+        assert {g: "graph"}[g] == "graph"
 
 
 class TestIdentity:

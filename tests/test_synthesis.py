@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import math
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
@@ -43,11 +44,18 @@ from dacqo.synthesis import (
 )
 
 
-def _constant_schedule(total_time, steps, lam=0.5, lam_dot=0.0):
-    base = Schedule(total_time, steps)
-    return Schedule(
-        total_time, steps, lam=lambda t: lam, lam_dot=lambda t: lam_dot
-    )
+@dataclass(frozen=True)
+class _ConstantSchedule(Schedule):
+    """lambda and lambda_dot held at fixed values over the whole schedule."""
+
+    value: float = 0.5
+    velocity: float = 0.0
+
+    def lam(self, t):
+        return self.value
+
+    def lam_dot(self, t):
+        return self.velocity
 
 
 class TestCircuit:
@@ -99,6 +107,14 @@ class TestCoveragePlan:
     def test_bad_block_size(self):
         with pytest.raises(ValueError):
             coverage_plan(4, 5)
+
+    @pytest.mark.parametrize("n, k, name", [
+        (8.0, 4, "n"), (1, 2, "n"), (True, 2, "n"),
+        (8, 4.0, "k"), (8, 1, "k"), (8, "4", "k"),
+    ])
+    def test_counts_are_integers(self, n, k, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            coverage_plan(n, k)
 
     def test_coverage_matches_testing_every_pair_in_every_block(self):
         # blocks x qubits incidence: entry (i, j) of B^T B counts the
@@ -388,7 +404,7 @@ class TestHomogeneousSynthesis:
         p = IsingProblem(4, {pr: 1.0 for pr in
                              itertools.combinations(range(4), 2)},
                          [1.0] * 4)
-        sch = _constant_schedule(0.3, 1)
+        sch = _ConstantSchedule(0.3, 1)
         da = circuit_unitary(synthesize_homogeneous(p, sch, 4))
         dig = circuit_unitary(synthesize_digital_baseline(p, sch))
         assert phase_distance(da, dig) < 1e-10
@@ -488,7 +504,7 @@ class TestInhomogeneousSynthesis:
         p = IsingProblem(4, {pr: 1.0 for pr in
                              itertools.combinations(range(4), 2)},
                          [1.0] * 4)
-        sch = _constant_schedule(2e-3, 1, lam=0.5, lam_dot=0.1)
+        sch = _ConstantSchedule(2e-3, 1, velocity=0.1)
         hom = circuit_unitary(synthesize_homogeneous(p, sch, 2))
         inh = circuit_unitary(synthesize_inhomogeneous(p, sch, 2))
         assert phase_distance(hom, inh) < 1e-6
@@ -546,6 +562,14 @@ class TestAnalyticDepth:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             analytic_depth(8, 4, "bogus")
+
+    @pytest.mark.parametrize("n, k, m, name", [
+        (8.5, 4, 0, "n"), (1, 2, 0, "n"), (8, 2.5, 0, "k"), (8, 1, 0, "k"),
+        (8, True, 0, "k"), (8, 4, -3, "m"), (8, 4, 0.5, "m"),
+    ])
+    def test_counts_are_integers(self, n, k, m, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            analytic_depth(n, k, "programmable_xx_nonlocal", m)
 
 
 def _ring(n=4, J=1.0, h=1.0):
@@ -712,7 +736,7 @@ class TestEdgeInstances:
 def _convergence_cases():
     """(instance, k, path) of every path at N = 4 and 6: the auto path on a
     homogeneous instance, the sign-flip path on two spin glasses and an MIS
-    graph, and the digital path on all four."""
+    graph (also at k = 6 for N = 6), and the digital path on all four."""
     for n in (4, 6):
         homogeneous = random_spin_glass(n, 0, "homogeneous")
         glasses = [random_spin_glass(n, 0, mode)
@@ -721,6 +745,9 @@ def _convergence_cases():
         yield from ((homogeneous, k, "auto") for k in (2, 3, 4))
         yield from ((p, k, "inhomogeneous") for p in glasses for k in (2, 3, 4))
         yield from ((mis, k, "inhomogeneous") for k in (2, 3))
+        if n == 6:
+            # k = N: one sign-flip block holds every qubit
+            yield from ((p, 6, "inhomogeneous") for p in [*glasses, mis])
         yield from ((p, 2, "digital") for p in [homogeneous, *glasses, mis])
 
 
