@@ -10,28 +10,30 @@ Qubit order follows ``dacqo.paulis``: qubit 0 is the most significant bit.
 
 The state may also be given in tensor form, one axis of length 2 per
 qubit followed by the column axes: (2,)*n, (2,)*n + (m,) or
-(2,)*n + (m, r).  Then the axis order travels with the array.  A call
-multiplies the state with the gate's axes in front (behind the column
-axis, for a stacked unitary) and returns the product as a transposed
-view in that memory order, with no copy back; the next call reads the
-order from the strides.  Where the gate's axes are already adjacent and
-in order in memory (and, for a stacked unitary, follow the column axis
-alone), the matmul runs on a reshaped view and copies nothing.  Where
-they are the innermost axes, in order (and, for a stacked unitary, the
-column axis is outermost), it runs in place as view @ u^T.  Otherwise
-one copy brings them to the front, and a caller that names the qubits
-of its next call (``next_qubits``) gets those axes put innermost in
-that copy, so that the next call runs in place: on a chain of gates
-on disjoint qubits, about every other call copies, not every one.  A
-result of fewer than ``_CARRY_ENTRIES`` entries is copied back to
+(2,)*n + (m, r).  Then the axis order travels with the array: a call
+returns its product as a transposed view in the memory order the matmul
+wrote, with no copy back, and the next call reads the order from the
+strides.  A call takes one of three layouts:
+
+- a shared unitary on an ascending run of qubits of a state in
+  canonical (C-contiguous) order: one matmul on a reshaped view;
+- the gate's axes innermost, in order (and, for a stacked unitary, the
+  column axis outermost): in place, as view @ u^T;
+- otherwise one transposed copy with the gate's axes in front (behind
+  the column axis, for a stacked unitary).  A caller that names the
+  qubits of its next call (``next_qubits``) gets those axes put
+  innermost in that copy, so that the next call runs in place: on a
+  chain of gates on disjoint qubits, about every other call copies,
+  not every one.  Where the state already lies in that order, the
+  transpose is a view and nothing is copied.
+
+A result of fewer than ``_CARRY_ENTRIES`` entries is copied back to
 canonical order, where a call's fixed costs outweigh a copy.  An input
 of shape (2^n, ...) cannot carry a permuted order, so its result is
 always canonical.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -86,24 +88,12 @@ def apply_unitary(state: np.ndarray, u: np.ndarray, qubits, n: int, *,
     if not psi.flags.c_contiguous:
         mem.sort(key=psi.strides.__getitem__, reverse=True)
     qubits = list(qubits)
-    i = mem.index(qubits[0])
-    if u.ndim == 3:
-        lead = [n]
-        # the column axis, and only it, before the gate's axes
-        front = mem[:i] == lead and mem[i:i + k] == qubits
-        view = (u.shape[0], 2**k, -1)
-    else:
-        lead = []
-        # the run's view in any memory order, by the same rule
-        batch = math.prod(psi.shape[a] for a in mem[:i])
-        front = mem[i:i + k] == qubits and (
-            batch <= 8 or psi.size // (batch << k) >= 256)
-        view = (batch, 2**k, -1) if front and i else (2**k, -1)
+    lead = [n] if u.ndim == 3 else []
     # the gate's axes innermost, in order, and (stacked) the column axis
     # outermost: (rest, 2^k) @ u^T, or (m, rest, 2^k) @ u[b]^T per column
-    back = not front and mem[-k:] == qubits and mem[:len(lead)] == lead
+    back = mem[-k:] == qubits and mem[:len(lead)] == lead
     order = mem
-    if not (front or back):
+    if not back:
         last = []
         if (next_qubits is not None and psi.size >= _CARRY_ENTRIES
                 and set(next_qubits).isdisjoint(qubits)):
@@ -114,7 +104,7 @@ def apply_unitary(state: np.ndarray, u: np.ndarray, qubits, n: int, *,
     if back:
         out = np.matmul(psi.reshape(u.shape[:-2] + (-1, 2**k)), u.swapaxes(-1, -2))
     else:
-        out = np.matmul(u, psi.reshape(view))
+        out = np.matmul(u, psi.reshape(u.shape[:-2] + (2**k, -1)))
     out = out.reshape(psi.shape)
     inverse = [0] * len(order)
     for j, a in enumerate(order):

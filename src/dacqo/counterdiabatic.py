@@ -69,7 +69,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paulis import HADAMARD, _bit_weights, commutator, hs_norm_sq, kron_all
-from .problem import CapabilityError, IsingProblem, _spins, all_energies
+from .problem import (
+    CapabilityError, IsingProblem, _check_count, _spins, all_energies,
+)
 
 __all__ = [
     "Schedule",
@@ -123,17 +125,6 @@ def _smoothstep_lam_dot(t, T):
 # profile -> (lambda(t, T), lambda_dot(t, T))
 _PROFILES = {"sin2sin2": (_sin2sin2_lam, _sin2sin2_lam_dot),
              "linear-smoothstep": (_smoothstep_lam, _smoothstep_lam_dot)}
-
-
-def _check_count(name: str, value, least=1) -> None:
-    """Raise ValueError unless ``value`` is an integer >= ``least`` (not a bool).
-
-    With ``least`` None every integer passes.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -190,9 +190,10 @@ def solve_gms_angles(theta_xx: float, theta_xy: float, qubits=(0, 1)) -> list:
     Returns a list of gates: the main GMS plus conjugate cancellers that
     strip the parasitic components.  Generic case: tan(phi) =
     theta_xy/theta_xx, theta = 2 theta_xx / cos^2(phi), YY canceller at
-    theta_m = theta sin^2(phi).  If only the cross channel is wanted the
-    gate sits at phi = pi/4 and an extra phi=0 conjugate removes the
-    induced XX term.
+    theta_m = theta sin^2(phi).  If only the cross channel is wanted,
+    GMS(2 theta_xy, pi/4) is followed by its mirror GMS^dag(2 theta_xy,
+    3 pi/4): their XX and YY pieces cancel and their cross pieces add.
+    The two generators commute on a pair, so k=2 is exact.
     """
     qubits = tuple(qubits)
     if abs(theta_xx) < _EPS and abs(theta_xy) < _EPS:
@@ -201,9 +202,8 @@ def solve_gms_angles(theta_xx: float, theta_xy: float, qubits=(0, 1)) -> list:
         return [Gate("gms", qubits, theta=2.0 * theta_xx, phi=0.0)]
     if abs(theta_xx) < _EPS:
         return [
-            Gate("gms", qubits, theta=4.0 * theta_xy, phi=math.pi / 4),
-            Gate("gms_dag", qubits, theta=2.0 * theta_xy, phi=math.pi / 2),
-            Gate("gms_dag", qubits, theta=2.0 * theta_xy, phi=0.0),
+            Gate("gms", qubits, theta=2.0 * theta_xy, phi=math.pi / 4),
+            Gate("gms_dag", qubits, theta=2.0 * theta_xy, phi=3 * math.pi / 4),
         ]
     phi = math.atan(theta_xy / theta_xx)
     theta = 2.0 * theta_xx / math.cos(phi) ** 2

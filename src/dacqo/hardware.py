@@ -11,8 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .counterdiabatic import _check_count
-from .problem import IsingProblem, _json_object, _number
+from .problem import IsingProblem, _check_count, _json_object, _number
 from .synthesis import (
     _FLIP_BLOCK_CAP,
     Circuit,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import sys
 import types
 from dataclasses import dataclass, field
@@ -62,8 +63,7 @@ class IsingProblem:
     offset: float = 0.0
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
+        _check_count("n_qubits", self.n_qubits)
         fields = np.zeros(self.n_qubits) if self.fields is None \
             else np.array(self.fields, dtype=float)
         fields.setflags(write=False)
@@ -183,6 +183,7 @@ class Graph:
     weights: np.ndarray = None
 
     def __post_init__(self):
+        _check_count("n_nodes", self.n_nodes, least=0)
         weights = np.ones(self.n_nodes) if self.weights is None \
             else np.array(self.weights, dtype=float)
         weights.setflags(write=False)
@@ -257,6 +258,17 @@ def _unique_keys(pairs) -> dict:
             raise ValueError(f"repeated key {key!r}")
         doc[key] = value
     return doc
+
+
+def _check_count(name: str, value, least=1) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``least`` (not a bool).
+
+    With ``least`` None every integer passes.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value}")
 
 
 def _integer(v, what: str = "node index") -> int:
@@ -373,8 +385,7 @@ def random_spin_glass(n: int, seed: int, mode: str = "homogeneous") -> IsingProb
     mixed            : |J|, |h| drawn from {0.5, 1.0}
     fully_nonuniform : J, h ~ Uniform(0.1, 1.0)
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count("n", n)
     rng = np.random.default_rng(seed)
     pairs = list(itertools.combinations(range(n), 2))
     if mode == "homogeneous":
@@ -400,6 +411,7 @@ def random_graph(n: int, seed: int, edge_prob: float = 0.35,
     mixed            : weights from {0.5, 1.0}
     fully_nonuniform : weights ~ Uniform(0.1, 1.0)
     """
+    _check_count("n", n, least=0)
     rng = np.random.default_rng(seed)
     edges = {
         (i, j)

@@ -94,13 +94,13 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .counterdiabatic import _check_count
 from .gates import _EPS, Gate, gate_unitary, solve_gms_angles, trotter_angles
 from .paulis import HADAMARD, PAULI, _bit_weights
 from .problem import (
     CapabilityError,
     GroundTruth,
     IsingProblem,
+    _check_count,
     brute_force_ground_state,
 )
 from .synthesis import (

@@ -44,9 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._matching import max_weight_matching
-from .counterdiabatic import Schedule, _check_count
+from .counterdiabatic import Schedule
 from .gates import _EPS, Gate, solve_gms_angles, trotter_angles
-from .problem import IsingProblem
+from .problem import IsingProblem, _check_count
 
 __all__ = [
     "Circuit",
@@ -103,11 +103,7 @@ class Circuit:
             1 for layer in self.layers if any(len(g.qubits) > 1 for g in layer)
         )
         single = len(self.layers) - multi
-        return DepthReport(
-            multiqubit_layers=multi,
-            single_qubit_layers=single,
-            total=len(self.layers),
-        )
+        return DepthReport(multiqubit_layers=multi, single_qubit_layers=single)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -133,10 +129,10 @@ class Circuit:
 class DepthReport:
     multiqubit_layers: int
     single_qubit_layers: int
-    total: int
 
-    def __post_init__(self):
-        assert self.total == self.multiqubit_layers + self.single_qubit_layers
+    @property
+    def total(self) -> int:
+        return self.multiqubit_layers + self.single_qubit_layers
 
 
 # ---------------------------------------------------------------------------

@@ -49,20 +49,20 @@ class TestHardwareSpec:
 
 class TestCircuitRuntime:
     def test_single_multiqubit_layer(self):
-        rep = DepthReport(1, 0, 1)
+        rep = DepthReport(1, 0)
         assert circuit_runtime(rep).runtime_seconds == pytest.approx(930e-6)
 
     def test_single_rotation_layer(self):
-        rep = DepthReport(0, 1, 1)
+        rep = DepthReport(0, 1)
         assert circuit_runtime(rep).runtime_seconds == pytest.approx(130e-6)
 
     def test_empty_circuit(self):
-        assert circuit_runtime(DepthReport(0, 0, 0)).runtime_seconds == 0.0
+        assert circuit_runtime(DepthReport(0, 0)).runtime_seconds == 0.0
 
     def test_additive_in_layers(self):
-        a = circuit_runtime(DepthReport(3, 2, 5)).runtime_seconds
-        b = circuit_runtime(DepthReport(1, 4, 5)).runtime_seconds
-        c = circuit_runtime(DepthReport(4, 6, 10)).runtime_seconds
+        a = circuit_runtime(DepthReport(3, 2)).runtime_seconds
+        b = circuit_runtime(DepthReport(1, 4)).runtime_seconds
+        c = circuit_runtime(DepthReport(4, 6)).runtime_seconds
         assert c == pytest.approx(a + b)
 
     def test_accepts_circuit(self):
@@ -76,8 +76,8 @@ class TestCircuitRuntime:
 
     def test_coherence_flag(self):
         tight = HardwareSpec(coherence_time=1e-4)
-        assert not circuit_runtime(DepthReport(1, 0, 1), tight).within_coherence
-        assert circuit_runtime(DepthReport(1, 0, 1)).within_coherence
+        assert not circuit_runtime(DepthReport(1, 0), tight).within_coherence
+        assert circuit_runtime(DepthReport(1, 0)).within_coherence
 
     def test_type_check(self):
         with pytest.raises(TypeError):

@@ -257,6 +257,37 @@ class TestOrderCarrying:
             assert any(np.shares_memory(x, out) for x in operands) is not copies
             np.testing.assert_allclose(out2.reshape(2**n, m), ref, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("carry", [0, _kernels._CARRY_ENTRIES])
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_gate_axes_in_order_behind_others_take_the_copy_layout(self, stacked, n, carry):
+        # the gate's axes adjacent and in order, but behind other axes
+        # (the column axis, and for a shared gate qubit 0 as well): one
+        # copy with the gate's axes in front, as for any other layout
+        m, qubits = 4, (5, 2, 6)
+        rng = np.random.default_rng(n)
+        mat = rng.standard_normal((2**n, m)) + 1j * rng.standard_normal((2**n, m))
+        lead = [n] if stacked else [n, 0]
+        mem = lead + list(qubits)
+        mem += [a for a in range(n + 1) if a not in mem]
+        psi = mat.reshape((2,) * n + (m,))
+        psi = np.ascontiguousarray(psi.transpose(mem)).transpose(np.argsort(mem))
+        if stacked:
+            u = np.stack([_random_unitary(3, b) for b in range(m)])
+            ref = np.stack([_einsum_reference(mat[:, [b]], u[b], qubits, n)[:, 0]
+                            for b in range(m)], axis=1)
+        else:
+            u = _random_unitary(3, 5)
+            ref = _einsum_reference(mat, u, qubits, n)
+        with mock.patch.object(_kernels, "_CARRY_ENTRIES", carry):
+            out = _kernels.apply_unitary(psi, u, qubits, n)
+        np.testing.assert_allclose(out.reshape(2**n, m), ref, rtol=0, atol=1e-12)
+        copy = ([n] if stacked else []) + list(qubits)
+        copy += [a for a in mem if a not in copy]
+        if out.size < carry:
+            copy = list(range(n + 1))
+        assert sorted(range(n + 1), key=out.strides.__getitem__, reverse=True) == copy
+
     def test_result_stays_in_matmul_order(self):
         # a stacked 4-qubit gate on a (2^14, 4) chunk: the result is a
         # view with the column axis, then the gate's axes, outermost, and

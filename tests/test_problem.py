@@ -318,6 +318,37 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
             Graph(3, edges)
 
+    @pytest.mark.parametrize("build,name", [
+        (lambda n: IsingProblem(n), "n_qubits"),
+        (lambda n: random_spin_glass(n, 0), "n"),
+    ], ids=["IsingProblem", "random_spin_glass"])
+    @pytest.mark.parametrize("bad", [2.5, True, 0, -1, 3.0])
+    def test_spin_count_is_an_integer_of_at_least_one(self, build, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+            build(bad)
+
+    def test_float_spin_count_rejected_with_fields(self):
+        # a float N with fields of that length used to construct, and
+        # failed at the first use that sized an array by it
+        with pytest.raises(ValueError, match="n_qubits must be an integer"):
+            IsingProblem(3.0, {}, [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("build,name", [
+        (lambda n: Graph(n, frozenset()), "n_nodes"),
+        (lambda n: random_graph(n, 0), "n"),
+    ], ids=["Graph", "random_graph"])
+    @pytest.mark.parametrize("bad", [-1, -2, 2.0, True])
+    def test_node_count_is_an_integer_of_at_least_zero(self, build, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0"):
+            build(bad)
+
+    @pytest.mark.parametrize("n", [1, 3, np.int64(3)])
+    def test_integer_counts_accepted(self, n):
+        assert IsingProblem(n).n_qubits == n
+        assert random_spin_glass(n, 0).n_qubits == n
+        assert Graph(n - 1, frozenset()).n_nodes == n - 1
+        assert random_graph(n - 1, 0).n_nodes == n - 1
+
     def test_all_energies_matches_classical(self):
         p = random_spin_glass(3, 0, "mixed")
         e = all_energies(p)

@@ -24,6 +24,7 @@ from dacqo.problem import (
 from dacqo.simulator import circuit_unitary
 from dacqo.synthesis import (
     Circuit,
+    DepthReport,
     SynthesisError,
     SYNTHESIS_PATHS,
     _circle_rounds,
@@ -76,6 +77,12 @@ class TestCircuit:
         ])
         rep = c.depth_report()
         assert (rep.multiqubit_layers, rep.single_qubit_layers, rep.total) == (2, 1, 3)
+
+    def test_depth_report_total_is_derived(self):
+        # the total is the sum of the two layer counts, never a third input
+        assert DepthReport(2, 1).total == 3
+        with pytest.raises(TypeError):
+            DepthReport(1, 0, 5)
 
     def test_json_round_trip(self):
         p = random_spin_glass(4, 3, "homogeneous")
