@@ -63,14 +63,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .paulis import HADAMARD, _bit_weights, commutator, hs_norm_sq, kron_all
 from .problem import (
-    CapabilityError, IsingProblem, _check_count, _spins, all_energies,
+    CapabilityError, IsingProblem, _check_count, _number, _spins, all_energies,
 )
 
 __all__ = [
@@ -145,8 +144,7 @@ class Schedule:
 
     def __post_init__(self):
         t = self.total_time
-        if isinstance(t, bool) or not isinstance(t, numbers.Real) \
-                or not (math.isfinite(t) and t > 0):
+        if not (math.isfinite(_number(t, "total_time")) and t > 0):
             raise ValueError(f"total_time must be finite and positive, got {t}")
         _check_count("trotter_steps", self.trotter_steps)
         if self.profile not in _PROFILES:

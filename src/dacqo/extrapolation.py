@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problem import _number
+
 __all__ = ["ExtrapolationFit", "fit_extrapolation"]
 
 
@@ -34,7 +36,7 @@ class ExtrapolationFit:
 
 def fit_extrapolation(points) -> ExtrapolationFit:
     """Least-squares fit of f(N) = 1 + (K-1) e^{-rate N} to (N, fidelity)."""
-    pts = [(float(n), float(f)) for n, f in points]
+    pts = [(_number(n, "N"), _number(f, "fidelity")) for n, f in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
     ns = np.array([p[0] for p in pts])

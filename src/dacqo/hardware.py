@@ -37,9 +37,9 @@ class HardwareSpec:
     coherence_time: float = 1.0
 
     def __post_init__(self):
-        durations = (self.t_M, self.t_S, self.coherence_time)
-        if not all(math.isfinite(d) and d > 0 for d in durations):
-            raise ValueError("durations must be positive and finite")
+        for d in (self.t_M, self.t_S, self.coherence_time):
+            if not (math.isfinite(_number(d, "duration")) and d > 0):
+                raise ValueError("durations must be positive and finite")
 
     @staticmethod
     def from_json(text: str) -> "HardwareSpec":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import numbers
 import sys
 import types
@@ -63,29 +64,30 @@ class IsingProblem:
     offset: float = 0.0
 
     def __post_init__(self):
-        _check_count("n_qubits", self.n_qubits)
-        fields = np.zeros(self.n_qubits) if self.fields is None \
-            else np.array(self.fields, dtype=float)
+        n = self.n_qubits
+        _check_count("n_qubits", n)
+        fields = np.zeros(n) if self.fields is None \
+            else np.array([_number(h, "field") for h in self.fields])
         fields.setflags(write=False)
         object.__setattr__(self, "fields", fields)
-        if len(self.fields) != self.n_qubits:
+        if len(self.fields) != n:
             raise ValueError("fields length must equal n_qubits")
         if not np.all(np.isfinite(self.fields)):
             raise ValueError("fields must be finite")
-        if not np.isfinite(self.offset):
+        if not math.isfinite(_number(self.offset, "offset")):
             raise ValueError("offset must be finite")
         clean = {}
         for (i, j), v in self.couplings.items():
+            i, j = _check_index(i, n), _check_index(j, n)
             if i == j:
                 raise ValueError(f"self-coupling ({i},{i}) not allowed")
-            if not (0 <= i < self.n_qubits and 0 <= j < self.n_qubits):
-                raise ValueError(f"coupling index ({i},{j}) out of range")
             key = (i, j) if i < j else (j, i)
             if key in clean:
                 raise ValueError(f"duplicate coupling for pair {key}")
-            if not np.isfinite(v):
+            v = _number(v, "coupling")
+            if not math.isfinite(v):
                 raise ValueError(f"coupling {key} is not finite")
-            clean[key] = float(v)
+            clean[key] = v
         object.__setattr__(self, "couplings", types.MappingProxyType(clean))
         # bytes: Python keeps their hashes, and they are exact (0.0 and
         # -0.0 differ, as they do in the fields)
@@ -146,16 +148,15 @@ class IsingProblem:
         doc = _json_object(text, "problem", ("n", "J", "h", "offset"))
         try:
             n = _size(doc.get("n"))
-            rows = [(_integer(i), _integer(j), _number(v, "coupling"))
-                    for i, j, v in doc.get("J", [])]
-            _check_unique(rows)
-            couplings = {(i, j): v for i, j, v in rows}
-            fields = ([_number(h, "field") for h in doc["h"]]
-                      if "h" in doc else None)
-            offset = _number(doc.get("offset", 0.0), "offset")
+            couplings = {}
+            for i, j, v in doc.get("J", []):
+                if (i, j) in couplings:
+                    raise ValueError(f"pair {(i, j)} appears twice")
+                couplings[i, j] = v
+            return IsingProblem(n, couplings, doc.get("h"),
+                                doc.get("offset", 0.0))
         except (TypeError, ValueError) as e:
             raise ValueError(f"malformed problem file: {e}") from e
-        return IsingProblem(n, couplings, fields, offset)
 
 
 @dataclass(frozen=True)
@@ -183,12 +184,13 @@ class Graph:
     weights: np.ndarray = None
 
     def __post_init__(self):
-        _check_count("n_nodes", self.n_nodes, least=0)
-        weights = np.ones(self.n_nodes) if self.weights is None \
-            else np.array(self.weights, dtype=float)
+        n = self.n_nodes
+        _check_count("n_nodes", n, least=0)
+        weights = np.ones(n) if self.weights is None \
+            else np.array([_number(w, "weight") for w in self.weights])
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
-        if len(self.weights) != self.n_nodes:
+        if len(self.weights) != n:
             raise ValueError("weights length must equal n_nodes")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("node weights must be finite")
@@ -196,10 +198,9 @@ class Graph:
             raise ValueError("node weights must be nonnegative")
         clean = set()
         for i, j in self.edges:
+            i, j = _check_index(i, n), _check_index(j, n)
             if i == j:
                 raise ValueError("self-loops not allowed")
-            if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-                raise ValueError(f"edge ({i},{j}) out of range")
             key = (min(i, j), max(i, j))
             if key in clean:
                 raise ValueError(f"duplicate edge {key}")
@@ -219,22 +220,19 @@ class Graph:
     def from_json(text: str) -> "Graph":
         doc = _json_object(text, "graph", ("n", "edges", "weights"))
         try:
-            n = _size(doc.get("n"))
-            edges = [(_integer(i), _integer(j)) for i, j in doc.get("edges", [])]
-            weights = ([_number(w, "weight") for w in doc["weights"]]
-                       if "weights" in doc else None)
+            return Graph(_size(doc.get("n")), doc.get("edges", []),
+                         doc.get("weights"))
         except (TypeError, ValueError) as e:
             raise ValueError(f"malformed graph file: {e}") from e
-        return Graph(n, edges, weights)
 
 
 def _json_object(text: str, kind: str, keys) -> dict:
     """Parse an input file: one JSON object whose keys are among ``keys``.
 
     Text that is not JSON, a key given twice in one object, a document
-    that is not an object and a top-level key outside ``keys`` each raise
-    ValueError naming ``kind`` and the key, so no key is silently
-    dropped or overwritten.
+    that is not an object and a top-level key outside ``keys`` or with a
+    null value each raise ValueError naming ``kind`` and the key, so no
+    key is silently dropped, overwritten or taken for absent.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
@@ -242,11 +240,13 @@ def _json_object(text: str, kind: str, keys) -> dict:
         raise ValueError(f"{kind} file: {e}") from e
     if not isinstance(doc, dict):
         raise ValueError(f"{kind} file must hold a JSON object")
-    for key in doc:
+    for key, value in doc.items():
         if key not in keys:
             raise ValueError(
                 f"{kind} file: unknown key {key!r}; keys are {', '.join(keys)}"
             )
+        if value is None:
+            raise ValueError(f"{kind} file: key {key!r} is null")
     return doc
 
 
@@ -268,43 +268,34 @@ def _check_count(name: str, value, least=1) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
             or (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value}")
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
-def _integer(v, what: str = "node index") -> int:
-    """An integer read from a file: a JSON integer, not a boolean."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"{what} must be an integer, got {v!r}")
-    return v
+def _check_index(v, n: int) -> int:
+    """``v`` as an int; ValueError unless it is an integer in [0, n) (not a
+    bool), so a numpy integer is stored as the Python int it equals."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
+            or not 0 <= v < n:
+        raise ValueError(f"index {v!r} is not an integer in [0, {n})")
+    return int(v)
 
 
 def _size(v) -> int:
     """The ``"n"`` of a problem or graph file: an integer that fits an index."""
-    n = _integer(v, '"n"')
-    if n > sys.maxsize:
-        raise ValueError(f'"n" = {n} does not fit an index')
-    return n
+    _check_count('"n"', v, least=None)
+    if v > sys.maxsize:
+        raise ValueError(f'"n" = {v} does not fit an index')
+    return v
 
 
 def _number(v, what: str) -> float:
-    """A value read from a file: a JSON number, not a boolean or a string."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    """A real number, not a boolean or a string, as the nearest float."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ValueError(f"{what} {v!r} is not a number")
     try:
         return float(v)
     except OverflowError:  # an integer beyond the float range
         raise ValueError(f"{what} is too large for a float") from None
-
-
-def _check_unique(rows) -> None:
-    """Raise ValueError if a node pair (a row's first two entries) appears
-    twice, in either order."""
-    seen = set()
-    for i, j, *_ in rows:
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise ValueError(f"pair {key} appears twice")
-        seen.add(key)
 
 
 def _spins(indices: np.ndarray, n: int) -> np.ndarray:
@@ -357,10 +348,10 @@ def mis_to_ising(graph: Graph, penalty: float = None) -> IsingProblem:
     if penalty is None:
         # 2 where every weight is 0: any positive penalty exceeds them
         penalty = 2.0 * heaviest or 2.0
-    if penalty <= heaviest:
-        raise ValueError(
-            f"penalty {penalty} must exceed max node weight {heaviest}"
-        )
+    penalty = _number(penalty, "penalty")
+    if not (math.isfinite(penalty) and penalty > heaviest):
+        raise ValueError(f"penalty {penalty} must be finite and exceed max "
+                         f"node weight {heaviest}")
     n = graph.n_nodes
     h = w / 2.0
     J = {}
@@ -412,6 +403,8 @@ def random_graph(n: int, seed: int, edge_prob: float = 0.35,
     fully_nonuniform : weights ~ Uniform(0.1, 1.0)
     """
     _check_count("n", n, least=0)
+    if not 0 <= _number(edge_prob, "edge_prob") <= 1:
+        raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob}")
     rng = np.random.default_rng(seed)
     edges = {
         (i, j)

@@ -101,6 +101,7 @@ from .problem import (
     GroundTruth,
     IsingProblem,
     _check_count,
+    _number,
     brute_force_ground_state,
 )
 from .synthesis import (
@@ -154,7 +155,7 @@ def check_simulation_width(n: int) -> None:
 
 
 def _check_amplitude(c: float) -> None:
-    if not (math.isfinite(c) and c >= 0):
+    if not (math.isfinite(_number(c, "c")) and c >= 0):
         raise ValueError(f"c must be finite and nonnegative, got {c}")
 
 
@@ -168,8 +169,9 @@ class NoiseModel:
 
     def __post_init__(self):
         _check_amplitude(self.analog_noise_amplitude)
-        if not 0.0 <= self.depolarizing_rate <= 1.0:
+        if not 0.0 <= _number(self.depolarizing_rate, "p") <= 1.0:
             raise ValueError("p must lie in [0, 1]")
+        _check_count("seed", self.seed, least=0)
 
     @property
     def is_trivial(self) -> bool:

@@ -473,11 +473,15 @@ class TestInvalidInputExits2:
         ('{"n": 9223372036854775808, "J": []}', '"n"'),
         # fields are read from "h", not from a default of n zeros
         ('{"n": 9223372036854775807, "J": [], "h": []}', "fields length"),
+        # a null is not taken for an absent key
+        ('{"n": 2, "J": [], "h": null}', "key 'h' is null"),
+        ('{"n": 2, "J": [[0, 1, 1.0]], "offset": null}', "key 'offset' is null"),
     ], ids=["self-coupling", "nan-coupling", "missing-n", "string-n",
             "scalar-J", "not-an-object", "float-node", "boolean-node",
             "repeated-pair", "reversed-pair", "string-coupling",
             "boolean-field", "string-offset", "unknown-key", "repeated-key",
-            "huge-integer-coupling", "n-beyond-an-index", "huge-n-with-h"])
+            "huge-integer-coupling", "n-beyond-an-index", "huge-n-with-h",
+            "null-h", "null-offset"])
     def test_problem_files(self, runner, tmp_path, text, named):
         pf = self._problem_file(tmp_path, text)
         result = runner.invoke(main, ["solve", "--problem-file", pf])
@@ -499,9 +503,12 @@ class TestInvalidInputExits2:
         # weights are read from "weights", not from a default of n ones
         ('{"n": 9223372036854775807, "edges": [], "weights": []}',
          "weights length"),
+        ('{"n": 2, "edges": [[0, 1]], "weights": null}', "key 'weights' is null"),
+        ('{"n": 2, "edges": [[0, 1, 2]]}', "malformed graph file"),
     ], ids=["missing-n", "float-n", "string-node", "object-weights",
             "float-node", "boolean-weight", "repeated-edge", "unknown-key",
-            "repeated-key", "n-beyond-an-index", "huge-n-with-weights"])
+            "repeated-key", "n-beyond-an-index", "huge-n-with-weights",
+            "null-weights", "three-entry-edge"])
     def test_graph_files(self, runner, tmp_path, text, named):
         gf = tmp_path / "graph.json"
         gf.write_text(text)

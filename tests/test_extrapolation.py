@@ -64,6 +64,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             fit_extrapolation([(4, 0.9), (8, bad), (12, 0.99)])
 
+    @pytest.mark.parametrize("point", [(8, True), (8, "0.95"), (True, 0.95),
+                                       ("8", 0.95)])
+    def test_points_are_numbers(self, point):
+        # a bool or a string was once fitted as float(value)
+        with pytest.raises(ValueError, match="is not a number"):
+            fit_extrapolation([(4, 0.9), point, (12, 0.99)])
+
     def test_all_equal_sizes_is_a_numerical_failure(self):
         # the data is valid but admits no fit; still a ValueError subclass
         with pytest.raises(np.linalg.LinAlgError):

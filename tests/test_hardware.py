@@ -47,6 +47,14 @@ class TestHardwareSpec:
             HardwareSpec(**{field: bad})
 
 
+    @pytest.mark.parametrize("field", ["t_M", "t_S", "coherence_time"])
+    @pytest.mark.parametrize("bad", [True, "1e-4"])
+    def test_rejects_durations_that_are_not_numbers(self, field, bad):
+        # a bool t_M once ran as t_M = 1 s
+        with pytest.raises(ValueError, match="is not a number"):
+            HardwareSpec(**{field: bad})
+
+
 class TestCircuitRuntime:
     def test_single_multiqubit_layer(self):
         rep = DepthReport(1, 0)

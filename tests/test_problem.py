@@ -140,6 +140,14 @@ class TestMisEncoding:
         with pytest.raises(ValueError):
             mis_to_ising(g, penalty=2.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "3", True])
+    def test_penalty_is_a_finite_number(self, bad):
+        # NaN and inf once failed later as "fields must be finite", and a
+        # bool ran as the penalty 1
+        g = Graph(2, {(0, 1)}, [0.5, 0.5])
+        with pytest.raises(ValueError, match="penalty"):
+            mis_to_ising(g, bad)
+
     def test_all_zero_weights_take_a_positive_default_penalty(self):
         # twice the largest weight would be 0, which no penalty may be
         g = Graph(3, {(0, 1), (1, 2)}, [0.0, 0.0, 0.0])
@@ -159,6 +167,20 @@ def _independent_sets(g: Graph):
             s = set(subset)
             if all(not (i in s and j in s) for i, j in g.edges):
                 yield subset
+
+
+class TestRandomGraph:
+    @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan, "0.5", True])
+    def test_edge_prob_is_a_number_in_the_unit_interval(self, bad):
+        # 1.5 once gave the complete graph and NaN the empty one
+        with pytest.raises(ValueError, match="edge_prob"):
+            random_graph(4, 0, edge_prob=bad)
+
+    def test_edge_prob_bounds_accepted(self):
+        assert random_graph(5, 0, edge_prob=0).edges == frozenset()
+        assert len(random_graph(5, 0, edge_prob=1.0).edges) == 10
+        assert random_graph(5, 0, edge_prob=np.float64(0.35)).edges == \
+            random_graph(5, 0).edges
 
 
 class TestRandomSpinGlass:
@@ -341,6 +363,44 @@ class TestValidation:
     def test_node_count_is_an_integer_of_at_least_zero(self, build, name, bad):
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0"):
             build(bad)
+
+    @pytest.mark.parametrize("build", [
+        lambda i: IsingProblem(3, {(i, 1): 1.0}),
+        lambda i: IsingProblem(3, {(1, i): 1.0}),
+        lambda i: Graph(3, [(i, 1)]),
+        lambda i: Graph(3, [(1, i)]),
+    ], ids=["coupling-first", "coupling-second", "edge-first", "edge-second"])
+    @pytest.mark.parametrize("bad", [0.5, 0.0, np.float64(0.0), True, "0",
+                                     -1, 3, np.int64(3)])
+    def test_index_is_an_integer_in_range(self, build, bad):
+        # a float index once built an instance equal to, and sharing every
+        # cache with, the instance of its integer part
+        with pytest.raises(ValueError, match=r"index .* is not an integer in \[0, 3\)"):
+            build(bad)
+
+    @pytest.mark.parametrize("build", [
+        lambda v: IsingProblem(2, {(0, 1): v}),
+        lambda v: IsingProblem(2, {}, [0.0, v]),
+        lambda v: IsingProblem(2, {}, offset=v),
+        lambda v: Graph(2, [(0, 1)], [1.0, v]),
+    ], ids=["coupling", "field", "offset", "weight"])
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), "1", 1j, None])
+    def test_values_are_real_numbers(self, build, bad):
+        with pytest.raises(ValueError, match="is not a number"):
+            build(bad)
+
+    def test_numpy_scalars_accepted(self):
+        # numpy indices are kept as the Python ints they equal, so the
+        # instances write JSON
+        i, j = np.int64(0), np.int32(2)
+        p = IsingProblem(3, {(i, j): np.float32(0.5)}, np.ones(3, np.float32),
+                         np.float64(1.5))
+        assert p == IsingProblem(3, {(0, 2): 0.5}, [1.0, 1.0, 1.0], 1.5)
+        assert IsingProblem.from_json(p.to_json()) == p
+        g = Graph(3, [(i, j)], np.array([1, 2, 3]))
+        assert g.edges == {(0, 2)}
+        np.testing.assert_array_equal(g.weights, [1.0, 2.0, 3.0])
+        assert Graph.from_json(g.to_json()).edges == g.edges
 
     @pytest.mark.parametrize("n", [1, 3, np.int64(3)])
     def test_integer_counts_accepted(self, n):

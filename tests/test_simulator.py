@@ -713,6 +713,22 @@ class TestRun:
         with pytest.raises(ValueError):
             NoiseModel(0.0, 1.5)
 
+    @pytest.mark.parametrize("kwargs,named", [
+        ({"analog_noise_amplitude": True}, "c True is not a number"),
+        ({"analog_noise_amplitude": "0.1"}, "c '0.1' is not a number"),
+        ({"depolarizing_rate": True}, "p True is not a number"),
+        ({"depolarizing_rate": "0.5"}, "p '0.5' is not a number"),
+        ({"seed": 1.5}, "seed must be an integer >= 0"),
+        ({"seed": -1}, "seed must be an integer >= 0"),
+        ({"seed": True}, "seed must be an integer >= 0"),
+    ], ids=["bool-c", "string-c", "bool-p", "string-p", "fractional-seed",
+            "negative-seed", "bool-seed"])
+    def test_noise_model_reads_numbers(self, kwargs, named):
+        # a bool p once ran as p = 1, and a fractional seed failed only
+        # inside SeedSequence
+        with pytest.raises(ValueError, match=named):
+            NoiseModel(**kwargs)
+
     @pytest.mark.parametrize("trajectories", [2.5, 2.0, True, "8"])
     @pytest.mark.parametrize("noisy", [False, True])
     def test_rejects_a_trajectory_count_that_is_not_an_integer(
